@@ -12,6 +12,7 @@ from .geometry import (
     PolygonChain,
     UMaxResult,
     convex_hull,
+    hull_functional,
     max_kgon,
     polygon_area,
     polygon_perimeter,

@@ -199,6 +199,77 @@ def polygon_area(chain: PolygonChain, points) -> float:
     return 0.5 * total
 
 
+def hull_functional(tuples, objective: Objective) -> np.ndarray:
+    """Objective of the convex hull of each tuple: ``(m, n, 2)`` -> ``(m,)``.
+
+    Batched counterpart of ``convex_hull`` + ``polygon_perimeter`` /
+    ``polygon_area`` with the same conventions (duplicates count once,
+    collinear points are dropped, a segment has twice its length as
+    perimeter).  For ``n != 3`` an unordered pair ``{i, j}`` of distinct
+    first-occurrence points is a hull edge iff every other point lies on one
+    closed side of line ``ij`` and every point on that line lies within the
+    segment; the perimeter sums edge lengths (twice when all points are
+    collinear) and the area sums ``cross(p_i, p_j) / 2`` oriented by that
+    side.  ``O(n^3)`` per tuple, vectorised across tuples.
+
+    Raises:
+        ValueError: if ``tuples`` is not an ``(m, n, 2)`` array with ``n >= 1``.
+    """
+    pts = np.asarray(tuples, dtype=float)
+    if pts.ndim != 3 or pts.shape[1] == 0 or pts.shape[2] != 2:
+        raise ValueError(f"expected an (m, n, 2) array of tuples, got shape {pts.shape}")
+    if pts.shape[1] == 3:
+        # Every pair of a triple is a hull edge, so the hull is closed form;
+        # for degenerate triples the two collinear legs add up to twice the
+        # span.
+        d01 = np.hypot(pts[:, 0, 0] - pts[:, 1, 0], pts[:, 0, 1] - pts[:, 1, 1])
+        d12 = np.hypot(pts[:, 1, 0] - pts[:, 2, 0], pts[:, 1, 1] - pts[:, 2, 1])
+        d20 = np.hypot(pts[:, 2, 0] - pts[:, 0, 0], pts[:, 2, 1] - pts[:, 0, 1])
+        if objective is Objective.PERIMETER:
+            return d01 + d12 + d20
+        ux = pts[:, 1, 0] - pts[:, 0, 0]
+        uy = pts[:, 1, 1] - pts[:, 0, 1]
+        vx = pts[:, 2, 0] - pts[:, 0, 0]
+        vy = pts[:, 2, 1] - pts[:, 0, 1]
+        return 0.5 * np.abs(ux * vy - uy * vx)
+
+    # Point-major layout: each array below is a stack of n contiguous rows,
+    # one per point, so every reduction over a tuple runs row by row.
+    x = np.ascontiguousarray(pts[..., 0].T)
+    y = np.ascontiguousarray(pts[..., 1].T)
+    n, m = x.shape
+    first = np.ones((n, m), dtype=bool)  # no earlier copy of the same point
+    for i in range(n):
+        for k in range(i):
+            first[i] &= (x[i] != x[k]) | (y[i] != y[k])
+    total = np.zeros(m)
+    for i in range(n):
+        rx = x - x[i]
+        ry = y - y[i]
+        for j in range(i + 1, n):
+            dx, dy = rx[j], ry[j]
+            cross = dx * ry - dy * rx
+            left = cross.max(axis=0) > 0.0
+            right = cross.min(axis=0) < 0.0
+            edge = first[i] & first[j] & ~(left & right)
+            # A third point on line ij must lie within the segment.  Such
+            # points are rare in floating point, so only those tuples pay.
+            on_line = cross == 0.0
+            on_line[i] = on_line[j] = False
+            odd = np.nonzero(edge & on_line.any(axis=0))[0]
+            if odd.size:
+                ox, oy = dx[odd], dy[odd]
+                along = ox * rx[:, odd] + oy * ry[:, odd]
+                beyond = (along < 0.0) | (along > ox * ox + oy * oy)
+                edge[odd] = ~np.any(on_line[:, odd] & beyond, axis=0)
+            if objective is Objective.PERIMETER:
+                w = np.hypot(dx, dy) * np.where(left | right, 1.0, 2.0)
+            else:
+                w = 0.5 * (left.astype(float) - right) * (x[i] * y[j] - y[i] * x[j])
+            total += np.where(edge, w, 0.0)
+    return total
+
+
 def _objective_value(chain: PolygonChain, pts: np.ndarray, objective: Objective) -> float:
     if objective is Objective.PERIMETER:
         return polygon_perimeter(chain, pts)

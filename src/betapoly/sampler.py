@@ -139,7 +139,15 @@ def sample_batch(
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    rng = seed_policy.trial_generator(trial_index)
+    return draw_points(params, seed_policy.trial_generator(trial_index), count)
+
+
+def draw_points(params: BetaParams, rng: np.random.Generator, count: int) -> np.ndarray:
+    """Draw ``count`` points from ``rng`` as a float64 array of shape (count, 2).
+
+    Consumes the whole angle block first, then the radius block, so the
+    points are a pure function of the generator's state.
+    """
     phi = TWO_PI * rng.random(count)
     r = _radius_from_uniform(params, rng.random(count))
     return np.column_stack((r * np.cos(phi), r * np.sin(phi)))

@@ -7,6 +7,7 @@ from betapoly.geometry import (
     Objective,
     PolygonChain,
     convex_hull,
+    hull_functional,
     max_kgon,
     polygon_area,
     polygon_perimeter,
@@ -106,6 +107,34 @@ def test_polygon_area_examples():
         3.0 * math.sqrt(3.0) / 4.0
     )
     assert polygon_area(PolygonChain((0, 2), degenerate=True), SQUARE) == 0.0
+
+
+def _hull_tuples(n: int) -> np.ndarray:
+    """Random, integer-grid, all-identical and exact-segment n-tuples."""
+    rng = np.random.default_rng(100 + n)
+    random = rng.uniform(-1.0, 1.0, (200, n, 2))
+    grid = rng.integers(-2, 3, (200, n, 2)).astype(float)  # duplicates, collinear runs
+    identical = np.repeat(rng.uniform(-1.0, 1.0, (20, 1, 2)), n, axis=1)
+    base = rng.integers(-3, 4, (20, 1, 2))
+    step = rng.integers(-3, 4, (20, 1, 2))
+    segment = (base + rng.integers(0, 4, (20, n, 1)) * step).astype(float)
+    return np.concatenate([random, grid, identical, segment])
+
+
+@pytest.mark.parametrize("objective", list(Objective))
+@pytest.mark.parametrize("n", range(2, 9))
+def test_hull_functional_matches_convex_hull(n, objective):
+    tuples = _hull_tuples(n)
+    measure = polygon_perimeter if objective is Objective.PERIMETER else polygon_area
+    ref = np.array([measure(convex_hull(t), t) for t in tuples])
+    np.testing.assert_allclose(hull_functional(tuples, objective), ref, rtol=1e-12, atol=0.0)
+
+
+def test_hull_functional_single_point_and_validation():
+    assert hull_functional(np.ones((2, 1, 2)), Objective.PERIMETER).tolist() == [0.0, 0.0]
+    for bad in (np.zeros((3, 2)), np.zeros((3, 0, 2)), np.zeros((3, 4, 3))):
+        with pytest.raises(ValueError):
+            hull_functional(bad, Objective.AREA)
 
 
 def test_max_kgon_square_k3():

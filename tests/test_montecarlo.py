@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from betapoly.geometry import Objective, umax_bruteforce
-from betapoly.limits import law_for, weibull_cdf
+from betapoly.limits import law_for, shape_C, weibull_cdf
 from betapoly.montecarlo import (
     EmpiricalCDF,
     SimConfig,
@@ -17,7 +17,6 @@ from betapoly.montecarlo import (
     tail_probe,
     write_ecdf_csv,
     write_trials_csv,
-    _tuple_values,
 )
 from betapoly.sampler import BetaParams, SeedPolicy, sample_batch
 
@@ -158,23 +157,27 @@ def test_tail_probe_grid_validation():
         # the maximum is attained with probability zero; a zero epsilon can
         # never meet the expected-hit guard
         tail_probe(Objective.PERIMETER, 3, 0.0, (0.5, 0.0), 1000, seed=1)
+    with pytest.raises(ValueError, match="area needs n >= 3"):
+        tail_probe(Objective.AREA, 2, 0.0, (0.5, 0.4), 1000, seed=1)
 
 
-def test_tuple_values_fast_path_matches_hull_path():
-    from betapoly.geometry import convex_hull, polygon_area, polygon_perimeter
-
-    rng = np.random.default_rng(12)
-    pts = rng.random((200, 3, 2)) * 2.0 - 1.0
-    for objective in Objective:
-        fast = _tuple_values(pts, 3, objective)
-        for i in range(0, 200, 17):
-            hull = convex_hull(pts[i])
-            ref = (
-                polygon_perimeter(hull, pts[i])
-                if objective is Objective.PERIMETER
-                else polygon_area(hull, pts[i])
-            )
-            assert fast[i] == pytest.approx(ref, abs=1e-12)
+@pytest.mark.parametrize(
+    "objective, grid, draws",
+    [
+        (Objective.PERIMETER, (0.45, 0.7), 2_000_000),
+        (Objective.AREA, (0.35, 0.6), 3_000_000),
+    ],
+)
+def test_tail_probe_n4_matches_prediction(objective, grid, draws):
+    # Criterion 5's tolerances at n = 4, beta = 0 (C = 5.5).  The smallest
+    # epsilon expects ~300 hits; at these epsilons the area tail still runs
+    # ~10% above its leading term (measured with 10^7 draws per epsilon).
+    res = tail_probe(objective, 4, 0.0, grid, draws, seed=42)
+    C = shape_C(4, 0.0)
+    assert abs(res.fitted_slope - C) / C < 0.10
+    eps = res.epsilon_grid[-1]
+    predicted = tail_prefactor(objective, 4, 0.0) * eps**C
+    assert abs(res.hit_probabilities[-1] - predicted) / predicted < 0.20
 
 
 def test_consistency_check_basics():
