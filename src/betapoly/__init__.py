@@ -62,13 +62,10 @@ from .montecarlo import (
 )
 from .sampler import (
     BetaParams,
-    DiskPoint,
-    PolarPoint,
     SeedPolicy,
     radius_cdf,
     read_points_csv,
     sample_batch,
-    sample_point,
     sample_radius,
     write_points_csv,
 )

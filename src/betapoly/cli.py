@@ -32,6 +32,91 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(f"{message} (see '{self.prog} --help')")
 
 
+_REQUIRED = object()
+
+# subcommand -> (help, rows).  A row is (config key, flag, kind[, default[,
+# help]]); the config key is also the argparse dest, and a row without a
+# default is required.  Explicit flags beat the config file's section.
+_COMMANDS = {
+    "sample": ("draw disk points and dump them to CSV", [
+        ("beta", "--beta", "float"),
+        ("count", "--count", "int"),
+        ("seed", "--seed", "int"),
+        ("out", "--out", "str"),
+    ]),
+    "umax": ("exact subset maximum for a point file", [
+        ("in_path", "--in", "str"),
+        ("n", "--n", "int"),
+        ("objective", "--objective", "objective"),
+        ("brute_force", "--brute-force", "bool", False),
+    ]),
+    "constants": ("closed-form limit-law constants", [
+        ("objective", "--objective", "objective"),
+        ("n", "--n", "int"),
+        ("beta", "--beta", "float"),
+        ("as_json", "--json", "bool", False),
+    ]),
+    "verify": ("finite-difference check of a kernel's maximizer data", [
+        ("kernel", "--kernel", "objective"),
+        ("n", "--n", "int"),
+        ("step", "--step", "float", None, "override all FD steps"),
+        ("as_json", "--json", "bool", False),
+    ]),
+    "simulate": ("Monte Carlo of the scaled deficiency", [
+        ("objective", "--objective", "objective"),
+        ("n", "--n", "int"),
+        ("beta", "--beta", "float"),
+        ("N_list", "--N", "ints", _REQUIRED, "comma-separated sizes"),
+        ("trials", "--trials", "int"),
+        ("seed", "--seed", "int"),
+        ("delta", "--delta", "float", montecarlo.CONSISTENCY_DELTA,
+         f"consistency cutoff (default {montecarlo.CONSISTENCY_DELTA:g})"),
+        ("out_dir", "--out-dir", "path"),
+    ]),
+    "tailprobe": ("direct estimate of the near-maximum tail", [
+        ("objective", "--objective", "objective"),
+        ("n", "--n", "int"),
+        ("beta", "--beta", "float"),
+        ("eps", "--eps", "floats", _REQUIRED, "comma-separated epsilons"),
+        ("draws", "--draws", "int"),
+        ("seed", "--seed", "int"),
+        ("out_dir", "--out-dir", "path"),
+    ]),
+}
+
+
+def _num_list(item):
+    def cast(raw, flag: str) -> tuple:
+        items = raw if isinstance(raw, (list, tuple)) else str(raw).split(",")
+        try:
+            return tuple(item(str(x).strip()) for x in items if str(x).strip())
+        except ValueError as exc:
+            raise CliError(f"bad value for {flag}: {raw!r}") from exc
+
+    return cast
+
+
+def _plain(fn):
+    return lambda raw, flag: fn(raw)
+
+
+# kind -> (argparse keywords, cast(value, flag)).  Casts apply to flag and
+# config values alike; argparse has already typed the flags.
+_KINDS = {
+    "int": ({"type": int}, _plain(int)),
+    "float": ({"type": float}, _plain(float)),
+    "str": ({"type": str}, _plain(lambda v: v)),
+    "path": ({"type": str}, _plain(Path)),
+    "bool": ({"action": "store_true"}, _plain(bool)),
+    "objective": (
+        {"type": str, "choices": [o.value for o in geometry.Objective]},
+        _plain(geometry.Objective.parse),
+    ),
+    "ints": ({"type": str}, _num_list(int)),
+    "floats": ({"type": str}, _num_list(float)),
+}
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="betapoly", description=__doc__)
     parser.add_argument("--config", type=str, default=None, help="JSON config file")
@@ -42,50 +127,11 @@ def _build_parser() -> _Parser:
         help="worker processes for simulation (default: available parallelism)",
     )
     sub = parser.add_subparsers(dest="command")
-
-    p = sub.add_parser("sample", help="draw disk points and dump them to CSV")
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--count", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", type=str, default=None)
-
-    p = sub.add_parser("umax", help="exact subset maximum for a point file")
-    p.add_argument("--in", dest="in_path", type=str, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--objective", type=str, default=None, choices=["perimeter", "area"])
-    p.add_argument("--brute-force", dest="brute_force", action="store_true", default=None)
-
-    p = sub.add_parser("constants", help="closed-form limit-law constants")
-    p.add_argument("--objective", type=str, default=None, choices=["perimeter", "area"])
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--json", dest="as_json", action="store_true", default=None)
-
-    p = sub.add_parser("verify", help="finite-difference check of a kernel's maximizer data")
-    p.add_argument("--kernel", type=str, default=None, choices=["perimeter", "area"])
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--step", type=float, default=None, help="override all FD steps")
-    p.add_argument("--json", dest="as_json", action="store_true", default=None)
-
-    p = sub.add_parser("simulate", help="Monte Carlo of the scaled deficiency")
-    p.add_argument("--objective", type=str, default=None, choices=["perimeter", "area"])
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--N", dest="N_list", type=str, default=None, help="comma-separated sizes")
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--delta", type=float, default=None, help="consistency cutoff (default 0.01)")
-    p.add_argument("--out-dir", dest="out_dir", type=str, default=None)
-
-    p = sub.add_parser("tailprobe", help="direct estimate of the near-maximum tail")
-    p.add_argument("--objective", type=str, default=None, choices=["perimeter", "area"])
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--eps", type=str, default=None, help="comma-separated epsilons")
-    p.add_argument("--draws", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out-dir", dest="out_dir", type=str, default=None)
-
+    for command, (help_text, rows) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for key, flag, kind, *rest in rows:
+            help_arg = rest[1] if len(rest) > 1 else None
+            p.add_argument(flag, dest=key, default=None, help=help_arg, **_KINDS[kind][0])
     return parser
 
 
@@ -104,33 +150,25 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-def _merged(args: argparse.Namespace, cfg: dict, command: str, key: str, default=None):
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    section = cfg.get(command, {})
-    if not isinstance(section, dict):
-        raise CliError(f"config section {command!r} must be an object")
-    if key in section:
-        return section[key]
-    return default
+def _resolve(args: argparse.Namespace, cfg: dict, command: str, row: tuple):
+    """A row's value: the flag, else the config section, else the default.
 
-
-def _require(value, flag: str):
+    The default is returned as is; a value from a flag or the config file is
+    cast to the row's kind.
+    """
+    key, flag, kind, *rest = row
+    default = rest[0] if rest else _REQUIRED
+    value = getattr(args, key)
     if value is None:
+        section = cfg.get(command, {})
+        if not isinstance(section, dict):
+            raise CliError(f"config section {command!r} must be an object")
+        value = section.get(key, default)
+    if value is _REQUIRED or (value is None and default is _REQUIRED):
         raise CliError(f"missing required flag {flag}")
-    return value
-
-
-def _parse_num_list(raw, flag: str, cast) -> tuple:
-    if isinstance(raw, (list, tuple)):
-        items = raw
-    else:
-        items = str(raw).split(",")
-    try:
-        return tuple(cast(str(x).strip()) for x in items if str(x).strip())
-    except ValueError as exc:
-        raise CliError(f"bad value for {flag}: {raw!r}") from exc
+    if value is default:
+        return value
+    return _KINDS[kind][1](value, flag)
 
 
 def _dump_json(obj: dict) -> None:
@@ -142,26 +180,16 @@ def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _cmd_sample(args, cfg) -> int:
-    beta = float(_require(_merged(args, cfg, "sample", "beta"), "--beta"))
-    count = int(_require(_merged(args, cfg, "sample", "count"), "--count"))
-    seed = int(_require(_merged(args, cfg, "sample", "seed"), "--seed"))
-    out = _require(_merged(args, cfg, "sample", "out"), "--out")
+def _cmd_sample(beta, count, seed, out) -> int:
     points = sampler.sample_batch(sampler.BetaParams(beta), count, sampler.SeedPolicy(seed))
     sampler.write_points_csv(out, points)
     _log(f"wrote {count} points to {out}")
     return 0
 
 
-def _cmd_umax(args, cfg) -> int:
-    in_path = _require(_merged(args, cfg, "umax", "in_path"), "--in")
-    n = int(_require(_merged(args, cfg, "umax", "n"), "--n"))
-    objective = geometry.Objective.parse(
-        _require(_merged(args, cfg, "umax", "objective"), "--objective")
-    )
-    brute = bool(_merged(args, cfg, "umax", "brute_force", default=False))
+def _cmd_umax(in_path, n, objective, brute_force) -> int:
     points = sampler.read_points_csv(in_path)
-    fn = geometry.umax_bruteforce if brute else geometry.umax
+    fn = geometry.umax_bruteforce if brute_force else geometry.umax
     result = fn(points, n, objective)
     _dump_json(
         {
@@ -173,41 +201,19 @@ def _cmd_umax(args, cfg) -> int:
     return 0
 
 
-def _constants_payload(objective: geometry.Objective, n: int, beta: float) -> dict:
-    law = limits.law_for(objective, n, beta)
-    return {
-        "M": law.M,
-        "A": law.A,
-        "B": law.B,
-        "C": law.C,
-        "K_n": limits.compute_K(n, beta),
-        "I": kernels.analytic_I(objective, n, beta),
-    }
-
-
-def _cmd_constants(args, cfg) -> int:
-    objective = geometry.Objective.parse(
-        _require(_merged(args, cfg, "constants", "objective"), "--objective")
-    )
-    n = int(_require(_merged(args, cfg, "constants", "n"), "--n"))
-    beta = float(_require(_merged(args, cfg, "constants", "beta"), "--beta"))
-    payload = _constants_payload(objective, n, beta)
-    if _merged(args, cfg, "constants", "as_json", default=False):
+def _cmd_constants(objective, n, beta, as_json) -> int:
+    payload = limits.law_for(objective, n, beta).constants()
+    if as_json:
         _dump_json(payload)
     else:
-        for key in ("M", "A", "B", "C", "K_n", "I"):
-            print(f"{key} = {payload[key]:.12g}")
+        for key, val in payload.items():
+            print(f"{key} = {val:.12g}")
     return 0
 
 
-def _cmd_verify(args, cfg) -> int:
-    kind = _require(_merged(args, cfg, "verify", "kernel"), "--kernel")
-    n = int(_require(_merged(args, cfg, "verify", "n"), "--n"))
-    objective = geometry.Objective.parse(kind)
-    spec = kernels.kernel_for(objective, n)
-    step = _merged(args, cfg, "verify", "step")
+def _cmd_verify(kernel, n, step, as_json) -> int:
+    spec = kernels.kernel_for(kernel, n)
     if step is not None:
-        step = float(step)
         analysis = kernels.analyze_maximizer(
             spec, gradient_step=step, hessian_step=step, radial_step=step
         )
@@ -216,13 +222,13 @@ def _cmd_verify(args, cfg) -> int:
     payload = {
         "gradient_residual": float(np.max(np.abs(analysis.angular_gradient))),
         "det_negG": analysis.det_negG,
-        "analytic_det": kernels.analytic_det_negG(objective, n),
+        "analytic_det": kernels.analytic_det_negG(kernel, n),
         "radial_partials": [float(x) for x in analysis.radial_partials],
-        "analytic_partials": kernels.analytic_radial_partial(objective, n),
+        "analytic_partials": kernels.analytic_radial_partial(kernel, n),
         "A6_pass": analysis.a6_pass,
         "A7_pass": analysis.a7_pass,
     }
-    if _merged(args, cfg, "verify", "as_json", default=False):
+    if as_json:
         _dump_json(payload)
     else:
         for key, val in payload.items():
@@ -230,18 +236,7 @@ def _cmd_verify(args, cfg) -> int:
     return 0
 
 
-def _cmd_simulate(args, cfg, threads: int) -> int:
-    objective = geometry.Objective.parse(
-        _require(_merged(args, cfg, "simulate", "objective"), "--objective")
-    )
-    n = int(_require(_merged(args, cfg, "simulate", "n"), "--n"))
-    beta = float(_require(_merged(args, cfg, "simulate", "beta"), "--beta"))
-    N_list = _parse_num_list(_require(_merged(args, cfg, "simulate", "N_list"), "--N"), "--N", int)
-    trials = int(_require(_merged(args, cfg, "simulate", "trials"), "--trials"))
-    seed = int(_require(_merged(args, cfg, "simulate", "seed"), "--seed"))
-    delta = float(_merged(args, cfg, "simulate", "delta", default=0.01))
-    out_dir = Path(_require(_merged(args, cfg, "simulate", "out_dir"), "--out-dir"))
-
+def _cmd_simulate(objective, n, beta, N_list, trials, seed, delta, out_dir, threads) -> int:
     config = montecarlo.SimConfig(
         objective=objective,
         n=n,
@@ -250,7 +245,6 @@ def _cmd_simulate(args, cfg, threads: int) -> int:
         trials=trials,
         master_seed=seed,
         consistency_delta=delta,
-        out_dir=out_dir,
     )
     law = limits.law_for(objective, n, beta)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -276,17 +270,7 @@ def _cmd_simulate(args, cfg, threads: int) -> int:
     return 0
 
 
-def _cmd_tailprobe(args, cfg) -> int:
-    objective = geometry.Objective.parse(
-        _require(_merged(args, cfg, "tailprobe", "objective"), "--objective")
-    )
-    n = int(_require(_merged(args, cfg, "tailprobe", "n"), "--n"))
-    beta = float(_require(_merged(args, cfg, "tailprobe", "beta"), "--beta"))
-    eps = _parse_num_list(_require(_merged(args, cfg, "tailprobe", "eps"), "--eps"), "--eps", float)
-    draws = int(_require(_merged(args, cfg, "tailprobe", "draws"), "--draws"))
-    seed = int(_require(_merged(args, cfg, "tailprobe", "seed"), "--seed"))
-    out_dir = Path(_require(_merged(args, cfg, "tailprobe", "out_dir"), "--out-dir"))
-
+def _cmd_tailprobe(objective, n, beta, eps, draws, seed, out_dir) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
     result = montecarlo.tail_probe(objective, n, beta, eps, draws, seed)
@@ -317,6 +301,16 @@ def _cmd_tailprobe(args, cfg) -> int:
     return 0
 
 
+_HANDLERS = {
+    "sample": _cmd_sample,
+    "umax": _cmd_umax,
+    "constants": _cmd_constants,
+    "verify": _cmd_verify,
+    "simulate": _cmd_simulate,
+    "tailprobe": _cmd_tailprobe,
+}
+
+
 def dispatch(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -327,21 +321,12 @@ def dispatch(argv: list[str] | None = None) -> int:
         if threads < 1:
             raise CliError(f"--threads must be >= 1, got {threads}")
         if args.command is None:
-            raise CliError("no subcommand given; expected one of "
-                           "sample, umax, constants, verify, simulate, tailprobe")
-        if args.command == "sample":
-            return _cmd_sample(args, cfg)
-        if args.command == "umax":
-            return _cmd_umax(args, cfg)
-        if args.command == "constants":
-            return _cmd_constants(args, cfg)
-        if args.command == "verify":
-            return _cmd_verify(args, cfg)
+            raise CliError("no subcommand given; expected one of " + ", ".join(_COMMANDS))
+        rows = _COMMANDS[args.command][1]
+        opts = {row[0]: _resolve(args, cfg, args.command, row) for row in rows}
         if args.command == "simulate":
-            return _cmd_simulate(args, cfg, threads)
-        if args.command == "tailprobe":
-            return _cmd_tailprobe(args, cfg)
-        raise CliError(f"unknown subcommand {args.command!r}")
+            opts["threads"] = threads
+        return _HANDLERS[args.command](**opts)
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

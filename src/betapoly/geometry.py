@@ -70,10 +70,7 @@ class UMaxResult:
 
 def as_points_array(points) -> np.ndarray:
     """Coerce a point collection to a float64 array of shape (N, 2)."""
-    if hasattr(points, "__len__") and len(points) and hasattr(points[0], "x"):
-        pts = np.asarray([[p.x, p.y] for p in points], dtype=float)
-    else:
-        pts = np.asarray(points, dtype=float)
+    pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] == 0:
         raise ValueError(f"expected a nonempty (N, 2) point array, got shape {pts.shape}")
     if not np.all(np.isfinite(pts)):
@@ -161,9 +158,8 @@ def convex_hull(points) -> PolygonChain:
     return PolygonChain(tuple(hull_idx), degenerate=len(hull_idx) < 3)
 
 
-def _rotate_min_first(cycle: list[int]) -> list[int]:
-    if not cycle:
-        return cycle
+def _rotate_min_first(cycle):
+    """The same cyclic sequence (list or tuple), rotated to start at its minimum."""
     k = cycle.index(min(cycle))
     return cycle[k:] + cycle[:k]
 
@@ -346,7 +342,7 @@ def max_kgon(hull: PolygonChain, points, k: int, objective: Objective) -> UMaxRe
                 continue
             if val > best_val or val == best_val:
                 positions = _reconstruct(parents, m, w)
-                cycle = _canonical_cycle(tuple(int(idx[s + p]) for p in positions))
+                cycle = _rotate_min_first(tuple(int(idx[s + p]) for p in positions))
                 if val > best_val or (best_cycle is not None and cycle < best_cycle):
                     best_val = val
                     best_cycle = cycle
@@ -365,11 +361,6 @@ def _reconstruct(parents: list[np.ndarray], m: int, w: int) -> list[int]:
         positions.append(cur)
     positions.reverse()
     return positions
-
-
-def _canonical_cycle(cycle: tuple[int, ...]) -> tuple[int, ...]:
-    k = cycle.index(min(cycle))
-    return cycle[k:] + cycle[:k]
 
 
 def umax(points, n: int, objective: Objective) -> UMaxResult:
@@ -410,7 +401,7 @@ def umax_bruteforce(points, n: int, objective: Objective) -> UMaxResult:
     for combo in combinations(range(len(pts)), n):
         sub = pts[list(combo)]
         local = convex_hull(sub)
-        cycle = _canonical_cycle(tuple(combo[i] for i in local.vertex_indices))
+        cycle = _rotate_min_first(tuple(combo[i] for i in local.vertex_indices))
         chain = PolygonChain(cycle, degenerate=local.degenerate)
         val = _objective_value(chain, pts, objective)
         if val > best_val or (val == best_val and best_cycle is not None and cycle < best_cycle):

@@ -68,7 +68,6 @@ class KernelSpec:
     name: str
     arity: int
     evaluate: Callable[[np.ndarray, np.ndarray], float]
-    max_value: float
     maximizers: tuple[Maximizer, ...]
     symmetry_multiplicity: int
 
@@ -121,7 +120,7 @@ def _sorted_cycle(n: int, angles: np.ndarray, radii: np.ndarray):
 
 
 def perimeter_kernel(n: int) -> KernelSpec:
-    """Cyclic chord-length sum over the angular order; max 2*n*sin(pi/n)."""
+    """Cyclic chord-length sum over the angular order; max ``limits.extremal_value``."""
     if n < 2:
         raise ValueError(f"perimeter kernel needs n >= 2, got {n}")
 
@@ -139,14 +138,13 @@ def perimeter_kernel(n: int) -> KernelSpec:
         name="perimeter",
         arity=n,
         evaluate=evaluate,
-        max_value=2.0 * n * math.sin(math.pi / n),
         maximizers=(Maximizer.regular_ngon(n),),
         symmetry_multiplicity=math.factorial(n - 1),
     )
 
 
 def area_kernel(n: int) -> KernelSpec:
-    """Cyclic sum of r_i * r_{i+1} * sin(gap) / 2; max (n/2)*sin(2*pi/n).
+    """Cyclic sum of r_i * r_{i+1} * sin(gap) / 2; max ``limits.extremal_value``.
 
     Rejects ``n = 2``: the area of two points is identically zero, so no
     isolated interior maximum exists.
@@ -167,7 +165,6 @@ def area_kernel(n: int) -> KernelSpec:
         name="area",
         arity=n,
         evaluate=evaluate,
-        max_value=0.5 * n * math.sin(TWO_PI / n),
         maximizers=(Maximizer.regular_ngon(n),),
         symmetry_multiplicity=math.factorial(n - 1),
     )

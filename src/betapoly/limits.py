@@ -121,6 +121,17 @@ class LimitLaw:
         """Median of the limit law: (ln 2 / B)^(1/C)."""
         return (math.log(2.0) / self.B) ** (1.0 / self.C)
 
+    def constants(self) -> dict[str, float]:
+        """The six reported constants, in the order M, A, B, C, K_n, I."""
+        return {
+            "M": self.M,
+            "A": self.A,
+            "B": self.B,
+            "C": self.C,
+            "K_n": compute_K(self.n, self.beta),
+            "I": analytic_I(self.objective, self.n, self.beta),
+        }
+
 
 def law_for(objective: Objective, n: int, beta: float) -> LimitLaw:
     """Assemble the full limit law for a built-in objective."""

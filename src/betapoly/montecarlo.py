@@ -34,6 +34,10 @@ from .sampler import BetaParams, SeedPolicy, draw_points, sample_batch
 DEFAULT_SHAPE_WINDOW = (0.05, 0.6)
 MIN_FIT_POINTS = 100
 MIN_EXPECTED_HITS = 100.0
+CONSISTENCY_DELTA = 0.01
+# Tuples per tail_probe batch.  Each batch draws its angles, then its radii,
+# so this is part of the stream: changing it changes the hits.
+_TAIL_CHUNK = 250_000
 
 
 @dataclass(frozen=True)
@@ -46,8 +50,7 @@ class SimConfig:
     N_list: tuple[int, ...]
     trials: int
     master_seed: int
-    consistency_delta: float = 0.01
-    out_dir: Path | None = None
+    consistency_delta: float = CONSISTENCY_DELTA
 
     def __post_init__(self) -> None:
         if self.trials < 1:
@@ -240,7 +243,6 @@ def tail_probe(
     epsilon_grid,
     draws_per_epsilon: int,
     seed: int,
-    chunk_size: int = 250_000,
 ) -> TailProbeResult:
     """Estimate P[f >= M - eps] on a grid and fit the log-log power law.
 
@@ -281,7 +283,7 @@ def tail_probe(
         count = 0
         done = 0
         while done < draws_per_epsilon:
-            m = min(chunk_size, draws_per_epsilon - done)
+            m = min(_TAIL_CHUNK, draws_per_epsilon - done)
             # Bound to a name so the batch stays allocated while the hull
             # temporaries come and go; passed inline, its pages went back to
             # the OS every chunk, tripling page faults (~5% slower at n = 3).
@@ -314,7 +316,7 @@ def tail_probe(
 
 
 def consistency_check(
-    records: list[TrialRecord], law: LimitLaw, delta: float = 0.01
+    records: list[TrialRecord], law: LimitLaw, delta: float = CONSISTENCY_DELTA
 ) -> ConsistencyReport:
     """Fraction of trials whose deficiency M - H stayed below ``delta``."""
     if not records:
@@ -421,14 +423,7 @@ def build_summary(config: SimConfig, records: list[TrialRecord], law: LimitLaw) 
         "N_list": list(config.N_list),
         "trials_per_N": config.trials,
         "master_seed": config.master_seed,
-        "law": {
-            "M": law.M,
-            "A": law.A,
-            "B": law.B,
-            "C": law.C,
-            "K_n": compute_K(config.n, config.beta),
-            "I": analytic_I(config.objective, config.n, config.beta),
-        },
+        "law": law.constants(),
         "law_median_T": law.median,
         "per_N": per_n,
         "consistency": {

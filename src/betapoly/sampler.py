@@ -36,36 +36,6 @@ class BetaParams:
 
 
 @dataclass(frozen=True)
-class DiskPoint:
-    """A sample point in Cartesian coordinates, inside the closed unit disk."""
-
-    x: float
-    y: float
-
-    def radius(self) -> float:
-        return math.hypot(self.x, self.y)
-
-    def to_polar(self) -> "PolarPoint":
-        return PolarPoint(math.atan2(self.y, self.x) % TWO_PI, self.radius())
-
-
-@dataclass(frozen=True)
-class PolarPoint:
-    """A sample point as (angle, radius); the angle is reduced modulo 2*pi."""
-
-    phi: float
-    r: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "phi", self.phi % TWO_PI)
-        if not (0.0 <= self.r <= 1.0):
-            raise ValueError(f"radius must lie in [0, 1], got {self.r}")
-
-    def to_cartesian(self) -> DiskPoint:
-        return DiskPoint(self.r * math.cos(self.phi), self.r * math.sin(self.phi))
-
-
-@dataclass(frozen=True)
 class SeedPolicy:
     """Deterministic stream derivation for reproducible (parallel) sampling.
 
@@ -114,13 +84,6 @@ def sample_radius(params: BetaParams, u: float) -> float:
     if not (0.0 < u < 1.0):
         raise ValueError(f"u must lie in the open interval (0, 1), got {u}")
     return float(_radius_from_uniform(params, np.asarray(u, dtype=float)))
-
-
-def sample_point(params: BetaParams, rng: np.random.Generator) -> DiskPoint:
-    """Draw one point: uniform angle first, then the inverse-CDF radius."""
-    phi = TWO_PI * rng.random()
-    r = float(_radius_from_uniform(params, np.asarray(rng.random())))
-    return DiskPoint(r * math.cos(phi), r * math.sin(phi))
 
 
 def sample_batch(

@@ -230,3 +230,100 @@ def test_simulate_delta_flag_controls_consistency_cutoff(tmp_path, capsys):
     capsys.readouterr()
     summary = json.loads((out_dir / "summary.json").read_text())
     assert summary["consistency"]["delta"] == pytest.approx(0.5)
+
+
+def _all_flags(tmp_path):
+    """Every subcommand flag with a valid value, and the config key it reads.
+
+    Rows are (flag, config key, flag argument or None for a switch, config
+    value, required).  Written out by hand so the test does not depend on
+    how the CLI declares its flags.
+    """
+    pts = tmp_path / "pts.csv"
+    write_points_csv(pts, sample_batch(BetaParams(0.0), 9, SeedPolicy(3), 0))
+    out = str(tmp_path / "out")
+    return {
+        "sample": [
+            ("--beta", "beta", "0.25", 0.25, True),
+            ("--count", "count", "15", 15, True),
+            ("--seed", "seed", "4", 4, True),
+            ("--out", "out", str(tmp_path / "drawn.csv"), str(tmp_path / "drawn.csv"), True),
+        ],
+        "umax": [
+            ("--in", "in_path", str(pts), str(pts), True),
+            ("--n", "n", "4", 4, True),
+            ("--objective", "objective", "area", "area", True),
+            ("--brute-force", "brute_force", None, True, False),
+        ],
+        "constants": [
+            ("--objective", "objective", "area", "area", True),
+            ("--n", "n", "5", 5, True),
+            ("--beta", "beta", "0.5", 0.5, True),
+            ("--json", "as_json", None, True, False),
+        ],
+        "verify": [
+            ("--kernel", "kernel", "perimeter", "perimeter", True),
+            ("--n", "n", "4", 4, True),
+            ("--step", "step", "0.0001", 1e-4, False),
+            ("--json", "as_json", None, True, False),
+        ],
+        "simulate": [
+            ("--objective", "objective", "area", "area", True),
+            ("--n", "n", "3", 3, True),
+            ("--beta", "beta", "0.5", 0.5, True),
+            ("--N", "N_list", "30,60", [30, 60], True),
+            ("--trials", "trials", "12", 12, True),
+            ("--seed", "seed", "8", 8, True),
+            ("--delta", "delta", "0.2", 0.2, False),
+            ("--out-dir", "out_dir", out, out, True),
+        ],
+        "tailprobe": [
+            ("--objective", "objective", "perimeter", "perimeter", True),
+            ("--n", "n", "3", 3, True),
+            ("--beta", "beta", "0", 0.0, True),
+            ("--eps", "eps", "0.5,0.6", [0.5, 0.6], True),
+            ("--draws", "draws", "80000", 80000, True),
+            ("--seed", "seed", "9", 9, True),
+            ("--out-dir", "out_dir", out, out, True),
+        ],
+    }
+
+
+def _argv(rows):
+    argv = []
+    for flag, _, arg, _, _ in rows:
+        argv += [flag] if arg is None else [flag, arg]
+    return argv
+
+
+SUBCOMMANDS = ["sample", "umax", "constants", "verify", "simulate", "tailprobe"]
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_each_required_flag_is_named_when_missing(tmp_path, capsys, command):
+    rows = _all_flags(tmp_path)[command]
+    for i, (flag, *_, required) in enumerate(rows):
+        if not required:
+            continue
+        code, _, err = _run(capsys, ["--threads", "1", command] + _argv(rows[:i] + rows[i + 1:]))
+        assert code == 1
+        assert err == f"error: missing required flag {flag}\n"
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_every_flag_can_come_from_the_config_file(tmp_path, capsys, command):
+    rows = _all_flags(tmp_path)[command]
+    written = tmp_path / "drawn.csv" if command == "sample" else tmp_path / "out"
+
+    def outputs(argv):
+        code, out, _ = _run(capsys, ["--threads", "1"] + argv)
+        assert code == 0
+        files = sorted(written.iterdir()) if written.is_dir() else [written]
+        return out, {f.name: f.read_bytes() for f in files if f.exists()}
+
+    from_flags = outputs([command] + _argv(rows))
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({command: {key: value for _, key, _, value, _ in rows}}))
+    from_config = outputs(["--config", str(cfg), command])
+    assert from_config == from_flags
+    assert from_flags[0] or from_flags[1]

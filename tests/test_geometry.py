@@ -276,15 +276,6 @@ def test_objective_parse():
         Objective.parse("volume")
 
 
-def test_umax_accepts_point_objects():
-    from betapoly.sampler import DiskPoint
-
-    pts = [DiskPoint(1.0, 0.0), DiskPoint(0.0, 1.0), DiskPoint(-1.0, 0.0),
-           DiskPoint(0.0, -1.0), DiskPoint(0.1, 0.1)]
-    r = umax(pts, 3, Objective.AREA)
-    assert r.value == pytest.approx(1.0)
-
-
 def test_umax_pairs():
     # n=2: max perimeter is twice the diameter of the point set; area is 0
     pts = sample_batch(BetaParams(0.0), 40, SeedPolicy(63), 0)

@@ -20,6 +20,7 @@ from betapoly.kernels import (
     perimeter_kernel,
     polar_from_points,
 )
+from betapoly.limits import extremal_value
 
 TWO_PI = 2.0 * math.pi
 
@@ -31,9 +32,9 @@ def test_perimeter_kernel_examples():
         3.0 * math.sqrt(3.0)
     )
     assert k3.evaluate(np.array([0.0, 0.0]), np.ones(3)) == pytest.approx(0.0, abs=1e-15)
-    assert perimeter_kernel(4).max_value == pytest.approx(4.0 * math.sqrt(2.0))
+    assert extremal_value(Objective.PERIMETER, 4) == pytest.approx(4.0 * math.sqrt(2.0))
     k2 = perimeter_kernel(2)
-    assert k2.max_value == pytest.approx(4.0)
+    assert extremal_value(Objective.PERIMETER, 2) == pytest.approx(4.0)
     assert k2.evaluate(np.array([math.pi]), np.ones(2)) == pytest.approx(4.0)
     assert k2.symmetry_multiplicity == 1
 
@@ -44,7 +45,7 @@ def test_area_kernel_examples():
     assert k3.evaluate(np.array(v.angles), np.array(v.radii)) == pytest.approx(
         3.0 * math.sqrt(3.0) / 4.0
     )
-    assert area_kernel(4).max_value == pytest.approx(2.0)
+    assert extremal_value(Objective.AREA, 4) == pytest.approx(2.0)
     val = k3.evaluate(np.array([TWO_PI / 3, 2 * TWO_PI / 3]), np.array([0.5, 1.0, 1.0]))
     assert val == pytest.approx(math.sin(TWO_PI / 3), abs=1e-9)  # 0.866025...
     with pytest.raises(ValueError):
@@ -59,11 +60,11 @@ def test_kernel_symmetry_multiplicity():
 def test_kernel_spec_validation():
     good = perimeter_kernel(3)
     with pytest.raises(ValueError):
-        KernelSpec("bad", 1, good.evaluate, 1.0, good.maximizers, 1)
+        KernelSpec("bad", 1, good.evaluate, good.maximizers, 1)
     with pytest.raises(ValueError):
-        KernelSpec("bad", 3, good.evaluate, 1.0, (), 1)
+        KernelSpec("bad", 3, good.evaluate, (), 1)
     with pytest.raises(ValueError):
-        KernelSpec("bad", 4, good.evaluate, 1.0, good.maximizers, 2)  # dim mismatch
+        KernelSpec("bad", 4, good.evaluate, good.maximizers, 2)  # dim mismatch
 
 
 def _random_polar_tuple(rng, n):
@@ -117,11 +118,12 @@ def test_max_value_is_a_maximum(objective, n):
     rng = np.random.default_rng(77)
     a0 = np.array(v.angles)
     r0 = np.array(v.radii)
-    assert spec.evaluate(a0, r0) == pytest.approx(spec.max_value, abs=1e-10)
+    M = extremal_value(objective, n)
+    assert spec.evaluate(a0, r0) == pytest.approx(M, abs=1e-10)
     for _ in range(100):
         da = rng.normal(scale=0.15, size=n - 1)
         dr = rng.random(n) * 0.2
-        assert spec.evaluate(a0 + da, np.clip(r0 - dr, 0.0, 1.0)) <= spec.max_value + 1e-9
+        assert spec.evaluate(a0 + da, np.clip(r0 - dr, 0.0, 1.0)) <= M + 1e-9
 
 
 def test_angular_gradient_vanishes_at_maximizer():
@@ -233,7 +235,6 @@ def test_custom_kernel_flow():
         name="scaled-perimeter",
         arity=3,
         evaluate=lambda a, r: scale * base.evaluate(a, r),
-        max_value=scale * base.max_value,
         maximizers=base.maximizers,
         symmetry_multiplicity=base.symmetry_multiplicity,
     )
@@ -253,7 +254,6 @@ def test_undefined_region_raises():
         name="undefined",
         arity=3,
         evaluate=lambda a, r: -math.inf,
-        max_value=1.0,
         maximizers=(Maximizer.regular_ngon(3),),
         symmetry_multiplicity=1,
     )
@@ -275,4 +275,4 @@ def test_maximizer_attains_max_value(n):
     for spec in ([perimeter_kernel(n)] + ([area_kernel(n)] if n >= 3 else [])):
         v = spec.maximizers[0]
         val = spec.evaluate(np.array(v.angles), np.array(v.radii))
-        assert val == pytest.approx(spec.max_value, abs=1e-10)
+        assert val == pytest.approx(extremal_value(Objective(spec.name), n), abs=1e-10)

@@ -7,13 +7,10 @@ from scipy.integrate import quad
 import helpers
 from betapoly.sampler import (
     BetaParams,
-    DiskPoint,
-    PolarPoint,
     SeedPolicy,
     radius_cdf,
     read_points_csv,
     sample_batch,
-    sample_point,
     sample_radius,
     write_points_csv,
 )
@@ -28,13 +25,6 @@ def test_beta_params_validation():
         BetaParams(-2.0)
     with pytest.raises(ValueError):
         BetaParams(float("nan"))
-
-
-def test_polar_point_normalizes_angle():
-    p = PolarPoint(2 * math.pi + 1.0, 0.5)
-    assert p.phi == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        PolarPoint(0.0, 1.5)
 
 
 def test_radius_cdf_examples():
@@ -87,15 +77,6 @@ def test_roundtrip_inverse_then_cdf():
         for u in grid:
             r = sample_radius(params, float(u))
             assert abs(radius_cdf(params, r) - u) < 1e-12
-
-
-def test_sample_point_support():
-    rng = SeedPolicy(123).trial_generator(0)
-    params = BetaParams(-0.5)
-    for _ in range(2000):
-        p = sample_point(params, rng)
-        assert isinstance(p, DiskPoint)
-        assert p.x**2 + p.y**2 <= 1.0 + 1e-15
 
 
 def test_sample_batch_determinism():
