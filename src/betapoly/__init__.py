@@ -21,20 +21,16 @@ from .geometry import (
 )
 from .kernels import (
     KernelSpec,
-    Maximizer,
     MaximizerAnalysis,
     analytic_I,
     analytic_det_negG,
     analytic_radial_partial,
     analyze_maximizer,
-    area_kernel,
     compute_I,
     kernel_for,
     numeric_angular_gradient,
     numeric_radial_partials,
     numeric_sub_hessian,
-    perimeter_kernel,
-    polar_from_points,
 )
 from .limits import (
     LimitLaw,

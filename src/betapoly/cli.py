@@ -85,32 +85,63 @@ _COMMANDS = {
 }
 
 
-def _num_list(item):
-    def cast(raw, flag: str) -> tuple:
-        items = raw if isinstance(raw, (list, tuple)) else str(raw).split(",")
+def _checked(fn):
+    """``fn`` as a cast: a value it rejects with TypeError or ValueError is bad."""
+
+    def cast(raw, flag: str):
         try:
-            return tuple(item(str(x).strip()) for x in items if str(x).strip())
-        except ValueError as exc:
+            return fn(raw)
+        except (TypeError, ValueError) as exc:
             raise CliError(f"bad value for {flag}: {raw!r}") from exc
 
     return cast
 
 
-def _plain(fn):
-    return lambda raw, flag: fn(raw)
+def _int(value) -> int:
+    # JSON has no integer type of its own: 3.0 is an integer, 3.7 and true
+    # are not.
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError("not an integer")
+    return int(value)
 
+
+def _float(value) -> float:
+    if isinstance(value, bool):
+        raise ValueError("not a number")
+    return float(value)
+
+
+def _exactly(cls):
+    def check(value):
+        if not isinstance(value, cls):
+            raise TypeError(f"not a {cls.__name__}")
+        return value
+
+    return check
+
+
+def _num_list(item):
+    def parse(raw) -> tuple:
+        items = raw if isinstance(raw, (list, tuple)) else str(raw).split(",")
+        return tuple(item(str(x).strip()) for x in items if str(x).strip())
+
+    return _checked(parse)
+
+
+_text = _checked(_exactly(str))
 
 # kind -> (argparse keywords, cast(value, flag)).  Casts apply to flag and
-# config values alike; argparse has already typed the flags.
+# config values alike; argparse has already typed the flags, so the type
+# checks only bite on config values.
 _KINDS = {
-    "int": ({"type": int}, _plain(int)),
-    "float": ({"type": float}, _plain(float)),
-    "str": ({"type": str}, _plain(lambda v: v)),
-    "path": ({"type": str}, _plain(Path)),
-    "bool": ({"action": "store_true"}, _plain(bool)),
+    "int": ({"type": int}, _checked(_int)),
+    "float": ({"type": float}, _checked(_float)),
+    "str": ({"type": str}, _text),
+    "path": ({"type": str}, lambda raw, flag: Path(_text(raw, flag))),
+    "bool": ({"action": "store_true"}, _checked(_exactly(bool))),
     "objective": (
         {"type": str, "choices": [o.value for o in geometry.Objective]},
-        _plain(geometry.Objective.parse),
+        lambda raw, flag: geometry.Objective.parse(_text(raw, flag)),
     ),
     "ints": ({"type": str}, _num_list(int)),
     "floats": ({"type": str}, _num_list(float)),
@@ -153,8 +184,8 @@ def _load_config(path: str | None) -> dict:
 def _resolve(args: argparse.Namespace, cfg: dict, command: str, row: tuple):
     """A row's value: the flag, else the config section, else the default.
 
-    The default is returned as is; a value from a flag or the config file is
-    cast to the row's kind.
+    A config ``null`` counts as absent.  The default is returned as is; a
+    value from a flag or the config file is cast to the row's kind.
     """
     key, flag, kind, *rest = row
     default = rest[0] if rest else _REQUIRED
@@ -163,11 +194,11 @@ def _resolve(args: argparse.Namespace, cfg: dict, command: str, row: tuple):
         section = cfg.get(command, {})
         if not isinstance(section, dict):
             raise CliError(f"config section {command!r} must be an object")
-        value = section.get(key, default)
-    if value is _REQUIRED or (value is None and default is _REQUIRED):
-        raise CliError(f"missing required flag {flag}")
-    if value is default:
-        return value
+        value = section.get(key)
+    if value is None:
+        if default is _REQUIRED:
+            raise CliError(f"missing required flag {flag}")
+        return default
     return _KINDS[kind][1](value, flag)
 
 
@@ -317,7 +348,9 @@ def dispatch(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         cfg = _load_config(args.config)
         threads = args.threads if args.threads is not None else cfg.get("threads")
-        threads = int(threads) if threads is not None else (os.cpu_count() or 1)
+        if threads is None:
+            threads = os.cpu_count() or 1
+        threads = _KINDS["int"][1](threads, "--threads")
         if threads < 1:
             raise CliError(f"--threads must be >= 1, got {threads}")
         if args.command is None:

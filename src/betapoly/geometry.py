@@ -285,8 +285,10 @@ def max_kgon(hull: PolygonChain, points, k: int, objective: Objective) -> UMaxRe
 
     Dynamic program: anchor each candidate subset at its first hull position,
     extend chains vertex by vertex in hull order (a max-plus recurrence), and
-    close the cycle at every length from 2 to ``k``.  Exact float ties are
-    broken toward the lexicographically smallest vertex-index cycle.
+    close the cycle at every length from 2 to ``k``.  On exact float ties the
+    cycle is an optimal one, but not always the lexicographically smallest:
+    each anchor and length keeps only the first maximal predecessor and
+    endpoint, and only the cycles that survive this are compared.
     """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")

@@ -1,13 +1,12 @@
-"""Rotation-invariant polygon kernels in polar form and their maximizer data.
+"""The U-max kernels in polar form and their maximizer data.
 
-A kernel of arity ``n`` is evaluated on central angles ``(phi_2, ..., phi_n)``
-measured counterclockwise from the first point, plus all ``n`` radii.  The
-built-in perimeter and area kernels sort the angles internally and take the
-cyclic sum over the induced order, which makes them well defined for any
-argument order at the cost of smoothness far from the maximizers (harmless:
-derivatives are only taken near maximizers, where the order is strict).
+The kernels are those of the paper's abstract: the perimeter and the area of
+the convex hull of the ``n`` arguments, evaluated by
+:func:`betapoly.geometry.hull_functional`.  Here the arguments are given by
+central angles ``(phi_2, ..., phi_n)`` measured counterclockwise from the
+first point, plus all ``n`` radii.
 
-Both built-ins are maximized exactly by the regular ``n``-gon on the unit
+Both kernels are maximized exactly by the regular ``n``-gon on the unit
 circle, in any of the ``(n-1)!`` angle orderings.  The finite-difference
 routines verify the local data the limit law consumes: a vanishing angular
 gradient, a negative-definite angular sub-Hessian, and strictly positive
@@ -24,11 +23,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .geometry import Objective
+from .geometry import Objective, hull_functional
 
 TWO_PI = 2.0 * math.pi
 
@@ -39,53 +38,46 @@ GRADIENT_STEP = 1e-5
 HESSIAN_STEP = 2e-4
 RADIAL_STEP = 1e-6
 
-
-@dataclass(frozen=True)
-class Maximizer:
-    """A maximizing configuration: angles strictly inside (0, 2*pi), radii 1."""
-
-    angles: tuple[float, ...]
-    radii: tuple[float, ...]
-
-    @classmethod
-    def regular_ngon(cls, n: int) -> "Maximizer":
-        return cls(
-            angles=tuple(TWO_PI * j / n for j in range(1, n)),
-            radii=(1.0,) * n,
-        )
+# A kernel argument: central angles (n-1,) and radii (n,).
+Point = tuple[np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """A rotation-invariant kernel with its maximizer metadata.
+    """The kernel of arity ``n``: ``objective`` of the hull of ``n`` points.
 
-    ``evaluate`` maps (angles[n-1], radii[n]) to a float (or -inf where the
-    kernel is undefined).  ``maximizers`` holds one canonical representative
-    per symmetry orbit; ``symmetry_multiplicity`` is the total number of
-    distinct maximizers it stands for ((n-1)! for the built-ins).
+    Raises:
+        ValueError: for ``n < 2`` (perimeter) or ``n < 3`` (area: the area
+        of two points is identically zero, so no isolated maximum exists).
     """
 
-    name: str
-    arity: int
-    evaluate: Callable[[np.ndarray, np.ndarray], float]
-    maximizers: tuple[Maximizer, ...]
-    symmetry_multiplicity: int
+    objective: Objective
+    n: int
 
     def __post_init__(self) -> None:
-        if self.arity < 2:
-            raise ValueError(f"kernel arity must be >= 2, got {self.arity}")
-        if self.symmetry_multiplicity < 1:
-            raise ValueError("symmetry_multiplicity must be >= 1")
-        if not self.maximizers:
-            raise ValueError("at least one maximizer is required")
-        for v in self.maximizers:
-            if len(v.angles) != self.arity - 1 or len(v.radii) != self.arity:
-                raise ValueError("maximizer dimensions do not match kernel arity")
+        least = 2 if self.objective is Objective.PERIMETER else 3
+        if self.n < least:
+            raise ValueError(f"{self.objective.value} kernel needs n >= {least}, got {self.n}")
+
+    def evaluate(self, angles, radii) -> float:
+        """The kernel at angles ``(n-1,)`` and radii ``(n,)``."""
+        a = np.asarray(angles, dtype=float)
+        r = np.asarray(radii, dtype=float)
+        if a.shape != (self.n - 1,) or r.shape != (self.n,):
+            raise ValueError(f"expected angles ({self.n - 1},) and radii ({self.n},)")
+        phi = np.concatenate(([0.0], a))
+        pts = np.column_stack((r * np.cos(phi), r * np.sin(phi)))
+        return float(hull_functional(pts[None], self.objective)[0])
+
+    @property
+    def maximizer(self) -> Point:
+        """The regular n-gon on the unit circle as ``(angles, radii)``."""
+        return TWO_PI * np.arange(1, self.n) / self.n, np.ones(self.n)
 
 
 @dataclass(frozen=True)
 class MaximizerAnalysis:
-    """Finite-difference snapshot of a kernel at one maximizer."""
+    """Finite-difference snapshot of a kernel at one point, normally its maximizer."""
 
     angular_gradient: np.ndarray
     sub_hessian: np.ndarray
@@ -106,134 +98,50 @@ class MaximizerAnalysis:
         return bool(np.all(np.isfinite(self.radial_partials)) and np.all(self.radial_partials > 0.0))
 
 
-def _sorted_cycle(n: int, angles: np.ndarray, radii: np.ndarray):
-    phi = np.empty(n)
-    phi[0] = 0.0
-    phi[1:] = np.mod(angles, TWO_PI)
-    order = np.argsort(phi, kind="stable")
-    phi_s = phi[order]
-    r_s = radii[order]
-    gaps = np.empty(n)
-    gaps[:-1] = np.diff(phi_s)
-    gaps[-1] = TWO_PI - phi_s[-1]
-    return r_s, gaps
-
-
-def perimeter_kernel(n: int) -> KernelSpec:
-    """Cyclic chord-length sum over the angular order; max ``limits.extremal_value``."""
-    if n < 2:
-        raise ValueError(f"perimeter kernel needs n >= 2, got {n}")
-
-    def evaluate(angles: np.ndarray, radii: np.ndarray) -> float:
-        a = np.asarray(angles, dtype=float)
-        r = np.asarray(radii, dtype=float)
-        if a.shape != (n - 1,) or r.shape != (n,):
-            raise ValueError(f"expected angles ({n - 1},) and radii ({n},)")
-        r_s, gaps = _sorted_cycle(n, a, r)
-        r_next = np.roll(r_s, -1)
-        sq = r_s**2 + r_next**2 - 2.0 * r_s * r_next * np.cos(gaps)
-        return float(np.sum(np.sqrt(np.maximum(sq, 0.0))))
-
-    return KernelSpec(
-        name="perimeter",
-        arity=n,
-        evaluate=evaluate,
-        maximizers=(Maximizer.regular_ngon(n),),
-        symmetry_multiplicity=math.factorial(n - 1),
-    )
-
-
-def area_kernel(n: int) -> KernelSpec:
-    """Cyclic sum of r_i * r_{i+1} * sin(gap) / 2; max ``limits.extremal_value``.
-
-    Rejects ``n = 2``: the area of two points is identically zero, so no
-    isolated interior maximum exists.
-    """
-    if n < 3:
-        raise ValueError(f"area kernel needs n >= 3, got {n}")
-
-    def evaluate(angles: np.ndarray, radii: np.ndarray) -> float:
-        a = np.asarray(angles, dtype=float)
-        r = np.asarray(radii, dtype=float)
-        if a.shape != (n - 1,) or r.shape != (n,):
-            raise ValueError(f"expected angles ({n - 1},) and radii ({n},)")
-        r_s, gaps = _sorted_cycle(n, a, r)
-        r_next = np.roll(r_s, -1)
-        return float(0.5 * np.sum(r_s * r_next * np.sin(gaps)))
-
-    return KernelSpec(
-        name="area",
-        arity=n,
-        evaluate=evaluate,
-        maximizers=(Maximizer.regular_ngon(n),),
-        symmetry_multiplicity=math.factorial(n - 1),
-    )
-
-
 def kernel_for(objective: Objective, n: int) -> KernelSpec:
-    return perimeter_kernel(n) if objective is Objective.PERIMETER else area_kernel(n)
+    return KernelSpec(objective, n)
 
 
-def polar_from_points(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Central angles (relative to point 0, counterclockwise) and radii.
-
-    Raises:
-        ValueError: if the first point sits at the origin (no reference
-        direction).
-    """
-    pts = np.asarray(points, dtype=float)
-    radii = np.hypot(pts[:, 0], pts[:, 1])
-    if radii[0] == 0.0:
-        raise ValueError("first point at the origin: reference angle undefined")
-    raw = np.arctan2(pts[:, 1], pts[:, 0])
-    angles = np.mod(raw[1:] - raw[0], TWO_PI)
-    return angles, radii
-
-
-def _eval_checked(spec: KernelSpec, angles: np.ndarray, radii: np.ndarray) -> float:
-    val = spec.evaluate(angles, radii)
-    if val == -math.inf or not math.isfinite(val):
-        raise ValueError("kernel evaluation failed (reached an undefined region)")
-    return val
+def _base_point(spec: KernelSpec, point: Point | None, step: float) -> Point:
+    if step <= 0.0:
+        raise ValueError(f"step must be positive, got {step}")
+    angles, radii = spec.maximizer if point is None else point
+    return np.asarray(angles, dtype=float), np.asarray(radii, dtype=float)
 
 
 def numeric_angular_gradient(
-    spec: KernelSpec, maximizer: Maximizer | None = None, step: float = GRADIENT_STEP
+    spec: KernelSpec, point: Point | None = None, step: float = GRADIENT_STEP
 ) -> np.ndarray:
-    """Central-difference gradient in the angular block; ~0 at an interior max."""
-    if step <= 0.0:
-        raise ValueError(f"step must be positive, got {step}")
-    v = maximizer or spec.maximizers[0]
-    a0 = np.asarray(v.angles, dtype=float)
-    r0 = np.asarray(v.radii, dtype=float)
-    grad = np.empty(spec.arity - 1)
-    for j in range(spec.arity - 1):
+    """Central-difference gradient in the angular block; ~0 at an interior max.
+
+    ``point`` is an ``(angles, radii)`` pair, here and below; the default is
+    ``spec.maximizer``.
+    """
+    a0, r0 = _base_point(spec, point, step)
+    grad = np.empty(spec.n - 1)
+    for j in range(spec.n - 1):
         ap = a0.copy()
         am = a0.copy()
         ap[j] += step
         am[j] -= step
-        grad[j] = (_eval_checked(spec, ap, r0) - _eval_checked(spec, am, r0)) / (2.0 * step)
+        grad[j] = (spec.evaluate(ap, r0) - spec.evaluate(am, r0)) / (2.0 * step)
     return grad
 
 
 def numeric_sub_hessian(
-    spec: KernelSpec, maximizer: Maximizer | None = None, step: float = HESSIAN_STEP
+    spec: KernelSpec, point: Point | None = None, step: float = HESSIAN_STEP
 ) -> np.ndarray:
-    """Second-order central-difference Hessian in the angular block, radii fixed at 1."""
-    if step <= 0.0:
-        raise ValueError(f"step must be positive, got {step}")
-    v = maximizer or spec.maximizers[0]
-    a0 = np.asarray(v.angles, dtype=float)
-    r0 = np.asarray(v.radii, dtype=float)
-    d = spec.arity - 1
-    f0 = _eval_checked(spec, a0, r0)
+    """Second-order central-difference Hessian in the angular block, radii fixed."""
+    a0, r0 = _base_point(spec, point, step)
+    d = spec.n - 1
+    f0 = spec.evaluate(a0, r0)
     hess = np.empty((d, d))
     for i in range(d):
         ap = a0.copy()
         am = a0.copy()
         ap[i] += step
         am[i] -= step
-        hess[i, i] = (_eval_checked(spec, ap, r0) - 2.0 * f0 + _eval_checked(spec, am, r0)) / step**2
+        hess[i, i] = (spec.evaluate(ap, r0) - 2.0 * f0 + spec.evaluate(am, r0)) / step**2
         for j in range(i + 1, d):
             app = a0.copy()
             apm = a0.copy()
@@ -246,49 +154,42 @@ def numeric_sub_hessian(
             amp[i] -= step
             amp[j] += step
             val = (
-                _eval_checked(spec, app, r0)
-                - _eval_checked(spec, apm, r0)
-                - _eval_checked(spec, amp, r0)
-                + _eval_checked(spec, amm, r0)
+                spec.evaluate(app, r0)
+                - spec.evaluate(apm, r0)
+                - spec.evaluate(amp, r0)
+                + spec.evaluate(amm, r0)
             ) / (4.0 * step**2)
             hess[i, j] = hess[j, i] = val
     return hess
 
 
 def numeric_radial_partials(
-    spec: KernelSpec, maximizer: Maximizer | None = None, step: float = RADIAL_STEP
+    spec: KernelSpec, point: Point | None = None, step: float = RADIAL_STEP
 ) -> np.ndarray:
-    """One-sided (inward, second order) radial derivatives at the boundary r=1."""
-    if step <= 0.0:
-        raise ValueError(f"step must be positive, got {step}")
-    v = maximizer or spec.maximizers[0]
-    a0 = np.asarray(v.angles, dtype=float)
-    r0 = np.asarray(v.radii, dtype=float)
-    f0 = _eval_checked(spec, a0, r0)
-    out = np.empty(spec.arity)
-    for j in range(spec.arity):
+    """One-sided (inward, second order) radial derivatives at the given radii."""
+    a0, r0 = _base_point(spec, point, step)
+    f0 = spec.evaluate(a0, r0)
+    out = np.empty(spec.n)
+    for j in range(spec.n):
         r1 = r0.copy()
         r2 = r0.copy()
         r1[j] -= step
         r2[j] -= 2.0 * step
-        out[j] = (3.0 * f0 - 4.0 * _eval_checked(spec, a0, r1) + _eval_checked(spec, a0, r2)) / (
-            2.0 * step
-        )
+        out[j] = (3.0 * f0 - 4.0 * spec.evaluate(a0, r1) + spec.evaluate(a0, r2)) / (2.0 * step)
     return out
 
 
 def analyze_maximizer(
     spec: KernelSpec,
-    maximizer: Maximizer | None = None,
+    point: Point | None = None,
     gradient_step: float = GRADIENT_STEP,
     hessian_step: float = HESSIAN_STEP,
     radial_step: float = RADIAL_STEP,
 ) -> MaximizerAnalysis:
-    """Run all three finite-difference probes at one maximizer."""
-    v = maximizer or spec.maximizers[0]
-    grad = numeric_angular_gradient(spec, v, gradient_step)
-    hess = numeric_sub_hessian(spec, v, hessian_step)
-    partials = numeric_radial_partials(spec, v, radial_step)
+    """Run all three finite-difference probes at ``point`` (default: the maximizer)."""
+    grad = numeric_angular_gradient(spec, point, gradient_step)
+    hess = numeric_sub_hessian(spec, point, hessian_step)
+    partials = numeric_radial_partials(spec, point, radial_step)
     return MaximizerAnalysis(
         angular_gradient=grad,
         sub_hessian=hess,
@@ -297,38 +198,42 @@ def analyze_maximizer(
     )
 
 
-def compute_I(spec: KernelSpec, analyses: Sequence[MaximizerAnalysis], beta: float) -> float:
-    """Sum over maximizers of 1 / (sqrt(det(-G)) * prod_j (dh/dr_j)^(beta+1)).
+def _maximizer_sum(n: int, det_negG: float, mean_log_partial: float, beta: float) -> float:
+    """Sum of 1 / (sqrt(det(-G)) * prod_j (dh/dr_j)^(beta+1)) over the (n-1)! maximizers.
 
-    A single analysis is accepted for symmetric kernels and scaled by the
-    symmetry multiplicity; otherwise one analysis per maximizer is required.
+    The terms are equal by symmetry.  ``mean_log_partial`` is the mean of
+    ``log(dh/dr_j)`` over the ``n`` vertices, so the product is
+    ``exp(n * (beta+1) * mean_log_partial)``.
+    """
+    if beta <= -1.0:
+        raise ValueError(f"beta must be > -1, got {beta}")
+    log_i = (
+        math.lgamma(n)
+        - 0.5 * math.log(det_negG)
+        - n * (beta + 1.0) * mean_log_partial
+    )
+    return math.exp(log_i)
+
+
+def compute_I(spec: KernelSpec, analyses: Sequence[MaximizerAnalysis], beta: float) -> float:
+    """I from the one analysis of ``spec``'s maximizer, times the (n-1)! symmetric copies.
 
     Raises:
-        ValueError: on missing analyses or any A6/A7 violation.
+        ValueError: unless exactly one analysis is given, or on an A6/A7
+        violation.
     """
-    if not analyses:
-        raise ValueError("at least one maximizer analysis is required")
-    for a in analyses:
-        if not a.a6_pass:
-            raise ValueError("sub-Hessian is singular or indefinite (A6 violation)")
-        if not a.a7_pass:
-            raise ValueError("nonpositive radial derivative (A7 violation)")
-    terms = [
-        1.0 / (math.sqrt(a.det_negG) * float(np.prod(a.radial_partials ** (beta + 1.0))))
-        for a in analyses
-    ]
-    if len(terms) == spec.symmetry_multiplicity:
-        return float(sum(terms))
-    if len(terms) == 1:
-        return float(spec.symmetry_multiplicity * terms[0])
-    raise ValueError(
-        f"got {len(terms)} analyses for a kernel with multiplicity "
-        f"{spec.symmetry_multiplicity}; pass one, or one per maximizer"
-    )
+    if len(analyses) != 1:
+        raise ValueError(f"expected exactly one maximizer analysis, got {len(analyses)}")
+    (a,) = analyses
+    if not a.a6_pass:
+        raise ValueError("sub-Hessian is singular or indefinite (A6 violation)")
+    if not a.a7_pass:
+        raise ValueError("nonpositive radial derivative (A7 violation)")
+    return _maximizer_sum(spec.n, a.det_negG, float(np.mean(np.log(a.radial_partials))), beta)
 
 
 def analytic_det_negG(objective: Objective, n: int) -> float:
-    """Closed-form det(-G) at any maximizer of the built-in kernels."""
+    """Closed-form det(-G) at any maximizer of the kernel."""
     ang = math.pi / n if objective is Objective.PERIMETER else TWO_PI / n
     return 2.0 ** (1 - n) * n * math.sin(ang) ** (n - 1)
 
@@ -345,16 +250,8 @@ def analytic_radial_partial(objective: Objective, n: int) -> float:
 
 
 def analytic_I(objective: Objective, n: int, beta: float) -> float:
-    """Closed form of :func:`compute_I` for the built-in kernels."""
-    if n < (2 if objective is Objective.PERIMETER else 3):
-        raise ValueError(f"n too small for {objective.value} kernel: {n}")
-    if beta <= -1.0:
-        raise ValueError(f"beta must be > -1, got {beta}")
-    det = analytic_det_negG(objective, n)
-    partial = analytic_radial_partial(objective, n)
-    log_i = (
-        math.lgamma(n)
-        - 0.5 * math.log(det)
-        - n * (beta + 1.0) * math.log(partial)
+    """Closed form of :func:`compute_I`."""
+    KernelSpec(objective, n)  # rejects n below the kernel's range
+    return _maximizer_sum(
+        n, analytic_det_negG(objective, n), math.log(analytic_radial_partial(objective, n)), beta
     )
-    return math.exp(log_i)

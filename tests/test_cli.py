@@ -4,6 +4,7 @@ import math
 import pytest
 
 from betapoly.cli import dispatch
+from betapoly.montecarlo import CONSISTENCY_DELTA
 from betapoly.sampler import BetaParams, SeedPolicy, sample_batch, write_points_csv
 
 CONSTANTS_KEYS = {"M", "A", "B", "C", "K_n", "I"}
@@ -327,3 +328,51 @@ def test_every_flag_can_come_from_the_config_file(tmp_path, capsys, command):
     from_config = outputs(["--config", str(cfg), command])
     assert from_config == from_flags
     assert from_flags[0] or from_flags[1]
+
+
+@pytest.mark.parametrize(
+    "command,key,value",
+    [
+        ("constants", "objective", 5),
+        ("constants", "n", 3.7),
+        ("constants", "n", True),
+        ("constants", "beta", False),
+        ("constants", "as_json", "false"),
+        ("umax", "brute_force", 1),
+        ("simulate", "N_list", [30, 60.5]),
+        ("sample", "out", 5),
+        ("tailprobe", "out_dir", ["out"]),
+    ],
+)
+def test_config_value_of_wrong_type_is_a_bad_value(tmp_path, capsys, command, key, value):
+    rows = _all_flags(tmp_path)[command]
+    section = {k: v for _, k, _, v, _ in rows}
+    section[key] = value
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({command: section}))
+    flag = next(f for f, k, *_ in rows if k == key)
+    code, _, err = _run(capsys, ["--threads", "1", "--config", str(cfg), command])
+    assert code == 1
+    assert err == f"error: bad value for {flag}: {value!r}\n"
+
+
+def test_config_threads_must_be_an_integer(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"threads": 1.5}))
+    code, _, err = _run(capsys, ["--config", str(cfg), "constants", "--objective", "area",
+                                 "--n", "3", "--beta", "0"])
+    assert code == 1
+    assert err == "error: bad value for --threads: 1.5\n"
+
+
+def test_config_null_is_absent_and_integral_numbers_are_ints(tmp_path, capsys):
+    rows = _all_flags(tmp_path)["simulate"]
+    section = {k: v for _, k, _, v, _ in rows}
+    section.update(delta=None, n=3.0)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"simulate": section}))
+    code, _, _ = _run(capsys, ["--threads", "1", "--config", str(cfg), "simulate"])
+    assert code == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["consistency"]["delta"] == CONSISTENCY_DELTA
+    assert summary["n"] == 3 and isinstance(summary["n"], int)

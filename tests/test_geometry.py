@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from betapoly.geometry import (
     Objective,
@@ -184,6 +186,36 @@ def test_umax_equals_bruteforce_random_instances(objective):
         slow = umax_bruteforce(pts, n, objective)
         assert fast.value == pytest.approx(slow.value, rel=1e-9, abs=1e-12)
         assert fast.vertex_indices == slow.vertex_indices
+
+
+@st.composite
+def _integer_clouds(draw):
+    """Up to 10 points of a small integer grid (duplicates and collinear runs
+    abound), shifted by an integer offset and scaled by 2^k, and a subset size.
+
+    Every coordinate is a small integer times 2^k, so every shoelace sum is
+    exact and the area must agree to the last bit.
+    """
+    side = draw(st.integers(0, 9))
+    coord = st.integers(0, side)
+    cloud = draw(st.lists(st.tuples(coord, coord), min_size=2, max_size=10))
+    shift = draw(st.tuples(st.integers(-1000, 1000), st.integers(-1000, 1000)))
+    k = draw(st.integers(-30, 30))
+    n = draw(st.integers(2, len(cloud)))
+    return (np.array(cloud, dtype=float) + shift) * 2.0**k, n
+
+
+# Values only: on exact ties umax and the oracle may pick different cycles.
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_integer_clouds(), st.sampled_from(list(Objective)))
+def test_umax_value_equals_bruteforce_on_integer_clouds(case, objective):
+    pts, n = case
+    fast = umax(pts, n, objective).value
+    slow = umax_bruteforce(pts, n, objective).value
+    if objective is Objective.AREA:
+        assert fast == slow
+    else:
+        assert fast == pytest.approx(slow, rel=1e-12, abs=0.0)
 
 
 def test_umax_single_subset():

@@ -3,22 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from betapoly.geometry import Objective, PolygonChain, polygon_area, polygon_perimeter
+from betapoly.geometry import Objective, convex_hull, polygon_area, polygon_perimeter
 from betapoly.kernels import (
     KernelSpec,
-    Maximizer,
     analytic_I,
     analytic_det_negG,
     analytic_radial_partial,
     analyze_maximizer,
-    area_kernel,
     compute_I,
     kernel_for,
     numeric_angular_gradient,
     numeric_radial_partials,
     numeric_sub_hessian,
-    perimeter_kernel,
-    polar_from_points,
 )
 from betapoly.limits import extremal_value
 
@@ -26,98 +22,86 @@ TWO_PI = 2.0 * math.pi
 
 
 def test_perimeter_kernel_examples():
-    k3 = perimeter_kernel(3)
-    v = k3.maximizers[0]
-    assert k3.evaluate(np.array(v.angles), np.array(v.radii)) == pytest.approx(
-        3.0 * math.sqrt(3.0)
-    )
+    k3 = kernel_for(Objective.PERIMETER, 3)
+    assert k3.evaluate(*k3.maximizer) == pytest.approx(3.0 * math.sqrt(3.0))
     assert k3.evaluate(np.array([0.0, 0.0]), np.ones(3)) == pytest.approx(0.0, abs=1e-15)
     assert extremal_value(Objective.PERIMETER, 4) == pytest.approx(4.0 * math.sqrt(2.0))
-    k2 = perimeter_kernel(2)
+    k2 = kernel_for(Objective.PERIMETER, 2)
     assert extremal_value(Objective.PERIMETER, 2) == pytest.approx(4.0)
     assert k2.evaluate(np.array([math.pi]), np.ones(2)) == pytest.approx(4.0)
-    assert k2.symmetry_multiplicity == 1
 
 
 def test_area_kernel_examples():
-    k3 = area_kernel(3)
-    v = k3.maximizers[0]
-    assert k3.evaluate(np.array(v.angles), np.array(v.radii)) == pytest.approx(
-        3.0 * math.sqrt(3.0) / 4.0
-    )
+    k3 = kernel_for(Objective.AREA, 3)
+    assert k3.evaluate(*k3.maximizer) == pytest.approx(3.0 * math.sqrt(3.0) / 4.0)
     assert extremal_value(Objective.AREA, 4) == pytest.approx(2.0)
     val = k3.evaluate(np.array([TWO_PI / 3, 2 * TWO_PI / 3]), np.array([0.5, 1.0, 1.0]))
     assert val == pytest.approx(math.sin(TWO_PI / 3), abs=1e-9)  # 0.866025...
     with pytest.raises(ValueError):
-        area_kernel(2)
-
-
-def test_kernel_symmetry_multiplicity():
-    assert perimeter_kernel(5).symmetry_multiplicity == math.factorial(4)
-    assert area_kernel(6).symmetry_multiplicity == math.factorial(5)
+        kernel_for(Objective.AREA, 2)
 
 
 def test_kernel_spec_validation():
-    good = perimeter_kernel(3)
-    with pytest.raises(ValueError):
-        KernelSpec("bad", 1, good.evaluate, good.maximizers, 1)
-    with pytest.raises(ValueError):
-        KernelSpec("bad", 3, good.evaluate, (), 1)
-    with pytest.raises(ValueError):
-        KernelSpec("bad", 4, good.evaluate, good.maximizers, 2)  # dim mismatch
+    with pytest.raises(ValueError, match="perimeter kernel needs n >= 2, got 1"):
+        KernelSpec(Objective.PERIMETER, 1)
+    with pytest.raises(ValueError, match="area kernel needs n >= 3, got 2"):
+        KernelSpec(Objective.AREA, 2)
+    with pytest.raises(ValueError, match="area kernel needs n >= 3, got 2"):
+        analytic_I(Objective.AREA, 2, 0.0)
+    spec = KernelSpec(Objective.AREA, 4)
+    with pytest.raises(ValueError, match="expected angles"):
+        spec.evaluate(np.zeros(2), np.ones(4))
+    with pytest.raises(ValueError, match="expected angles"):
+        spec.evaluate(np.zeros(3), np.ones(3))
 
 
 def _random_polar_tuple(rng, n):
-    angles = np.sort(rng.random(n) * TWO_PI)
+    """Angles relative to the first point, radii, and the Cartesian points."""
+    theta = np.sort(rng.random(n) * TWO_PI)
     radii = 0.05 + 0.95 * rng.random(n)
-    pts = np.column_stack((radii * np.cos(angles), radii * np.sin(angles)))
-    return pts
+    pts = np.column_stack((radii * np.cos(theta), radii * np.sin(theta)))
+    return theta[1:] - theta[0], radii, pts
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_kernel_matches_cartesian_cycle(n):
-    # The kernel equals the perimeter / signed shoelace area of the polygon
-    # whose vertices are taken in angular order around the origin.
+    # The kernel is the perimeter / area of the convex hull of its arguments;
+    # random radii leave some points inside the hull.
     rng = np.random.default_rng(1000 + n)
-    per = perimeter_kernel(n)
-    area = area_kernel(n)
+    per = kernel_for(Objective.PERIMETER, n)
+    area = kernel_for(Objective.AREA, n)
     for _ in range(50):
-        pts = _random_polar_tuple(rng, n)
-        angles, radii = polar_from_points(pts)
-        order = np.argsort(np.mod(np.arctan2(pts[:, 1], pts[:, 0]), TWO_PI))
-        chain = PolygonChain(tuple(int(i) for i in order))
+        angles, radii, pts = _random_polar_tuple(rng, n)
+        hull = convex_hull(pts)
         assert per.evaluate(angles, radii) == pytest.approx(
-            polygon_perimeter(chain, pts), abs=1e-10
+            polygon_perimeter(hull, pts), abs=1e-10
         )
-        assert area.evaluate(angles, radii) == pytest.approx(
-            polygon_area(chain, pts), abs=1e-10
-        )
+        assert area.evaluate(angles, radii) == pytest.approx(polygon_area(hull, pts), abs=1e-10)
 
 
 def test_kernel_permutation_invariance():
     from itertools import permutations
 
     rng = np.random.default_rng(9)
-    per = perimeter_kernel(3)
-    area = area_kernel(3)
-    pts = _random_polar_tuple(rng, 3)
-    ref_angles, ref_radii = polar_from_points(pts)
-    per_ref = per.evaluate(ref_angles, ref_radii)
-    area_ref = area.evaluate(ref_angles, ref_radii)
+    per = kernel_for(Objective.PERIMETER, 3)
+    area = kernel_for(Objective.AREA, 3)
+    ref_angles, radii, _ = _random_polar_tuple(rng, 3)
+    theta = np.concatenate(([0.0], ref_angles))
+    per_ref = per.evaluate(ref_angles, radii)
+    area_ref = area.evaluate(ref_angles, radii)
     for perm in permutations(range(3)):
-        angles, radii = polar_from_points(pts[list(perm)])
-        assert per.evaluate(angles, radii) == pytest.approx(per_ref, abs=1e-10)
-        assert area.evaluate(angles, radii) == pytest.approx(area_ref, abs=1e-10)
+        p = list(perm)
+        angles = np.mod(theta[p][1:] - theta[p][0], TWO_PI)
+        assert per.evaluate(angles, radii[p]) == pytest.approx(per_ref, abs=1e-10)
+        assert area.evaluate(angles, radii[p]) == pytest.approx(area_ref, abs=1e-10)
 
 
 @pytest.mark.parametrize("objective,n", [(Objective.PERIMETER, 3), (Objective.PERIMETER, 5),
                                          (Objective.AREA, 3), (Objective.AREA, 4)])
 def test_max_value_is_a_maximum(objective, n):
     spec = kernel_for(objective, n)
-    v = spec.maximizers[0]
+    a0, r0 = spec.maximizer
     rng = np.random.default_rng(77)
-    a0 = np.array(v.angles)
-    r0 = np.array(v.radii)
     M = extremal_value(objective, n)
     assert spec.evaluate(a0, r0) == pytest.approx(M, abs=1e-10)
     for _ in range(100):
@@ -127,24 +111,23 @@ def test_max_value_is_a_maximum(objective, n):
 
 
 def test_angular_gradient_vanishes_at_maximizer():
-    for spec in (perimeter_kernel(3), area_kernel(4)):
+    for spec in (kernel_for(Objective.PERIMETER, 3), kernel_for(Objective.AREA, 4)):
         g = numeric_angular_gradient(spec, step=1e-5)
         assert np.max(np.abs(g)) < 1e-6
 
 
 def test_angular_gradient_nonzero_off_maximizer():
-    spec = perimeter_kernel(3)
-    v = spec.maximizers[0]
-    off = Maximizer(angles=tuple(a + 0.1 for a in v.angles), radii=v.radii)
-    g = numeric_angular_gradient(spec, off, step=1e-5)
+    spec = kernel_for(Objective.PERIMETER, 3)
+    a0, r0 = spec.maximizer
+    g = numeric_angular_gradient(spec, (a0 + 0.1, r0), step=1e-5)
     assert np.max(np.abs(g)) > 1e-3
 
 
 def test_gradient_second_order_convergence():
     # Halving the step cuts the central-difference error ~4x where truncation
     # dominates; measured at a non-critical point against a tiny-step reference.
-    spec = perimeter_kernel(3)
-    point = Maximizer(angles=(TWO_PI / 3 + 0.3, 2 * TWO_PI / 3 - 0.1), radii=(1.0, 1.0, 1.0))
+    spec = kernel_for(Objective.PERIMETER, 3)
+    point = (np.array([TWO_PI / 3 + 0.3, 2 * TWO_PI / 3 - 0.1]), np.ones(3))
     ref = numeric_angular_gradient(spec, point, step=1e-7)
     err = lambda h: np.max(np.abs(numeric_angular_gradient(spec, point, step=h) - ref))
     ratio = err(2e-2) / err(1e-2)
@@ -183,7 +166,7 @@ def test_analytic_radial_partial_values():
 
 
 def test_analysis_flags():
-    analysis = analyze_maximizer(perimeter_kernel(4))
+    analysis = analyze_maximizer(kernel_for(Objective.PERIMETER, 4))
     assert analysis.a6_pass and analysis.a7_pass
     assert analysis.det_negG == pytest.approx(analytic_det_negG(Objective.PERIMETER, 4), rel=1e-4)
 
@@ -204,17 +187,13 @@ def test_compute_I_exact_values():
 
 
 def test_compute_I_multiplicity_handling():
-    spec = perimeter_kernel(3)  # multiplicity 2
-    analysis = analyze_maximizer(spec)
-    single = compute_I(spec, [analysis], 0.0)
-    double = compute_I(spec, [analysis, analysis], 0.0)
-    assert double == pytest.approx(single)
+    spec = kernel_for(Objective.PERIMETER, 3)
     with pytest.raises(ValueError):
         compute_I(spec, [], 0.0)
 
 
 def test_compute_I_rejects_a7_violation():
-    spec = perimeter_kernel(3)
+    spec = kernel_for(Objective.PERIMETER, 3)
     analysis = analyze_maximizer(spec)
     from betapoly.kernels import MaximizerAnalysis
 
@@ -228,51 +207,9 @@ def test_compute_I_rejects_a7_violation():
         compute_I(spec, [broken], 0.0)
 
 
-def test_custom_kernel_flow():
-    base = perimeter_kernel(3)
-    scale = 0.75
-    spec = KernelSpec(
-        name="scaled-perimeter",
-        arity=3,
-        evaluate=lambda a, r: scale * base.evaluate(a, r),
-        maximizers=base.maximizers,
-        symmetry_multiplicity=base.symmetry_multiplicity,
-    )
-    analysis = analyze_maximizer(spec)
-    assert analysis.a6_pass and analysis.a7_pass
-    assert analysis.det_negG == pytest.approx(
-        scale ** 2 * analytic_det_negG(Objective.PERIMETER, 3), rel=1e-4
-    )
-    assert np.allclose(
-        analysis.radial_partials, scale * analytic_radial_partial(Objective.PERIMETER, 3),
-        atol=1e-5,
-    )
-
-
-def test_undefined_region_raises():
-    bad = KernelSpec(
-        name="undefined",
-        arity=3,
-        evaluate=lambda a, r: -math.inf,
-        maximizers=(Maximizer.regular_ngon(3),),
-        symmetry_multiplicity=1,
-    )
-    with pytest.raises(ValueError):
-        numeric_angular_gradient(bad)
-
-
-def test_polar_from_points():
-    pts = np.array([[0.5, 0.0], [0.0, 0.5], [-0.25, 0.0]])
-    angles, radii = polar_from_points(pts)
-    assert angles == pytest.approx([math.pi / 2, math.pi])
-    assert radii == pytest.approx([0.5, 0.5, 0.25])
-    with pytest.raises(ValueError):
-        polar_from_points(np.array([[0.0, 0.0], [1.0, 0.0]]))
-
-
 @pytest.mark.parametrize("n", range(2, 9))
 def test_maximizer_attains_max_value(n):
-    for spec in ([perimeter_kernel(n)] + ([area_kernel(n)] if n >= 3 else [])):
-        v = spec.maximizers[0]
-        val = spec.evaluate(np.array(v.angles), np.array(v.radii))
-        assert val == pytest.approx(extremal_value(Objective(spec.name), n), abs=1e-10)
+    for objective in [Objective.PERIMETER] + ([Objective.AREA] if n >= 3 else []):
+        spec = kernel_for(objective, n)
+        val = spec.evaluate(*spec.maximizer)
+        assert val == pytest.approx(extremal_value(objective, n), abs=1e-10)
