@@ -4,9 +4,10 @@ The maximum of either objective over all vertex subsets of size at most ``k``
 is attained on extreme points of the full convex hull: with all other
 vertices fixed, the perimeter is convex and the area is affine in a single
 vertex, so no interior point can beat a hull point, and enlarging a subset
-never decreases either objective.  The search therefore reduces to a dynamic
-program over the hull in counterclockwise order (cost ``O(h^3 * k)`` for hull
-size ``h``), validated by the exhaustive subset oracle below.
+never decreases either objective.  So ``convex_hull`` drops provably interior
+points with a one-pass circle test and runs a monotone chain on the rest, and
+``max_kgon`` runs a max-plus program over the ``h`` hull vertices in
+``O(h^2 k + h^3 / k^2)``.  The exhaustive subset oracle below validates both.
 
 Degenerate hulls follow the convex-body convention: a segment has perimeter
 twice its length and zero area; a single point has both objectives zero.
@@ -16,15 +17,14 @@ from __future__ import annotations
 
 import enum
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-# Hull sizes beyond this make the O(h^3) program expensive; warn, don't fail.
-_HULL_SIZE_WARN = 2000
-# Below this size the extreme-octagon pre-filter costs more than it saves.
+# Below this size the circle pre-filter costs more than it saves.
 _PREFILTER_MIN_POINTS = 128
+_PREFILTER_MARGIN = 1e-9  # relative slack on the pre-filter's radius
+_DP_BLOCK = 1 << 18  # most (anchor, predecessor, successor) cells per step
 
 
 class Objective(enum.Enum):
@@ -83,28 +83,30 @@ def _cross(ox: float, oy: float, ax: float, ay: float, bx: float, by: float) -> 
 
 
 def _prefilter(pts: np.ndarray) -> np.ndarray:
-    """Indices that can still be hull vertices (extreme-octagon test).
+    """Indices that can still be hull vertices (one-pass circle test).
 
-    Points strictly inside the convex polygon spanned by the extremes of
-    x, y, x+y and x-y cannot be extreme themselves; boundary ties are kept.
+    About the bounding-box midpoint ``c``, the hull of the ``max(32, 2 sqrt N)``
+    points farthest from ``c`` contains the disk whose radius is the least
+    distance from ``c`` to one of its edge lines, so points strictly inside
+    that disk, shrunk by a margin far above rounding error, are interior to
+    the full hull.  If ``c`` is not strictly inside the sub-hull, all are kept.
     """
+    N = len(pts)
     x, y = pts[:, 0], pts[:, 1]
-    keys = (x, y, x + y, x - y)
-    ext: set[int] = set()
-    for k in keys:
-        ext.add(int(np.argmin(k)))
-        ext.add(int(np.argmax(k)))
-    ext_idx = np.fromiter(sorted(ext), dtype=np.int64)
-    octagon = _monotone_chain(pts[ext_idx])
-    if len(octagon) < 3:
-        return np.arange(len(pts), dtype=np.int64)
-    poly = pts[ext_idx[octagon]]
-    inside = np.ones(len(pts), dtype=bool)
-    for i in range(len(poly)):
-        ax, ay = poly[i]
-        bx, by = poly[(i + 1) % len(poly)]
-        inside &= (bx - ax) * (y - ay) - (by - ay) * (x - ax) > 0.0
-    return np.nonzero(~inside)[0]
+    c = np.array([0.5 * x.min() + 0.5 * x.max(), 0.5 * y.min() + 0.5 * y.max()])
+    d2 = (x - c[0]) ** 2
+    d2 += (y - c[1]) ** 2
+    kth = N - max(32, int(2.0 * math.sqrt(N)))
+    far = np.argpartition(d2, kth)[kth:]
+    ring = pts[far[_monotone_chain(pts[far])]]
+    if len(ring) >= 3:
+        e = np.roll(ring, -1, axis=0) - ring  # raw coordinates: short edges stay accurate
+        rel = ring - c
+        radius = np.min((rel[:, 0] * e[:, 1] - rel[:, 1] * e[:, 0]) / np.hypot(e[:, 0], e[:, 1]))
+        radius -= _PREFILTER_MARGIN * math.sqrt(float(d2[far].max()))
+        if radius > 0.0:
+            return np.nonzero(d2 >= radius * radius)[0]
+    return np.arange(N, dtype=np.int64)
 
 
 def _monotone_chain(pts: np.ndarray) -> list[int]:
@@ -272,97 +274,90 @@ def _objective_value(chain: PolygonChain, pts: np.ndarray, objective: Objective)
     return polygon_area(chain, pts)
 
 
-def _degenerate_result(
-    hull: PolygonChain, pts: np.ndarray, objective: Objective
-) -> UMaxResult:
-    idx = hull.vertex_indices
-    value = _objective_value(hull, pts, objective)
-    return UMaxResult(value=value, vertex_indices=idx, vertex_count=len(idx))
+def _chain_result(chain: PolygonChain, pts: np.ndarray, objective: Objective) -> UMaxResult:
+    value = _objective_value(chain, pts, objective)
+    return UMaxResult(value, chain.vertex_indices, len(chain.vertex_indices))
 
 
 def max_kgon(hull: PolygonChain, points, k: int, objective: Objective) -> UMaxResult:
     """Best polygon using at most ``k`` hull vertices.
 
-    Dynamic program: anchor each candidate subset at its first hull position,
-    extend chains vertex by vertex in hull order (a max-plus recurrence), and
-    close the cycle at every length from 2 to ``k``.  On exact float ties the
-    cycle is an optimal one, but not always the lexicographically smallest:
-    each anchor and length keeps only the first maximal predecessor and
-    endpoint, and only the cycles that survive this are compared.
+    For ``k >= h`` that is the hull itself.  Otherwise, on a strictly convex
+    hull, the best polygon uses exactly ``k`` vertices, and its value sums
+    start-free weights of its cyclic edges ``u -> v``: ``|H_u H_v|``
+    (perimeter) or the shoelace term ``cross(H_u, H_v) / 2`` (area).  A
+    max-plus pass finds the best k-gon through hull position 0,
+    ``p_0 < ... < p_{k-1}``, in ``O(h^2 k)``.  Some optimal k-gon intersperses
+    it (Boyce, Dobkin, Drysdale & Guibas 1985): its ``j``-th vertex lies on
+    the closed arc ``[p_{i+j}, p_{i+j+1}]``.  With ``i`` the shortest arc, one
+    more pass from all anchors on that arc at once, each layer kept to its
+    arc, finds it in ``O(h^3 / k^2)``.
+
+    On exact float ties the cycle is an optimal one, but not always the
+    lexicographically smallest: each anchor keeps only its first maximal
+    predecessor at every layer, and the first anchor with the best total wins.
     """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     pts = as_points_array(points)
-    if hull.degenerate or len(hull.vertex_indices) < 3:
-        return _degenerate_result(hull, pts, objective)
-
+    h = len(hull.vertex_indices)
+    if hull.degenerate or h < 3 or k >= h:
+        return _chain_result(hull, pts, objective)
     idx = np.asarray(hull.vertex_indices, dtype=np.int64)
-    h = len(idx)
-    if h > _HULL_SIZE_WARN:
-        warnings.warn(
-            f"hull has {h} vertices; the O(h^3) subset program will be slow",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    H = pts[idx]
-    kk = min(k, h)
     if objective is Objective.PERIMETER:
-        diff = H[:, None, :] - H[None, :, :]
-        dist = np.hypot(diff[..., 0], diff[..., 1])
+        diff = pts[idx, None, :] - pts[None, idx, :]
+        weight = np.hypot(diff[..., 0], diff[..., 1])
+    else:  # any origin gives a closed cycle the same shoelace sum; this one keeps terms small
+        rel = pts[idx] - pts[idx[0]]
+        weight = 0.5 * (np.outer(rel[:, 0], rel[:, 1]) - np.outer(rel[:, 1], rel[:, 0]))
 
-    best_val = -math.inf
-    best_cycle: tuple[int, ...] | None = None
-
-    for s in range(h - 1):
-        nq = h - s
-        if objective is Objective.PERIMETER:
-            weight = dist[s:, s:]
-            close = weight[0]
-        else:
-            rel = H[s:] - H[s]
-            weight = 0.5 * (
-                np.outer(rel[:, 0], rel[:, 1]) - np.outer(rel[:, 1], rel[:, 0])
-            )
-            close = None
-        masked = weight.copy()
-        masked[np.tril_indices(nq)] = -np.inf
-
-        dp = np.full(nq, -np.inf)
-        dp[0] = 0.0
-        parents: list[np.ndarray] = []
-        for m in range(2, kk + 1):
-            cand = dp[:, None] + masked
-            arg = np.argmax(cand, axis=0)
-            dp = cand[arg, np.arange(nq)]
-            parents.append(arg)
-
-            totals = dp + close if close is not None else dp.copy()
-            totals[0] = -np.inf
-            w = int(np.argmax(totals))
-            val = float(totals[w])
-            if not math.isfinite(val):
-                continue
-            if val > best_val or val == best_val:
-                positions = _reconstruct(parents, m, w)
-                cycle = _rotate_min_first(tuple(int(idx[s + p]) for p in positions))
-                if val > best_val or (best_cycle is not None and cycle < best_cycle):
-                    best_val = val
-                    best_cycle = cycle
-
-    assert best_cycle is not None
-    chain = PolygonChain(best_cycle, degenerate=len(best_cycle) < 3)
-    value = _objective_value(chain, pts, objective)
-    return UMaxResult(value=value, vertex_indices=best_cycle, vertex_count=len(best_cycle))
+    _, rooted = _max_plus(weight, np.zeros(1, dtype=np.int64), [np.arange(1, h)] * (k - 1))
+    p = rooted(0)
+    i = int(np.argmin(np.diff(p + [h])))
+    arcs = [p[(i + j) % k] + h * ((i + j) // k) for j in range(k + 1)]
+    layers = [np.arange(arcs[j], arcs[j + 1] + 1) for j in range(k)]
+    totals, trace = _max_plus(weight, layers[0], layers[1:])
+    cycle = _rotate_min_first(tuple(int(idx[q % h]) for q in trace(int(np.argmax(totals)))))
+    return _chain_result(PolygonChain(cycle, degenerate=k < 3), pts, objective)
 
 
-def _reconstruct(parents: list[np.ndarray], m: int, w: int) -> list[int]:
-    positions = [w]
-    cur = w
-    for t in range(m - 2, -1, -1):
-        cur = int(parents[t][cur])
-        positions.append(cur)
-    positions.reverse()
-    return positions
+def _max_plus(weight: np.ndarray, anchors: np.ndarray, layers: list[np.ndarray]):
+    """Best closed chains ``anchor -> layers[0] -> ... -> layers[-1] -> anchor``.
+
+    Positions are unwrapped hull positions (``weight`` is read modulo ``h``),
+    strictly increasing along a chain and below ``anchor + h`` at its end.
+    Anchors go in blocks of at most ``_DP_BLOCK`` cells per step.  Returns
+    each anchor's best total (``-inf`` without a chain) and ``trace(t)``,
+    the positions of anchor ``t``'s best chain.
+    """
+    h = len(weight)
+    pairs = list(zip(layers, layers[1:]))
+    block = max(1, _DP_BLOCK // max([len(u) * len(v) for u, v in pairs], default=1))
+    totals, tables = [], []
+    for start in range(0, len(anchors), block):
+        a = anchors[start : start + block, None]
+        dp = np.where(a < layers[0], weight[a % h, layers[0] % h], -np.inf)
+        args = []
+        for u, v in pairs:
+            step = np.where(u[:, None] < v, weight[u[:, None] % h, v % h], -np.inf)
+            cand = dp[:, :, None] + step
+            args.append(cand.argmax(axis=1))
+            dp = cand.max(axis=1)
+        dp += np.where(layers[-1] < a + h, weight[layers[-1] % h, a % h], -np.inf)
+        args.append(dp.argmax(axis=1))
+        totals.append(dp.max(axis=1))
+        tables.append(args)
+    tables = [np.concatenate(t) for t in zip(*tables)]
+
+    def trace(t: int) -> list[int]:
+        v = tables[-1][t]
+        positions = [int(anchors[t]), int(layers[-1][v])]
+        for j in range(len(pairs) - 1, -1, -1):
+            v = tables[j][t, v]
+            positions.insert(1, int(layers[j][v]))
+        return positions
+
+    return np.concatenate(totals), trace
 
 
 def umax(points, n: int, objective: Objective) -> UMaxResult:

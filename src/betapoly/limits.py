@@ -143,7 +143,7 @@ def law_for(objective: Objective, n: int, beta: float) -> LimitLaw:
         n=n,
         beta=beta,
         M=M,
-        A=n / C,
+        A=exponent_A(n, beta),
         B=rate_constant_B(n, beta, analytic_I(objective, n, beta)),
         C=C,
     )

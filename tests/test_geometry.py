@@ -5,9 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from betapoly import geometry
 from betapoly.geometry import (
     Objective,
     PolygonChain,
+    _monotone_chain,
+    _prefilter,
+    _rotate_min_first,
     convex_hull,
     hull_functional,
     max_kgon,
@@ -75,15 +79,79 @@ def test_convex_hull_contains_all_points():
         assert np.all(side >= -1e-12)
 
 
-def test_convex_hull_prefilter_agrees_with_direct_chain():
-    # 130 points exercises the extreme-octagon pre-filter; the same set fed
-    # in below the threshold must give the identical hull.
-    pts = sample_batch(BetaParams(-0.5), 130, SeedPolicy(17), 0)
-    full = convex_hull(pts)
-    from betapoly.geometry import _monotone_chain, _rotate_min_first
+def _regular(h: int) -> np.ndarray:
+    angles = 2.0 * math.pi * np.arange(h) / h + 0.3
+    return np.column_stack([np.cos(angles), np.sin(angles)])
 
-    direct = _rotate_min_first(_monotone_chain(pts))
-    assert list(full.vertex_indices) == direct
+
+def _assert_prefilter_exact(pts):
+    """The pre-filtered hull equals the monotone chain run on every point."""
+    assert convex_hull(pts).vertex_indices == tuple(_rotate_min_first(_monotone_chain(pts)))
+
+
+def test_convex_hull_prefilter_agrees_with_direct_chain():
+    # 130 points exercises the circle pre-filter; the monotone chain run on
+    # the whole set must give the identical hull.
+    pts = sample_batch(BetaParams(-0.5), 130, SeedPolicy(17), 0)
+    _assert_prefilter_exact(pts)
+
+
+@pytest.mark.parametrize("beta", [-0.99, 0.0, 2.0])
+@pytest.mark.parametrize("N", [128, 1000, 20_000])
+def test_prefilter_exact_on_samples(beta, N):
+    pts = sample_batch(BetaParams(beta), N, SeedPolicy(23), N)
+    _assert_prefilter_exact(pts)
+    if N > 128 and beta >= 0.0:  # at beta = -0.99 most points are hull vertices
+        assert len(_prefilter(pts)) < N // 2
+
+
+@pytest.mark.parametrize(
+    "shift, scale",
+    [((1e3, -7e2), 1.0), ((0.0, 0.0), 1e-8), ((0.0, 0.0), 1e8), ((-3e-8, 5e-8), 1e-8)],
+)
+def test_prefilter_exact_off_centre_and_rescaled(shift, scale):
+    for trial in range(3):
+        pts = sample_batch(BetaParams(0.0), 3000, SeedPolicy(29), trial) * scale + shift
+        _assert_prefilter_exact(pts)
+        assert len(_prefilter(pts)) < 1500
+
+
+def test_prefilter_exact_on_cocircular_polygon_with_interior_points():
+    ring = _regular(256)
+    inner = sample_batch(BetaParams(0.0), 400, SeedPolicy(31), 0) * 0.9
+    for pts in (np.vstack([ring, inner]), np.vstack([inner, ring]), np.vstack([inner, ring]) + 5.0):
+        _assert_prefilter_exact(pts)
+        assert len(convex_hull(pts).vertex_indices) == 256
+
+
+def test_prefilter_keeps_smallest_index_of_duplicated_extremes():
+    pts = sample_batch(BetaParams(0.0), 500, SeedPolicy(37), 0)
+    hull = list(convex_hull(pts).vertex_indices)
+    # Copies of every hull vertex both before and after the originals.
+    dup = np.vstack([pts[hull[::2]], pts, pts[hull]])
+    _assert_prefilter_exact(dup)
+    for i in convex_hull(dup).vertex_indices:
+        same = np.flatnonzero(np.all(dup == dup[i], axis=1))
+        assert i == same.min() and len(same) >= 2
+
+
+def test_prefilter_keeps_all_when_centre_is_outside_the_sub_hull():
+    # An arc of 200 hull vertices plus the origin: the points farthest from
+    # the bounding-box midpoint hug the x-axis, and their hull misses it.
+    angles = np.linspace(0.0, math.pi / 3.0, 200)
+    pts = np.vstack([np.column_stack([np.cos(angles), np.sin(angles)]), [[0.0, 0.0]]])
+    assert len(_prefilter(pts)) == len(pts)
+    assert len(convex_hull(pts).vertex_indices) == len(pts)
+    _assert_prefilter_exact(pts)
+
+
+def test_prefilter_falls_back_on_collinear_cloud():
+    t = np.random.default_rng(41).uniform(-1.0, 1.0, 300)
+    pts = np.column_stack([t, 0.5 * t + 0.25])
+    assert len(_prefilter(pts)) == len(pts)
+    hull = convex_hull(pts)
+    assert hull.degenerate and sorted(hull.vertex_indices) == sorted([t.argmin(), t.argmax()])
+    _assert_prefilter_exact(pts)
 
 
 def test_polygon_perimeter_examples():
@@ -165,6 +233,81 @@ def test_max_kgon_hexagon_alternating_triangle():
     assert best.vertex_indices == brute.vertex_indices
     diffs = np.diff(sorted(best.vertex_indices))
     assert list(diffs) == [2, 2]  # alternating vertices
+
+
+def _rescore(cycle, pts, objective) -> float:
+    chain = PolygonChain(tuple(cycle), degenerate=len(cycle) < 3)
+    measure = polygon_perimeter if objective is Objective.PERIMETER else polygon_area
+    return measure(chain, pts)
+
+
+@pytest.mark.parametrize("objective", list(Objective))
+def test_max_kgon_regular_polygons(objective):
+    # Cocircular points tie everywhere in exact arithmetic and only in part
+    # in floats.  Where C(h, n) is small the oracle decides; everywhere the
+    # optimum is the subset with the most even gaps (sin is concave).
+    for h in range(3, 41):
+        pts = _regular(h)
+        for n in range(2, min(h, 7) + 1):
+            fast = umax(pts, n, objective)
+            assert fast.vertex_count == n
+            gaps = [h // n + (j < h % n) for j in range(n)]
+            even = _rescore(np.cumsum([0] + gaps[:-1]), pts, objective)
+            assert fast.value == pytest.approx(even, rel=1e-12, abs=1e-15), (h, n)
+            if math.comb(h, n) <= 1000:
+                slow = umax_bruteforce(pts, n, objective)
+                assert fast.value == pytest.approx(slow.value, rel=1e-12, abs=1e-15), (h, n)
+            if n >= 3:
+                _assert_strictly_convex_ccw(PolygonChain(fast.vertex_indices), pts)
+
+
+@pytest.mark.parametrize("objective, N", [(Objective.PERIMETER, 1000), (Objective.AREA, 4000)])
+def test_max_kgon_equals_oracle_on_large_random_hulls(objective, N):
+    pts = sample_batch(BetaParams(0.0), N, SeedPolicy(47), 0)
+    hull = list(convex_hull(pts).vertex_indices)
+    assert 28 <= len(hull) <= 60
+    fast = umax(pts, 3, objective)
+    slow = umax_bruteforce(pts[hull], 3, objective)
+    assert fast.value == slow.value
+    assert fast.vertex_indices == tuple(_rotate_min_first([hull[i] for i in slow.vertex_indices]))
+
+
+def test_max_kgon_anchor_blocks_do_not_change_the_result(monkeypatch):
+    pts = sample_batch(BetaParams(0.0), 20_000, SeedPolicy(53), 0)
+    hull = convex_hull(pts)
+    cases = [(objective, k) for objective in Objective for k in (2, 3, 5, 8)]
+    whole = [max_kgon(hull, pts, k, objective) for objective, k in cases]
+    monkeypatch.setattr(geometry, "_DP_BLOCK", 1)  # one anchor per block
+    assert [max_kgon(hull, pts, k, objective) for objective, k in cases] == whole
+
+
+def test_umax_with_n_at_least_hull_size_is_the_hull():
+    inner = sample_batch(BetaParams(0.0), 8, SeedPolicy(43), 0)
+    pts = np.vstack([inner, 2.0 * SQUARE])
+    hull = convex_hull(pts).vertex_indices
+    assert hull == (8, 9, 10, 11)
+    for objective in Objective:
+        for n in (4, 5, 12):
+            fast = umax(pts, n, objective)
+            assert fast.vertex_indices == hull
+            slow = umax_bruteforce(pts[list(hull)], 4, objective)
+            assert fast.value == slow.value
+            if n <= 5:
+                assert umax_bruteforce(pts, n, objective).value == fast.value
+
+
+@pytest.mark.parametrize("objective", list(Objective))
+def test_umax_tie_on_grid_returns_an_optimal_convex_cycle(objective):
+    # Several triangles of the 3x3 grid tie exactly; umax may return any of
+    # them, but it must be a strictly convex CCW triangle of the best value.
+    pts = np.array([(x, y) for x in range(3) for y in range(3)], dtype=float)
+    fast = umax(pts, 3, objective)
+    slow = umax_bruteforce(pts, 3, objective)
+    assert fast.vertex_count == 3
+    _assert_strictly_convex_ccw(PolygonChain(fast.vertex_indices), pts)
+    again = _rescore(fast.vertex_indices, pts, objective)
+    assert again == fast.value
+    assert again == pytest.approx(slow.value, rel=1e-15, abs=0.0)
 
 
 def test_max_kgon_validation():

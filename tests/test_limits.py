@@ -90,6 +90,7 @@ def test_laws_share_exponents_across_objectives():
             lp = law_for(Objective.PERIMETER, n, beta)
             la = law_for(Objective.AREA, n, beta)
             assert lp.A == la.A and lp.C == la.C
+            assert lp.A == exponent_A(n, beta) and lp.C == shape_C(n, beta)
 
 
 def test_weibull_cdf_properties():
