@@ -62,7 +62,6 @@ from .sampler import (
     radius_cdf,
     read_points_csv,
     sample_batch,
-    sample_radius,
     write_points_csv,
 )
 

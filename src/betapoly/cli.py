@@ -155,7 +155,8 @@ def _build_parser() -> _Parser:
         "--threads",
         type=int,
         default=None,
-        help="worker processes for simulation (default: available parallelism)",
+        help="workers for simulate (processes) and tailprobe (threads) "
+        "(default: available parallelism)",
     )
     sub = parser.add_subparsers(dest="command")
     for command, (help_text, rows) in _COMMANDS.items():
@@ -301,11 +302,11 @@ def _cmd_simulate(objective, n, beta, N_list, trials, seed, delta, out_dir, thre
     return 0
 
 
-def _cmd_tailprobe(objective, n, beta, eps, draws, seed, out_dir) -> int:
+def _cmd_tailprobe(objective, n, beta, eps, draws, seed, out_dir, threads) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
-    result = montecarlo.tail_probe(objective, n, beta, eps, draws, seed)
-    _log(f"tail probe finished in {time.perf_counter() - start:.1f}s")
+    result = montecarlo.tail_probe(objective, n, beta, eps, draws, seed, threads=threads)
+    _log(f"tail probe finished in {time.perf_counter() - start:.1f}s on {threads} thread(s)")
 
     prefactor = montecarlo.tail_prefactor(objective, n, beta)
     C = limits.shape_C(n, beta)
@@ -357,7 +358,7 @@ def dispatch(argv: list[str] | None = None) -> int:
             raise CliError("no subcommand given; expected one of " + ", ".join(_COMMANDS))
         rows = _COMMANDS[args.command][1]
         opts = {row[0]: _resolve(args, cfg, args.command, row) for row in rows}
-        if args.command == "simulate":
+        if args.command in ("simulate", "tailprobe"):
             opts["threads"] = threads
         return _HANDLERS[args.command](**opts)
     except (CliError, ValueError) as exc:

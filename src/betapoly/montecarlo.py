@@ -10,7 +10,9 @@ Four probes, all pure functions of their configuration (seeds included):
   the fully specified Weibull limit, and recover its shape/rate from the
   lower quantiles via a log-log regression of ``ln(-ln(1 - F))`` on ``ln t``.
 * ``tail_probe``: estimate ``P[f >= M - eps]`` by direct n-point sampling on
-  an epsilon grid and fit the log-log slope and prefactor.
+  an epsilon grid and fit the log-log slope and prefactor; slices of each
+  epsilon's stream are scored on a thread pool by jumping ahead in it, so
+  the hits are identical under any thread count.
 * ``consistency_check``: fraction of trials with deficiency below a cutoff.
 """
 
@@ -20,7 +22,7 @@ import math
 import os
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,15 +31,19 @@ import numpy as np
 from .geometry import Objective, convex_hull, hull_functional, max_kgon
 from .kernels import analytic_I
 from .limits import LimitLaw, compute_K, extremal_value, law_for, shape_C, weibull_cdf
-from .sampler import BetaParams, SeedPolicy, draw_points, sample_batch
+from .sampler import BetaParams, SeedPolicy, points_from_uniforms, sample_batch
 
 DEFAULT_SHAPE_WINDOW = (0.05, 0.6)
 MIN_FIT_POINTS = 100
 MIN_EXPECTED_HITS = 100.0
 CONSISTENCY_DELTA = 0.01
-# Tuples per tail_probe batch.  Each batch draws its angles, then its radii,
-# so this is part of the stream: changing it changes the hits.
+# Tuples per tail_probe chunk.  Each chunk takes its angles, then its radii,
+# from the epsilon's stream, so this fixes the stream: changing it changes
+# the hits.
 _TAIL_CHUNK = 250_000
+# Most tuples a tail_probe job scores at once.  Bounds memory (and keeps the
+# working set in cache) only: any value gives the same hits.
+_TAIL_BLOCK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -149,6 +155,13 @@ def _run_one(args) -> TrialRecord:
     )
 
 
+def _workers(threads: int | None) -> int:
+    workers = threads if threads is not None else (os.cpu_count() or 1)
+    if workers < 1:
+        raise ValueError(f"threads must be >= 1, got {workers}")
+    return workers
+
+
 def run_trials(config: SimConfig, threads: int | None = None) -> list[TrialRecord]:
     """Simulate all (N, trial) pairs; deterministic for a fixed master seed.
 
@@ -161,9 +174,7 @@ def run_trials(config: SimConfig, threads: int | None = None) -> list[TrialRecor
         for N in config.N_list
         for t in range(config.trials)
     ]
-    workers = threads if threads is not None else (os.cpu_count() or 1)
-    if workers < 1:
-        raise ValueError(f"threads must be >= 1, got {workers}")
+    workers = _workers(threads)
     if workers == 1 or len(jobs) < 4:
         return [_run_one(j) for j in jobs]
     chunk = max(1, len(jobs) // (8 * workers))
@@ -236,6 +247,25 @@ def tail_prefactor(objective: Objective, n: int, beta: float) -> float:
     return math.factorial(n) * compute_K(n, beta) * analytic_I(objective, n, beta)
 
 
+def _tail_hits(params, objective, n, policy, k, threshold, start, m, lo, hi) -> int:
+    """Hits among tuples ``[lo, hi)`` of the chunk of ``m`` tuples at tuple ``start``.
+
+    The chunk owns raw draws ``[2ns, 2ns + nm)`` of stream ``k`` for its
+    angles and the next ``nm`` for its radii, so two generators jumped ahead
+    to tuple ``lo`` of the angle block and of the radius block reproduce the
+    sequential draws.
+    """
+    angles = policy.trial_generator(k, skip=n * (2 * start + lo))
+    radii = policy.trial_generator(k, skip=n * (2 * start + m + lo))
+    hits = 0
+    for b in range(lo, hi, _TAIL_BLOCK):
+        count = n * min(_TAIL_BLOCK, hi - b)
+        pts = points_from_uniforms(params, angles.random(count), radii.random(count))
+        vals = hull_functional(pts.reshape(-1, n, 2), objective)
+        hits += int(np.count_nonzero(vals >= threshold))
+    return hits
+
+
 def tail_probe(
     objective: Objective,
     n: int,
@@ -243,18 +273,29 @@ def tail_probe(
     epsilon_grid,
     draws_per_epsilon: int,
     seed: int,
+    threads: int | None = None,
 ) -> TailProbeResult:
     """Estimate P[f >= M - eps] on a grid and fit the log-log power law.
 
     The grid is sorted descending and each epsilon gets its own derived
-    stream, so the result depends only on the grid as a set.  Guards each
-    epsilon by requiring >= 100 expected hits under the analytic prediction;
-    zero-hit grid points are dropped from the fit with a warning.
+    stream, so the result depends only on the grid as a set.  The stream is
+    consumed in chunks of ``_TAIL_CHUNK`` tuples, each drawing its angle
+    block and then its radius block; the chunk size fixes which uniforms make
+    up which tuple.  Each chunk is split into up to ``threads`` jobs (``None``
+    means ``os.cpu_count()``) that jump ahead to their slice of the stream,
+    run on a thread pool and score at most ``_TAIL_BLOCK`` tuples at a time,
+    which bounds memory only.  The pool gets no more threads than the probe
+    has full chunks of tuples, so a small probe runs in the calling thread.
+    Hits are integer sums over the jobs, so the result is identical for
+    every thread count.  Guards each epsilon by
+    requiring >= 100 expected hits under the analytic prediction; zero-hit
+    grid points are dropped from the fit with a warning.
 
     Raises:
-        ValueError: on a bad grid, a guard violation, or < 2 nonzero
-        probabilities to fit.
+        ValueError: on a bad grid, a guard violation, ``threads < 1``, or
+        < 2 nonzero probabilities to fit.
     """
+    workers = _workers(threads)
     eps = tuple(sorted({float(e) for e in epsilon_grid}, reverse=True))
     if len(eps) < 2:
         raise ValueError("epsilon grid must contain at least 2 distinct values")
@@ -276,22 +317,33 @@ def tail_probe(
 
     params = BetaParams(beta)
     policy = SeedPolicy(seed)
-    hits: list[int] = []
-    for k, e in enumerate(eps):
-        rng = policy.trial_generator(k)
-        threshold = M - e
-        count = 0
-        done = 0
-        while done < draws_per_epsilon:
-            m = min(_TAIL_CHUNK, draws_per_epsilon - done)
-            # Bound to a name so the batch stays allocated while the hull
-            # temporaries come and go; passed inline, its pages went back to
-            # the OS every chunk, tripling page faults (~5% slower at n = 3).
-            pts = draw_points(params, rng, m * n).reshape(m, n, 2)
-            vals = hull_functional(pts, objective)
-            count += int(np.sum(vals >= threshold))
-            done += m
-        hits.append(count)
+
+    # Below a chunk of tuples per thread, starting the pool and handing the
+    # interpreter lock back and forth cost more than the second core gives
+    # (2 threads on 2 cores: 0.85x at n = 4 and 12 800 tuples; 1.36x at n = 3 and
+    # 500 000 tuples, rising to 1.73x at 2 000 000).
+    workers = max(1, min(workers, len(eps) * draws_per_epsilon // _TAIL_CHUNK))
+
+    def score(job) -> int:
+        k, start, m, lo, hi = job
+        return _tail_hits(params, objective, n, policy, k, M - eps[k], start, m, lo, hi)
+
+    # (epsilon index, chunk start, chunk size, lo, hi): each chunk is cut into
+    # at most one job per worker, and never below one block per job.
+    jobs = []
+    for k in range(len(eps)):
+        for start in range(0, draws_per_epsilon, _TAIL_CHUNK):
+            m = min(_TAIL_CHUNK, draws_per_epsilon - start)
+            parts = min(workers, -(-m // _TAIL_BLOCK))
+            jobs += [(k, start, m, i * m // parts, (i + 1) * m // parts) for i in range(parts)]
+    if workers == 1:
+        counts = [score(job) for job in jobs]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            counts = list(pool.map(score, jobs))
+    hits = [0] * len(eps)
+    for job, count in zip(jobs, counts):
+        hits[job[0]] += count
 
     probs = [h / draws_per_epsilon for h in hits]
     usable = [(e, p) for e, p in zip(eps, probs) if p > 0.0]

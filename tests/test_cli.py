@@ -200,6 +200,25 @@ def test_tailprobe_cli(tmp_path, capsys):
     assert summary["predicted_slope"] == pytest.approx(4.0)
 
 
+def test_tailprobe_cli_thread_determinism(tmp_path, capsys):
+    outs = []
+    for threads, sub in (("1", "a"), ("2", "b")):
+        out_dir = tmp_path / sub
+        argv = [
+            "--threads", threads,
+            "tailprobe", "--objective", "perimeter", "--n", "3", "--beta", "0",
+            "--eps", "0.4,0.5", "--draws", "300007", "--seed", "9", "--out-dir", str(out_dir),
+        ]
+        code, _, err = _run(capsys, argv)
+        assert code == 0
+        assert f"on {threads} thread(s)" in err
+        outs.append(out_dir)
+    a, b = outs
+    assert (a / "tail.csv").read_bytes() == (b / "tail.csv").read_bytes()
+    assert (a / "tail_summary.json").read_bytes() == (b / "tail_summary.json").read_bytes()
+    assert json.loads((a / "tail_summary.json").read_text())["draws_per_epsilon"] == 300007
+
+
 def test_threads_validation(capsys):
     code, _, err = _run(capsys, ["--threads", "0", "constants", "--objective", "perimeter",
                                  "--n", "3", "--beta", "0"])

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from betapoly.geometry import Objective, umax_bruteforce
-from betapoly.limits import law_for, shape_C, weibull_cdf
+from betapoly import montecarlo
+from betapoly.geometry import Objective, hull_functional, umax_bruteforce
+from betapoly.limits import extremal_value, law_for, shape_C, weibull_cdf
 from betapoly.montecarlo import (
     EmpiricalCDF,
     SimConfig,
@@ -18,7 +19,7 @@ from betapoly.montecarlo import (
     write_ecdf_csv,
     write_trials_csv,
 )
-from betapoly.sampler import BetaParams, SeedPolicy, sample_batch
+from betapoly.sampler import BetaParams, SeedPolicy, draw_points, sample_batch
 
 PERIMETER_LAW = law_for(Objective.PERIMETER, 3, 0.0)
 
@@ -139,6 +140,58 @@ def test_tail_probe_small_run_matches_prediction():
     assert 3.0 < res.fitted_slope < 5.0
     again = tail_probe(Objective.PERIMETER, 3, 0.0, (0.5, 0.4), 300_000, seed=99)
     assert again.hits == res.hits  # grid order must not matter
+
+
+def test_tail_probe_hits_do_not_depend_on_threads():
+    runs = [
+        tail_probe(Objective.PERIMETER, 3, 0.0, (0.4, 0.5), 300_000, seed=99, threads=t)
+        for t in (1, 2, 3)
+    ]
+    assert runs[0] == runs[1] == runs[2]  # hits, and so the fit too
+    with pytest.raises(ValueError, match="threads"):
+        tail_probe(Objective.PERIMETER, 3, 0.0, (0.4, 0.5), 300_000, seed=99, threads=0)
+
+
+def test_tail_probe_blocks_do_not_change_the_hits(monkeypatch):
+    # The chunk fixes the stream; the block only bounds memory.  A small
+    # chunk gives this small probe enough chunks to run on the thread pool.
+    monkeypatch.setattr(montecarlo, "_TAIL_CHUNK", 2_000)
+    args = (Objective.AREA, 4, 0.0, (0.9, 1.1), 6_400)
+    whole = tail_probe(*args, seed=6, threads=1).hits
+    for block in (7, 1_000):
+        monkeypatch.setattr(montecarlo, "_TAIL_BLOCK", block)
+        assert tail_probe(*args, seed=6, threads=1).hits == whole
+        assert tail_probe(*args, seed=6, threads=2).hits == whole
+
+
+def _sequential_hits(objective, n, beta, eps, draws, seed):
+    """The chunked stream scored chunk by chunk, as one generator draws it."""
+    params = BetaParams(beta)
+    M = extremal_value(objective, n)
+    hits = []
+    for k, e in enumerate(sorted(eps, reverse=True)):
+        rng = SeedPolicy(seed).trial_generator(k)
+        count = 0
+        for start in range(0, draws, montecarlo._TAIL_CHUNK):
+            m = min(montecarlo._TAIL_CHUNK, draws - start)
+            vals = hull_functional(draw_points(params, rng, m * n).reshape(m, n, 2), objective)
+            count += int(np.count_nonzero(vals >= M - e))
+        hits.append(count)
+    return tuple(hits)
+
+
+def test_tail_probe_ragged_draws_reproduce_the_sequential_stream():
+    # Two chunks, the second cut into three whole blocks and a ragged tail.
+    draws = montecarlo._TAIL_CHUNK + 3 * montecarlo._TAIL_BLOCK + 7
+    expected = _sequential_hits(Objective.PERIMETER, 3, 0.0, (0.4, 0.5), draws, 99)
+    # Nearly every triangle has perimeter above 1e-9, so a tuple scored twice
+    # or not at all shows in the count.
+    M = extremal_value(Objective.PERIMETER, 3)
+    for threads in (1, 2, 3):
+        res = tail_probe(Objective.PERIMETER, 3, 0.0, (0.4, 0.5), draws, seed=99, threads=threads)
+        assert res.hits == expected
+        every = tail_probe(Objective.PERIMETER, 3, 0.0, (M - 1e-9, M - 2e-9), draws, 99, threads)
+        assert every.hits == (draws, draws)
 
 
 def test_tail_probe_guard_rejects_undersampled_epsilon():

@@ -8,12 +8,18 @@ import helpers
 from betapoly.sampler import (
     BetaParams,
     SeedPolicy,
+    _radius_from_uniform,
+    draw_points,
+    points_from_uniforms,
     radius_cdf,
     read_points_csv,
     sample_batch,
-    sample_radius,
     write_points_csv,
 )
+
+
+def _inverse(params, u):
+    return _radius_from_uniform(params, np.asarray(u, dtype=float))
 
 
 def test_beta_params_validation():
@@ -52,20 +58,19 @@ def test_radius_cdf_domain_errors():
 
 
 def test_sample_radius_examples():
-    assert sample_radius(BetaParams(0.0), 0.25) == pytest.approx(0.5)
-    assert sample_radius(BetaParams(1.0), 0.19) == pytest.approx(0.316228, abs=1e-6)
-    assert sample_radius(BetaParams(0.0), 1e-12) == pytest.approx(0.0, abs=1e-5)
-    for bad in (0.0, 1.0, -0.5, 2.0):
-        with pytest.raises(ValueError):
-            sample_radius(BetaParams(0.0), bad)
+    assert _inverse(BetaParams(0.0), 0.25) == pytest.approx(0.5)
+    assert _inverse(BetaParams(1.0), 0.19) == pytest.approx(0.316228, abs=1e-6)
+    assert _inverse(BetaParams(0.0), 1e-12) == pytest.approx(0.0, abs=1e-5)
 
 
 def test_sample_radius_against_bisection_oracle():
+    grid = (0.05, 0.3, 0.5, 0.8, 0.95)
     for beta in (-0.5, 0.0, 2.0, 5.0):
         params = BetaParams(beta)
-        for u in (0.05, 0.3, 0.5, 0.8, 0.95):
+        radii = _inverse(params, grid)
+        for u, r in zip(grid, radii):
             ref = helpers.bisect_inverse(lambda s: radius_cdf(params, s), u, 0.0, 1.0)
-            assert sample_radius(params, u) == pytest.approx(ref, abs=1e-10)
+            assert r == pytest.approx(ref, abs=1e-10)
 
 
 def test_roundtrip_inverse_then_cdf():
@@ -74,9 +79,48 @@ def test_roundtrip_inverse_then_cdf():
     grid = np.concatenate(([1e-9, 1e-6], np.linspace(0.01, 0.999, 60)))
     for beta in (-0.5, 0.0, 2.0):
         params = BetaParams(beta)
-        for u in grid:
-            r = sample_radius(params, float(u))
-            assert abs(radius_cdf(params, r) - u) < 1e-12
+        r = _inverse(params, grid)
+        assert np.all(np.abs(radius_cdf(params, r) - grid) < 1e-12)
+
+
+@pytest.mark.parametrize("beta", [-0.999, -0.99])
+def test_sample_batch_near_minus_one(beta):
+    # Near beta = -1 almost all the mass lies within 1e-16 of the rim (96% at
+    # beta = -0.999), where the radius rounds to 1 and radius_cdf cannot give
+    # the uniform back.  So the round trip is checked up to the rounding of
+    # the radius: u must lie between the CDF at the two doubles next to r,
+    # within 1e-12, i.e. r is within one ulp of the exact inverse.
+    params = BetaParams(beta)
+    count = 100_000
+    pts = sample_batch(params, count, SeedPolicy(13), 0)
+    u = SeedPolicy(13).trial_generator(0, skip=count).random(count)  # the radius block
+    r = _inverse(params, u)
+    assert np.all(np.isfinite(r)) and np.all((r >= 0.0) & (r <= 1.0))
+    assert np.all(np.isfinite(pts))
+    assert np.allclose(np.hypot(pts[:, 0], pts[:, 1]), r, rtol=0.0, atol=1e-15)
+    keep = u <= 1.0 - 1e-6
+    u, r = u[keep], r[keep]
+    below = radius_cdf(params, np.nextafter(r, 0.0))
+    above = radius_cdf(params, np.minimum(np.nextafter(r, 2.0), 1.0))
+    assert np.all((below - 1e-12 <= u) & (u <= above + 1e-12))
+    # Away from the rim the plain round trip holds.
+    tame = 1.0 - r * r >= 1e-6
+    assert tame.any()
+    assert np.all(np.abs(radius_cdf(params, r[tame]) - u[tame]) < 1e-9)
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.5])
+def test_skipped_block_matches_draw_points_slice(beta):
+    # A block of points [lo, hi) rebuilt from two generators jumped ahead to
+    # its angles and its radii is the same slice of draw_points, bit for bit.
+    params = BetaParams(beta)
+    policy = SeedPolicy(77)
+    m, n = 1_000, 4
+    whole = draw_points(params, policy.trial_generator(3), m * n)
+    for lo, hi in ((0, 1), (0, m * n), (123, 2_345), (m * n - 7, m * n)):
+        angles = policy.trial_generator(3, skip=lo).random(hi - lo)
+        radii = policy.trial_generator(3, skip=m * n + lo).random(hi - lo)
+        assert np.array_equal(points_from_uniforms(params, angles, radii), whole[lo:hi])
 
 
 def test_sample_batch_determinism():
@@ -100,6 +144,8 @@ def test_sample_batch_validation():
         SeedPolicy(2**64)
     with pytest.raises(ValueError):
         SeedPolicy(5).trial_generator(-2)
+    with pytest.raises(ValueError):
+        SeedPolicy(5).trial_generator(0, skip=-1)
 
 
 def test_sample_batch_radii_and_mean_against_quadrature():
