@@ -287,9 +287,9 @@ def tail_probe(
     which bounds memory only.  The pool gets no more threads than the probe
     has full chunks of tuples, so a small probe runs in the calling thread.
     Hits are integer sums over the jobs, so the result is identical for
-    every thread count.  Guards each epsilon by
-    requiring >= 100 expected hits under the analytic prediction; zero-hit
-    grid points are dropped from the fit with a warning.
+    every thread count.  Guards each epsilon by requiring >= 100 expected
+    hits under the analytic prediction; zero-hit grid points are dropped
+    from the fit with a warning.
 
     Raises:
         ValueError: on a bad grid, a guard violation, ``threads < 1``, or
@@ -320,8 +320,8 @@ def tail_probe(
 
     # Below a chunk of tuples per thread, starting the pool and handing the
     # interpreter lock back and forth cost more than the second core gives
-    # (2 threads on 2 cores: 0.85x at n = 4 and 12 800 tuples; 1.36x at n = 3 and
-    # 500 000 tuples, rising to 1.73x at 2 000 000).
+    # (2 threads on 2 cores: 0.85x at n = 4 and 12 800 tuples; 1.36x at
+    # n = 3 and 500 000 tuples, rising to 1.73x at 2 000 000).
     workers = max(1, min(workers, len(eps) * draws_per_epsilon // _TAIL_CHUNK))
 
     def score(job) -> int:
@@ -329,7 +329,7 @@ def tail_probe(
         return _tail_hits(params, objective, n, policy, k, M - eps[k], start, m, lo, hi)
 
     # (epsilon index, chunk start, chunk size, lo, hi): each chunk is cut into
-    # at most one job per worker, and never below one block per job.
+    # at most one job per worker and no more jobs than it has blocks.
     jobs = []
     for k in range(len(eps)):
         for start in range(0, draws_per_epsilon, _TAIL_CHUNK):
