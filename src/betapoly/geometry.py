@@ -24,6 +24,8 @@ import numpy as np
 # Below this size the circle pre-filter costs more than it saves.
 _PREFILTER_MIN_POINTS = 128
 _PREFILTER_MARGIN = 1e-9  # relative slack on the pre-filter's radius
+# Most hull vertices max_kgon takes: its edge-weight tables are h x h.
+_MAX_HULL = 4096
 _DP_BLOCK = 1 << 18  # most (anchor, predecessor, successor) cells per step
 
 
@@ -85,28 +87,63 @@ def _cross(ox: float, oy: float, ax: float, ay: float, bx: float, by: float) -> 
 def _prefilter(pts: np.ndarray) -> np.ndarray:
     """Indices that can still be hull vertices (one-pass circle test).
 
-    About the bounding-box midpoint ``c``, the hull of the ``max(32, 2 sqrt N)``
-    points farthest from ``c`` contains the disk whose radius is the least
-    distance from ``c`` to one of its edge lines, so points strictly inside
-    that disk, shrunk by a margin far above rounding error, are interior to
-    the full hull.  If ``c`` is not strictly inside the sub-hull, all are kept.
+    The circle is centred on the bounding-box midpoint ``c``; points strictly
+    inside it are interior to the full hull (see ``_inscribed_radius``).
     """
     N = len(pts)
     x, y = pts[:, 0], pts[:, 1]
     c = np.array([0.5 * x.min() + 0.5 * x.max(), 0.5 * y.min() + 0.5 * y.max()])
     d2 = (x - c[0]) ** 2
     d2 += (y - c[1]) ** 2
-    kth = N - max(32, int(2.0 * math.sqrt(N)))
-    far = np.argpartition(d2, kth)[kth:]
-    ring = pts[far[_monotone_chain(pts[far])]]
-    if len(ring) >= 3:
-        e = np.roll(ring, -1, axis=0) - ring  # raw coordinates: short edges stay accurate
-        rel = ring - c
-        radius = np.min((rel[:, 0] * e[:, 1] - rel[:, 1] * e[:, 0]) / np.hypot(e[:, 0], e[:, 1]))
-        radius -= _PREFILTER_MARGIN * math.sqrt(float(d2[far].max()))
-        if radius > 0.0:
-            return np.nonzero(d2 >= radius * radius)[0]
+    far = _farthest(d2)
+    radius = _inscribed_radius(pts[far], c, math.sqrt(float(d2[far].max())))
+    if radius > 0.0:
+        return np.nonzero(d2 >= radius * radius)[0]
     return np.arange(N, dtype=np.int64)
+
+
+def polar_candidates(r: np.ndarray, points_at) -> np.ndarray:
+    """Sorted indices of the points that can be hull vertices, chosen by radius.
+
+    Point ``i`` lies at distance ``r[i]`` from the origin, and
+    ``points_at(idx)`` returns the coordinates of points ``idx``; it is
+    called only on the ``max(32, 2 sqrt N)`` farthest points, so the others
+    never need coordinates.  The circle is centred on the origin; points
+    strictly inside it are interior to the full hull (see
+    ``_inscribed_radius``).  Below 128 points, or when the origin is not
+    strictly inside the far points' hull (a radius of at most 0), all are kept.
+    """
+    if len(r) < _PREFILTER_MIN_POINTS:
+        return np.arange(len(r), dtype=np.int64)
+    far = _farthest(r)
+    radius = _inscribed_radius(points_at(far), np.zeros(2), float(r[far].max()))
+    return np.nonzero(r >= radius)[0]
+
+
+def _farthest(dist: np.ndarray) -> np.ndarray:
+    """Positions of the ``max(32, 2 sqrt N)`` largest entries of ``dist``."""
+    kth = len(dist) - max(32, int(2.0 * math.sqrt(len(dist))))
+    return np.argpartition(dist, kth)[kth:]
+
+
+def _inscribed_radius(far: np.ndarray, centre: np.ndarray, reach: float) -> float:
+    """Radius of a disk about ``centre`` inside the hull of the points ``far``.
+
+    The hull of ``far`` contains the disk whose radius is the least distance
+    from ``centre`` to one of its edge lines; the radius returned is that,
+    shrunk by ``_PREFILTER_MARGIN * reach``, where ``reach`` is the largest
+    distance of a point of ``far`` from ``centre``, a margin far above
+    rounding error.  So a point of the full sample closer to ``centre`` than
+    this is interior to the full hull.  The result is not positive when
+    ``centre`` is not strictly inside the hull of ``far``.
+    """
+    ring = far[_monotone_chain(far)]
+    if len(ring) < 3:
+        return 0.0
+    e = np.roll(ring, -1, axis=0) - ring  # raw coordinates: short edges stay accurate
+    rel = ring - centre
+    radius = np.min((rel[:, 0] * e[:, 1] - rel[:, 1] * e[:, 0]) / np.hypot(e[:, 0], e[:, 1]))
+    return float(radius) - _PREFILTER_MARGIN * reach
 
 
 def _monotone_chain(pts: np.ndarray) -> list[int]:
@@ -296,6 +333,9 @@ def max_kgon(hull: PolygonChain, points, k: int, objective: Objective) -> UMaxRe
     On exact float ties the cycle is an optimal one, but not always the
     lexicographically smallest: each anchor keeps only its first maximal
     predecessor at every layer, and the first anchor with the best total wins.
+
+    Raises:
+        ValueError: if ``k < 2``, or if ``k < h`` and ``h > _MAX_HULL``.
     """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
@@ -303,6 +343,11 @@ def max_kgon(hull: PolygonChain, points, k: int, objective: Objective) -> UMaxRe
     h = len(hull.vertex_indices)
     if hull.degenerate or h < 3 or k >= h:
         return _chain_result(hull, pts, objective)
+    if h > _MAX_HULL:
+        raise ValueError(
+            f"the hull has h = {h} vertices; max_kgon takes at most {_MAX_HULL} "
+            f"(its tables have h x h entries)"
+        )
     idx = np.asarray(hull.vertex_indices, dtype=np.int64)
     if objective is Objective.PERIMETER:
         diff = pts[idx, None, :] - pts[None, idx, :]
@@ -364,7 +409,8 @@ def umax(points, n: int, objective: Objective) -> UMaxResult:
     """Exact maximum of the objective over all subsets of at most ``n`` points.
 
     Raises:
-        ValueError: if fewer than ``n`` points are supplied or ``n < 2``.
+        ValueError: if fewer than ``n`` points are supplied, ``n < 2``, or
+        the hull is too large for ``max_kgon``.
     """
     pts = as_points_array(points)
     if n < 2:

@@ -28,10 +28,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import Objective, convex_hull, hull_functional, max_kgon
+from .geometry import Objective, convex_hull, hull_functional, max_kgon, polar_candidates
 from .kernels import analytic_I
 from .limits import LimitLaw, compute_K, extremal_value, law_for, shape_C, weibull_cdf
-from .sampler import BetaParams, SeedPolicy, points_from_uniforms, sample_batch
+from .sampler import BetaParams, SeedPolicy, cartesian, draw_polar, points_from_uniforms
 
 DEFAULT_SHAPE_WINDOW = (0.05, 0.6)
 MIN_FIT_POINTS = 100
@@ -138,10 +138,33 @@ class ConsistencyReport:
     deficiency_quantiles: dict[str, float]
 
 
+def _trial_candidates(
+    params: BetaParams, policy: SeedPolicy, N: int, trial_index: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Indices and coordinates of the trial's points that can be hull vertices.
+
+    The trial's points are ``sample_batch(params, N, policy, trial_index)``.
+    They are drawn in polar form and filtered on their radii
+    (``polar_candidates``), so only the farthest points and the candidates
+    get Cartesian coordinates; these are that array's rows at the returned
+    indices, bit for bit.
+    """
+    phi, r = draw_polar(params, policy.trial_generator(trial_index), N)
+    keep = polar_candidates(r, lambda idx: cartesian(phi[idx], r[idx]))
+    return keep, cartesian(phi[keep], r[keep])
+
+
 def _run_one(args) -> TrialRecord:
+    """One trial: ``H`` from the hull of the trial's candidate points.
+
+    The candidates' coordinates are the rows ``sample_batch`` would return
+    for them, in their original order, and every other point is interior to
+    the hull.  So ``H`` and ``hull_size`` equal those of
+    ``sample_batch -> convex_hull -> max_kgon`` bit for bit.
+    """
     objective, n, beta, master_seed, N, trial_index, M, A = args
     start = time.perf_counter()
-    points = sample_batch(BetaParams(beta), N, SeedPolicy(master_seed), trial_index)
+    _, points = _trial_candidates(BetaParams(beta), SeedPolicy(master_seed), N, trial_index)
     hull = convex_hull(points)
     result = max_kgon(hull, points, n, objective)
     elapsed = time.perf_counter() - start

@@ -118,7 +118,14 @@ def draw_points(params: BetaParams, rng: np.random.Generator, count: int) -> np.
     Consumes the whole angle block first, then the radius block, so the
     points are a pure function of the generator's state.
     """
-    return points_from_uniforms(params, rng.random(count), rng.random(count))
+    return cartesian(*draw_polar(params, rng, count))
+
+
+def draw_polar(
+    params: BetaParams, rng: np.random.Generator, count: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The angles and radii of the ``count`` points ``draw_points`` would draw."""
+    return polar_from_uniforms(params, rng.random(count), rng.random(count))
 
 
 def points_from_uniforms(
@@ -131,8 +138,24 @@ def points_from_uniforms(
     still holds add no memory to the draw.  Returns a float64 array of shape
     ``(len(angle_u), 2)``.
     """
+    return cartesian(*polar_from_uniforms(params, angle_u, radius_u))
+
+
+def polar_from_uniforms(
+    params: BetaParams, angle_u: np.ndarray, radius_u: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The polar step of ``points_from_uniforms``: ``(phi, r)``, written over the inputs."""
     phi = np.multiply(TWO_PI, angle_u, out=angle_u)
     r = _radius_from_uniform(params, radius_u, out=radius_u)
+    return phi, r
+
+
+def cartesian(phi: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The Cartesian step of ``points_from_uniforms``: an array of shape ``(len(r), 2)``.
+
+    Elementwise, so the rows of any subset of points are the same doubles
+    as the rows of the whole batch.
+    """
     return np.column_stack((r * np.cos(phi), r * np.sin(phi)))
 
 

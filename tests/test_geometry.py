@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -15,12 +16,13 @@ from betapoly.geometry import (
     convex_hull,
     hull_functional,
     max_kgon,
+    polar_candidates,
     polygon_area,
     polygon_perimeter,
     umax,
     umax_bruteforce,
 )
-from betapoly.sampler import BetaParams, SeedPolicy, sample_batch
+from betapoly.sampler import BetaParams, SeedPolicy, cartesian, draw_polar, sample_batch
 
 SQUARE = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
 
@@ -89,6 +91,15 @@ def _assert_prefilter_exact(pts):
     assert convex_hull(pts).vertex_indices == tuple(_rotate_min_first(_monotone_chain(pts)))
 
 
+def _assert_polar_prefilter_exact(phi, r):
+    """The hull of the points kept by the radius filter equals the full monotone chain."""
+    pts = cartesian(phi, r)
+    keep = polar_candidates(r, lambda idx: pts[idx])
+    hull = [int(keep[i]) for i in convex_hull(pts[keep]).vertex_indices]
+    assert tuple(hull) == tuple(_rotate_min_first(_monotone_chain(pts)))
+    return keep
+
+
 def test_convex_hull_prefilter_agrees_with_direct_chain():
     # 130 points exercises the circle pre-filter; the monotone chain run on
     # the whole set must give the identical hull.
@@ -101,8 +112,11 @@ def test_convex_hull_prefilter_agrees_with_direct_chain():
 def test_prefilter_exact_on_samples(beta, N):
     pts = sample_batch(BetaParams(beta), N, SeedPolicy(23), N)
     _assert_prefilter_exact(pts)
+    polar = draw_polar(BetaParams(beta), SeedPolicy(23).trial_generator(N), N)
+    keep = _assert_polar_prefilter_exact(*polar)
     if N > 128 and beta >= 0.0:  # at beta = -0.99 most points are hull vertices
         assert len(_prefilter(pts)) < N // 2
+        assert len(keep) < N // 2
 
 
 @pytest.mark.parametrize(
@@ -143,6 +157,16 @@ def test_prefilter_keeps_all_when_centre_is_outside_the_sub_hull():
     assert len(_prefilter(pts)) == len(pts)
     assert len(convex_hull(pts).vertex_indices) == len(pts)
     _assert_prefilter_exact(pts)
+
+
+def test_prefilter_exact_keeps_all_when_origin_is_outside_the_far_hull():
+    # An arc of 200 unit-radius points within 60 degrees, plus 100 nearer
+    # points in the same wedge: the farthest points' hull misses the origin,
+    # so the radius filter keeps every point.
+    phi = np.concatenate([np.linspace(0.0, math.pi / 3.0, 200), np.linspace(0.1, 0.9, 100)])
+    r = np.concatenate([np.ones(200), np.linspace(0.2, 0.8, 100)])
+    keep = _assert_polar_prefilter_exact(phi, r)
+    assert np.array_equal(keep, np.arange(len(r)))
 
 
 def test_prefilter_falls_back_on_collinear_cloud():
@@ -279,6 +303,15 @@ def test_max_kgon_anchor_blocks_do_not_change_the_result(monkeypatch):
     whole = [max_kgon(hull, pts, k, objective) for objective, k in cases]
     monkeypatch.setattr(geometry, "_DP_BLOCK", 1)  # one anchor per block
     assert [max_kgon(hull, pts, k, objective) for objective, k in cases] == whole
+
+
+def test_umax_rejects_a_hull_too_large_for_max_kgon():
+    # Before its h x h tables: a 5000-gon would need 400 MB and minutes.
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"h = 5000 vertices; max_kgon takes at most 4096"):
+        umax(_regular(5000), 3, Objective.PERIMETER)
+    assert time.perf_counter() - start < 5.0
+    assert umax(_regular(5000), 5000, Objective.AREA).vertex_count == 5000  # k >= h: the hull
 
 
 def test_umax_with_n_at_least_hull_size_is_the_hull():

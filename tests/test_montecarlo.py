@@ -1,10 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from betapoly import montecarlo
-from betapoly.geometry import Objective, hull_functional, umax_bruteforce
+from betapoly.geometry import Objective, convex_hull, hull_functional, max_kgon, umax_bruteforce
 from betapoly.limits import extremal_value, law_for, shape_C, weibull_cdf
 from betapoly.montecarlo import (
     EmpiricalCDF,
@@ -84,6 +85,42 @@ def test_trials_match_bruteforce_oracle():
     for r in recs:
         pts = sample_batch(BetaParams(cfg.beta), r.N, SeedPolicy(cfg.master_seed), r.trial_index)
         assert umax_bruteforce(pts, cfg.n, cfg.objective).value == r.H
+
+
+@pytest.mark.parametrize("objective", list(Objective))
+@pytest.mark.parametrize("beta", [-0.9, 0.0, 2.0])
+def test_trials_equal_the_full_sample_path(objective, beta):
+    # A trial gives coordinates only to the points its radius filter keeps;
+    # their hull, H and the hull size must still be those of the whole
+    # sample, bit for bit.  N = 127 / 128 straddle the filter's minimum size.
+    # At beta = -0.9 one trial per N: its N = 4000 hull has ~1250 vertices
+    # (~1 s per max_kgon), and its N = 10^5 hull ~18 000, beyond max_kgon's
+    # limit, so there both paths must raise.
+    Ns = (127, 128, 4000, 100_000)
+    cfg = _small_config(objective=objective, beta=beta, N_list=Ns, trials=1 if beta < 0 else 2)
+    params, policy = BetaParams(beta), SeedPolicy(cfg.master_seed)
+    hulls = {}
+    for N in Ns:
+        for t in range(cfg.trials):
+            pts = sample_batch(params, N, policy, t)
+            hull = convex_hull(pts)
+            keep, cand = montecarlo._trial_candidates(params, policy, N, t)
+            assert np.array_equal(cand, pts[keep])
+            kept_hull = tuple(int(keep[i]) for i in convex_hull(cand).vertex_indices)
+            assert kept_hull == hull.vertex_indices
+            if N >= 4000 and beta >= 0.0:  # near beta = -1 most points are near the circle
+                assert len(keep) < N // 4
+            hulls[N, t] = (hull, pts)
+    if beta < 0:
+        with pytest.raises(ValueError, match="max_kgon takes at most 4096"):
+            max_kgon(*hulls[Ns[-1], 0], cfg.n, objective)
+        with pytest.raises(ValueError, match="max_kgon takes at most 4096"):
+            run_trials(dataclasses.replace(cfg, N_list=Ns[-1:]), threads=1)
+        cfg = dataclasses.replace(cfg, N_list=Ns[:-1])
+    for r in run_trials(cfg, threads=1):
+        hull, pts = hulls[r.N, r.trial_index]
+        assert max_kgon(hull, pts, cfg.n, objective).value == r.H
+        assert len(hull.vertex_indices) == r.hull_size
 
 
 def test_empirical_cdf_evaluate():

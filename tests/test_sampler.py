@@ -9,7 +9,9 @@ from betapoly.sampler import (
     BetaParams,
     SeedPolicy,
     _radius_from_uniform,
+    cartesian,
     draw_points,
+    draw_polar,
     points_from_uniforms,
     radius_cdf,
     read_points_csv,
@@ -121,6 +123,21 @@ def test_skipped_block_matches_draw_points_slice(beta):
         angles = policy.trial_generator(3, skip=lo).random(hi - lo)
         radii = policy.trial_generator(3, skip=m * n + lo).random(hi - lo)
         assert np.array_equal(points_from_uniforms(params, angles, radii), whole[lo:hi])
+
+
+def test_cartesian_rows_of_any_subset_are_the_rows_of_the_whole_batch():
+    # A trial gives coordinates to a subset of its polar points only; they
+    # must be the very doubles sample_batch returns, whatever the subset's
+    # size, order or position.
+    params, policy = BetaParams(0.0), SeedPolicy(13)
+    whole = sample_batch(params, 5_000, policy, 2)
+    phi, r = draw_polar(params, policy.trial_generator(2), 5_000)
+    rng = np.random.default_rng(5)
+    subsets = [np.arange(k) for k in range(1, 18)]
+    subsets += [np.arange(3, 4_999, 7), np.arange(4_999, 0, -3)]
+    subsets += [np.sort(rng.choice(5_000, k, replace=False)) for k in (1, 9, 33, 1_000)]
+    for idx in subsets:
+        assert np.array_equal(cartesian(phi[idx], r[idx]), whole[idx])
 
 
 def test_sample_batch_determinism():
