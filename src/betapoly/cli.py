@@ -98,15 +98,15 @@ def _checked(fn):
 
 
 def _int(value) -> int:
-    # JSON has no integer type of its own: 3.0 is an integer, 3.7 and true
-    # are not.
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    # JSON has no integer type of its own: 3.0 is an integer, 3.7, true and
+    # "3" are not.
+    if isinstance(value, (bool, str)) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError("not an integer")
     return int(value)
 
 
 def _float(value) -> float:
-    if isinstance(value, bool):
+    if isinstance(value, (bool, str)):
         raise ValueError("not a number")
     return float(value)
 

@@ -5,7 +5,9 @@ is attained on extreme points of the full convex hull: with all other
 vertices fixed, the perimeter is convex and the area is affine in a single
 vertex, so no interior point can beat a hull point, and enlarging a subset
 never decreases either objective.  So ``convex_hull`` drops provably interior
-points with a one-pass circle test and runs a monotone chain on the rest, and
+points with a one-pass circle test and runs a monotone chain on the rest
+(``polar_hull`` does the same for points given by angle and radius, giving
+coordinates only to the points the test keeps), and
 ``max_kgon`` runs a max-plus program over the ``h`` hull vertices in
 ``O(h^2 k + h^3 / k^2)``.  The exhaustive subset oracle below validates both.
 
@@ -20,6 +22,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .sampler import cartesian
 
 # Below this size the circle pre-filter costs more than it saves.
 _PREFILTER_MIN_POINTS = 128
@@ -47,14 +51,14 @@ class Objective(enum.Enum):
 
 @dataclass(frozen=True)
 class PolygonChain:
-    """Vertices of a convex polygon as indices into a point array, CCW order.
-
-    ``degenerate`` marks chains of fewer than 3 distinct points (a point or a
-    segment), for which the convex-body conventions above apply.
-    """
+    """Vertices of a convex polygon as indices into a point array, CCW order."""
 
     vertex_indices: tuple[int, ...]
-    degenerate: bool = False
+
+    @property
+    def degenerate(self) -> bool:
+        """Fewer than 3 vertices (a point or a segment): the convex-body conventions apply."""
+        return len(self.vertex_indices) < 3
 
 
 @dataclass(frozen=True)
@@ -67,7 +71,10 @@ class UMaxResult:
 
     value: float
     vertex_indices: tuple[int, ...]
-    vertex_count: int
+
+    @property
+    def vertex_count(self) -> int:
+        return len(self.vertex_indices)
 
 
 def as_points_array(points) -> np.ndarray:
@@ -85,39 +92,30 @@ def _cross(ox: float, oy: float, ax: float, ay: float, bx: float, by: float) -> 
 
 
 def _prefilter(pts: np.ndarray) -> np.ndarray:
-    """Indices that can still be hull vertices (one-pass circle test).
-
-    The circle is centred on the bounding-box midpoint ``c``; points strictly
-    inside it are interior to the full hull (see ``_inscribed_radius``).
-    """
-    N = len(pts)
+    """Indices that can still be hull vertices: ``_circle_filter`` about the box midpoint."""
     x, y = pts[:, 0], pts[:, 1]
     c = np.array([0.5 * x.min() + 0.5 * x.max(), 0.5 * y.min() + 0.5 * y.max()])
-    d2 = (x - c[0]) ** 2
-    d2 += (y - c[1]) ** 2
-    far = _farthest(d2)
-    radius = _inscribed_radius(pts[far], c, math.sqrt(float(d2[far].max())))
-    if radius > 0.0:
-        return np.nonzero(d2 >= radius * radius)[0]
-    return np.arange(N, dtype=np.int64)
+    dist = (x - c[0]) ** 2
+    dist += (y - c[1]) ** 2
+    return _circle_filter(np.sqrt(dist, out=dist), c, lambda idx: pts[idx])
 
 
-def polar_candidates(r: np.ndarray, points_at) -> np.ndarray:
-    """Sorted indices of the points that can be hull vertices, chosen by radius.
+def _circle_filter(dist: np.ndarray, centre: np.ndarray, points_at) -> np.ndarray:
+    """Sorted indices of the points that can be hull vertices (one circle test).
 
-    Point ``i`` lies at distance ``r[i]`` from the origin, and
+    Point ``i`` lies at distance ``dist[i]`` from ``centre``, and
     ``points_at(idx)`` returns the coordinates of points ``idx``; it is
     called only on the ``max(32, 2 sqrt N)`` farthest points, so the others
-    never need coordinates.  The circle is centred on the origin; points
-    strictly inside it are interior to the full hull (see
-    ``_inscribed_radius``).  Below 128 points, or when the origin is not
-    strictly inside the far points' hull (a radius of at most 0), all are kept.
+    never need coordinates.  Points strictly inside the circle about
+    ``centre`` whose radius ``_inscribed_radius`` gives are interior to the
+    full hull and dropped.  When ``centre`` is not strictly inside the far
+    points' hull (a radius of at most 0), all are kept.
     """
-    if len(r) < _PREFILTER_MIN_POINTS:
-        return np.arange(len(r), dtype=np.int64)
-    far = _farthest(r)
-    radius = _inscribed_radius(points_at(far), np.zeros(2), float(r[far].max()))
-    return np.nonzero(r >= radius)[0]
+    far = _farthest(dist)
+    radius = _inscribed_radius(points_at(far), centre, float(dist[far].max()))
+    if radius > 0.0:
+        return np.nonzero(dist >= radius)[0]
+    return np.arange(len(dist), dtype=np.int64)
 
 
 def _farthest(dist: np.ndarray) -> np.ndarray:
@@ -193,8 +191,26 @@ def convex_hull(points) -> PolygonChain:
         hull_idx = [int(cand[i]) for i in _monotone_chain(pts[cand])]
     else:
         hull_idx = _monotone_chain(pts)
-    hull_idx = _rotate_min_first(hull_idx)
-    return PolygonChain(tuple(hull_idx), degenerate=len(hull_idx) < 3)
+    return PolygonChain(tuple(_rotate_min_first(hull_idx)))
+
+
+def polar_hull(phi: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, PolygonChain]:
+    """Hull of the points at angles ``phi`` and radii ``r``, with few coordinates.
+
+    The circle test runs about the origin on the radii, so only the farthest
+    points and the kept points get coordinates (``sampler.cartesian``), and
+    the monotone chain runs on the kept points without a second test.
+    Returns the kept indices (sorted), their coordinates, which are the rows
+    of ``cartesian(phi, r)`` at those indices bit for bit, and their hull as
+    positions into the kept points.  Mapped through the kept indices, that
+    hull is ``convex_hull(cartesian(phi, r))``.
+    """
+    if len(r) >= _PREFILTER_MIN_POINTS:
+        keep = _circle_filter(r, np.zeros(2), lambda idx: cartesian(phi[idx], r[idx]))
+    else:
+        keep = np.arange(len(r), dtype=np.int64)
+    pts = cartesian(phi[keep], r[keep])
+    return keep, pts, PolygonChain(tuple(_rotate_min_first(_monotone_chain(pts))))
 
 
 def _rotate_min_first(cycle):
@@ -305,15 +321,9 @@ def hull_functional(tuples, objective: Objective) -> np.ndarray:
     return total
 
 
-def _objective_value(chain: PolygonChain, pts: np.ndarray, objective: Objective) -> float:
-    if objective is Objective.PERIMETER:
-        return polygon_perimeter(chain, pts)
-    return polygon_area(chain, pts)
-
-
 def _chain_result(chain: PolygonChain, pts: np.ndarray, objective: Objective) -> UMaxResult:
-    value = _objective_value(chain, pts, objective)
-    return UMaxResult(value, chain.vertex_indices, len(chain.vertex_indices))
+    measure = polygon_perimeter if objective is Objective.PERIMETER else polygon_area
+    return UMaxResult(measure(chain, pts), chain.vertex_indices)
 
 
 def max_kgon(hull: PolygonChain, points, k: int, objective: Objective) -> UMaxResult:
@@ -363,7 +373,7 @@ def max_kgon(hull: PolygonChain, points, k: int, objective: Objective) -> UMaxRe
     layers = [np.arange(arcs[j], arcs[j + 1] + 1) for j in range(k)]
     totals, trace = _max_plus(weight, layers[0], layers[1:])
     cycle = _rotate_min_first(tuple(int(idx[q % h]) for q in trace(int(np.argmax(totals)))))
-    return _chain_result(PolygonChain(cycle, degenerate=k < 3), pts, objective)
+    return _chain_result(PolygonChain(cycle), pts, objective)
 
 
 def _max_plus(weight: np.ndarray, anchors: np.ndarray, layers: list[np.ndarray]):
@@ -439,16 +449,14 @@ def umax_bruteforce(points, n: int, objective: Objective) -> UMaxResult:
     if total > 10**6:
         raise ValueError(f"C({len(pts)}, {n}) = {total} exceeds the 10^6 guard")
 
-    best_val = -math.inf
-    best_cycle: tuple[int, ...] | None = None
+    best: UMaxResult | None = None
     for combo in combinations(range(len(pts)), n):
-        sub = pts[list(combo)]
-        local = convex_hull(sub)
+        local = convex_hull(pts[list(combo)])
         cycle = _rotate_min_first(tuple(combo[i] for i in local.vertex_indices))
-        chain = PolygonChain(cycle, degenerate=local.degenerate)
-        val = _objective_value(chain, pts, objective)
-        if val > best_val or (val == best_val and best_cycle is not None and cycle < best_cycle):
-            best_val = val
-            best_cycle = cycle
-    assert best_cycle is not None
-    return UMaxResult(value=best_val, vertex_indices=best_cycle, vertex_count=len(best_cycle))
+        res = _chain_result(PolygonChain(cycle), pts, objective)
+        if best is None or res.value > best.value or (
+            res.value == best.value and cycle < best.vertex_indices
+        ):
+            best = res
+    assert best is not None
+    return best

@@ -109,49 +109,36 @@ def sample_batch(
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    return draw_points(params, seed_policy.trial_generator(trial_index), count)
-
-
-def draw_points(params: BetaParams, rng: np.random.Generator, count: int) -> np.ndarray:
-    """Draw ``count`` points from ``rng`` as a float64 array of shape (count, 2).
-
-    Consumes the whole angle block first, then the radius block, so the
-    points are a pure function of the generator's state.
-    """
-    return cartesian(*draw_polar(params, rng, count))
+    return cartesian(*draw_polar(params, seed_policy.trial_generator(trial_index), count))
 
 
 def draw_polar(
     params: BetaParams, rng: np.random.Generator, count: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The angles and radii of the ``count`` points ``draw_points`` would draw."""
-    return polar_from_uniforms(params, rng.random(count), rng.random(count))
+    """Angles and radii of ``count`` points: the whole angle block, then the radius block.
 
-
-def points_from_uniforms(
-    params: BetaParams, angle_u: np.ndarray, radius_u: np.ndarray
-) -> np.ndarray:
-    """Point ``i`` from ``angle_u[i]`` and ``radius_u[i]``, uniforms on [0, 1).
-
-    The one formula behind every drawn point.  Both blocks are overwritten
-    (with the angles and the radii) rather than copied, so blocks the caller
-    still holds add no memory to the draw.  Returns a float64 array of shape
-    ``(len(angle_u), 2)``.
+    The one stream layout of a drawn batch, so the points are a pure function
+    of the generator's state.
     """
-    return cartesian(*polar_from_uniforms(params, angle_u, radius_u))
+    return polar_from_uniforms(params, rng.random(count), rng.random(count))
 
 
 def polar_from_uniforms(
     params: BetaParams, angle_u: np.ndarray, radius_u: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The polar step of ``points_from_uniforms``: ``(phi, r)``, written over the inputs."""
+    """Point ``i``'s angle and radius from ``angle_u[i]`` and ``radius_u[i]``, uniforms on [0, 1).
+
+    The one formula behind every drawn point.  Both blocks are overwritten
+    (with the angles and the radii) rather than copied, so blocks the caller
+    still holds add no memory to the draw.
+    """
     phi = np.multiply(TWO_PI, angle_u, out=angle_u)
     r = _radius_from_uniform(params, radius_u, out=radius_u)
     return phi, r
 
 
 def cartesian(phi: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """The Cartesian step of ``points_from_uniforms``: an array of shape ``(len(r), 2)``.
+    """Coordinates ``(r cos phi, r sin phi)`` as an array of shape ``(len(r), 2)``.
 
     Elementwise, so the rows of any subset of points are the same doubles
     as the rows of the whole batch.

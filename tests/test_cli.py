@@ -361,6 +361,9 @@ def test_every_flag_can_come_from_the_config_file(tmp_path, capsys, command):
         ("simulate", "N_list", [30, 60.5]),
         ("sample", "out", 5),
         ("tailprobe", "out_dir", ["out"]),
+        ("constants", "n", "4"),
+        ("constants", "beta", "0.5"),
+        ("simulate", "trials", "10"),
     ],
 )
 def test_config_value_of_wrong_type_is_a_bad_value(tmp_path, capsys, command, key, value):
@@ -382,6 +385,15 @@ def test_config_threads_must_be_an_integer(tmp_path, capsys):
                                  "--n", "3", "--beta", "0"])
     assert code == 1
     assert err == "error: bad value for --threads: 1.5\n"
+
+
+def test_config_threads_given_as_a_string_is_a_bad_value(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"threads": "2"}))
+    code, _, err = _run(capsys, ["--config", str(cfg), "constants", "--objective", "area",
+                                 "--n", "3", "--beta", "0"])
+    assert code == 1
+    assert err == "error: bad value for --threads: '2'\n"
 
 
 def test_config_null_is_absent_and_integral_numbers_are_ints(tmp_path, capsys):

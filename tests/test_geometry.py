@@ -16,7 +16,7 @@ from betapoly.geometry import (
     convex_hull,
     hull_functional,
     max_kgon,
-    polar_candidates,
+    polar_hull,
     polygon_area,
     polygon_perimeter,
     umax,
@@ -92,11 +92,13 @@ def _assert_prefilter_exact(pts):
 
 
 def _assert_polar_prefilter_exact(phi, r):
-    """The hull of the points kept by the radius filter equals the full monotone chain."""
+    """``polar_hull`` mapped through its kept points equals the full monotone chain."""
     pts = cartesian(phi, r)
-    keep = polar_candidates(r, lambda idx: pts[idx])
-    hull = [int(keep[i]) for i in convex_hull(pts[keep]).vertex_indices]
-    assert tuple(hull) == tuple(_rotate_min_first(_monotone_chain(pts)))
+    keep, kept_pts, hull = polar_hull(phi, r)
+    assert np.array_equal(kept_pts, pts[keep])
+    assert tuple(int(keep[i]) for i in hull.vertex_indices) == tuple(
+        _rotate_min_first(_monotone_chain(pts))
+    )
     return keep
 
 
@@ -169,6 +171,40 @@ def test_prefilter_exact_keeps_all_when_origin_is_outside_the_far_hull():
     assert np.array_equal(keep, np.arange(len(r)))
 
 
+@st.composite
+def _polar_clouds(draw):
+    """100 to 400 points by angle and radius, so both sides of the filter's
+    128-point minimum occur.
+
+    Some radii repeat a few levels, 0 always among them, some points are
+    exact copies of others, and the angles span either a full turn or a
+    one-sided arc, whose far points' hull misses the origin.
+    """
+    N = draw(st.integers(100, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    arc = draw(st.sampled_from([2.0 * math.pi, math.pi / 3.0, math.pi]))
+    phi = rng.uniform(0.0, arc, N)
+    r = rng.random(N) ** draw(st.sampled_from([0.1, 0.5, 1.0, 4.0]))
+    levels = [0.0] + draw(st.lists(st.floats(0.0, 1.0), max_size=4))
+    repeated = rng.random(N) < draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+    r[repeated] = rng.choice(levels, int(repeated.sum()))
+    copies = rng.integers(0, N, draw(st.integers(0, 20)))
+    originals = rng.integers(0, N, len(copies))
+    phi[copies], r[copies] = phi[originals], r[originals]
+    return phi, r
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_polar_clouds())
+def test_polar_hull_equals_convex_hull_of_the_whole_cloud(cloud):
+    phi, r = cloud
+    pts = cartesian(phi, r)
+    keep, kept_pts, hull = polar_hull(phi, r)
+    assert np.array_equal(kept_pts, pts[keep])
+    mapped = tuple(int(keep[i]) for i in hull.vertex_indices)
+    assert mapped == convex_hull(pts).vertex_indices
+
+
 def test_prefilter_falls_back_on_collinear_cloud():
     t = np.random.default_rng(41).uniform(-1.0, 1.0, 300)
     pts = np.column_stack([t, 0.5 * t + 0.25])
@@ -187,8 +223,8 @@ def test_polygon_perimeter_examples():
     assert polygon_perimeter(PolygonChain((0, 1, 2)), tri_pts) == pytest.approx(
         3.0 * math.sqrt(3.0)
     )
-    assert polygon_perimeter(PolygonChain((0,), degenerate=True), SQUARE) == 0.0
-    two = PolygonChain((0, 2), degenerate=True)
+    assert polygon_perimeter(PolygonChain((0,)), SQUARE) == 0.0
+    two = PolygonChain((0, 2))
     assert polygon_perimeter(two, SQUARE) == pytest.approx(4.0)  # twice the segment
 
 
@@ -200,7 +236,7 @@ def test_polygon_area_examples():
     assert polygon_area(PolygonChain((0, 1, 2)), tri_pts) == pytest.approx(
         3.0 * math.sqrt(3.0) / 4.0
     )
-    assert polygon_area(PolygonChain((0, 2), degenerate=True), SQUARE) == 0.0
+    assert polygon_area(PolygonChain((0, 2)), SQUARE) == 0.0
 
 
 def _hull_tuples(n: int) -> np.ndarray:
@@ -260,7 +296,7 @@ def test_max_kgon_hexagon_alternating_triangle():
 
 
 def _rescore(cycle, pts, objective) -> float:
-    chain = PolygonChain(tuple(cycle), degenerate=len(cycle) < 3)
+    chain = PolygonChain(tuple(cycle))
     measure = polygon_perimeter if objective is Objective.PERIMETER else polygon_area
     return measure(chain, pts)
 
@@ -431,7 +467,7 @@ def test_umax_reevaluation_consistency():
     pts = sample_batch(BetaParams(2.0), 80, SeedPolicy(31), 0)
     for objective in Objective:
         r = umax(pts, 5, objective)
-        chain = PolygonChain(r.vertex_indices, degenerate=r.vertex_count < 3)
+        chain = PolygonChain(r.vertex_indices)
         again = (
             polygon_perimeter(chain, pts)
             if objective is Objective.PERIMETER

@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 from betapoly import montecarlo
-from betapoly.geometry import Objective, convex_hull, hull_functional, max_kgon, umax_bruteforce
+from betapoly.geometry import (
+    Objective,
+    convex_hull,
+    hull_functional,
+    max_kgon,
+    polar_hull,
+    umax_bruteforce,
+)
 from betapoly.limits import extremal_value, law_for, shape_C, weibull_cdf
 from betapoly.montecarlo import (
     EmpiricalCDF,
@@ -20,7 +27,7 @@ from betapoly.montecarlo import (
     write_ecdf_csv,
     write_trials_csv,
 )
-from betapoly.sampler import BetaParams, SeedPolicy, draw_points, sample_batch
+from betapoly.sampler import BetaParams, SeedPolicy, cartesian, draw_polar, sample_batch
 
 PERIMETER_LAW = law_for(Objective.PERIMETER, 3, 0.0)
 
@@ -104,9 +111,9 @@ def test_trials_equal_the_full_sample_path(objective, beta):
         for t in range(cfg.trials):
             pts = sample_batch(params, N, policy, t)
             hull = convex_hull(pts)
-            keep, cand = montecarlo._trial_candidates(params, policy, N, t)
+            keep, cand, cand_hull = polar_hull(*draw_polar(params, policy.trial_generator(t), N))
             assert np.array_equal(cand, pts[keep])
-            kept_hull = tuple(int(keep[i]) for i in convex_hull(cand).vertex_indices)
+            kept_hull = tuple(int(keep[i]) for i in cand_hull.vertex_indices)
             assert kept_hull == hull.vertex_indices
             if N >= 4000 and beta >= 0.0:  # near beta = -1 most points are near the circle
                 assert len(keep) < N // 4
@@ -211,7 +218,8 @@ def _sequential_hits(objective, n, beta, eps, draws, seed):
         count = 0
         for start in range(0, draws, montecarlo._TAIL_CHUNK):
             m = min(montecarlo._TAIL_CHUNK, draws - start)
-            vals = hull_functional(draw_points(params, rng, m * n).reshape(m, n, 2), objective)
+            pts = cartesian(*draw_polar(params, rng, m * n))
+            vals = hull_functional(pts.reshape(m, n, 2), objective)
             count += int(np.count_nonzero(vals >= M - e))
         hits.append(count)
     return tuple(hits)
@@ -234,6 +242,27 @@ def test_tail_probe_ragged_draws_reproduce_the_sequential_stream():
 def test_tail_probe_guard_rejects_undersampled_epsilon():
     with pytest.raises(ValueError, match="hits"):
         tail_probe(Objective.PERIMETER, 3, 0.0, (0.2, 0.3), 10_000, seed=1)
+
+
+def test_tail_probe_drops_zero_hit_epsilons_from_the_fit(monkeypatch):
+    # Without the expected-hit guard a tiny epsilon can get no hits at all.
+    # It is the smallest, so it takes the last stream and the others keep
+    # theirs: the fit must be that of the grid without it.
+    monkeypatch.setattr(montecarlo, "MIN_EXPECTED_HITS", 0.0)
+    with pytest.warns(RuntimeWarning, match="zero hits at epsilon"):
+        res = tail_probe(Objective.PERIMETER, 3, 0.0, (1e-9, 0.5, 1.0), 2_000, seed=3)
+    assert res.hits[-1] == 0 and min(res.hits[:-1]) > 0
+    without = tail_probe(Objective.PERIMETER, 3, 0.0, (0.5, 1.0), 2_000, seed=3)
+    assert res.hits[:-1] == without.hits
+    assert res.fitted_slope == without.fitted_slope
+    assert res.fitted_log_prefactor == without.fitted_log_prefactor
+
+
+def test_tail_probe_needs_two_epsilons_with_hits(monkeypatch):
+    monkeypatch.setattr(montecarlo, "MIN_EXPECTED_HITS", 0.0)
+    with pytest.warns(RuntimeWarning, match="zero hits at epsilon"):
+        with pytest.raises(ValueError, match="fewer than 2 grid points"):
+            tail_probe(Objective.PERIMETER, 3, 0.0, (1e-9, 2e-9, 1.0), 2_000, seed=3)
 
 
 def test_tail_probe_grid_validation():

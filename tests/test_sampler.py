@@ -10,9 +10,8 @@ from betapoly.sampler import (
     SeedPolicy,
     _radius_from_uniform,
     cartesian,
-    draw_points,
     draw_polar,
-    points_from_uniforms,
+    polar_from_uniforms,
     radius_cdf,
     read_points_csv,
     sample_batch,
@@ -114,15 +113,17 @@ def test_sample_batch_near_minus_one(beta):
 @pytest.mark.parametrize("beta", [0.0, 0.5])
 def test_skipped_block_matches_draw_points_slice(beta):
     # A block of points [lo, hi) rebuilt from two generators jumped ahead to
-    # its angles and its radii is the same slice of draw_points, bit for bit.
+    # its angles and its radii is the same slice of the drawn points, bit for
+    # bit.
     params = BetaParams(beta)
     policy = SeedPolicy(77)
     m, n = 1_000, 4
-    whole = draw_points(params, policy.trial_generator(3), m * n)
+    whole = sample_batch(params, m * n, policy, 3)
     for lo, hi in ((0, 1), (0, m * n), (123, 2_345), (m * n - 7, m * n)):
         angles = policy.trial_generator(3, skip=lo).random(hi - lo)
         radii = policy.trial_generator(3, skip=m * n + lo).random(hi - lo)
-        assert np.array_equal(points_from_uniforms(params, angles, radii), whole[lo:hi])
+        block = cartesian(*polar_from_uniforms(params, angles, radii))
+        assert np.array_equal(block, whole[lo:hi])
 
 
 def test_cartesian_rows_of_any_subset_are_the_rows_of_the_whole_batch():
