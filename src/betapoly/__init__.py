@@ -27,7 +27,6 @@ from .kernels import (
     analytic_radial_partial,
     analyze_maximizer,
     compute_I,
-    kernel_for,
     numeric_angular_gradient,
     numeric_radial_partials,
     numeric_sub_hessian,

@@ -244,13 +244,7 @@ def _cmd_constants(objective, n, beta, as_json) -> int:
 
 
 def _cmd_verify(kernel, n, step, as_json) -> int:
-    spec = kernels.kernel_for(kernel, n)
-    if step is not None:
-        analysis = kernels.analyze_maximizer(
-            spec, gradient_step=step, hessian_step=step, radial_step=step
-        )
-    else:
-        analysis = kernels.analyze_maximizer(spec)
+    analysis = kernels.analyze_maximizer(kernels.KernelSpec(kernel, n), step)
     payload = {
         "gradient_residual": float(np.max(np.abs(analysis.angular_gradient))),
         "det_negG": analysis.det_negG,

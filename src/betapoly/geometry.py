@@ -351,7 +351,7 @@ def max_kgon(hull: PolygonChain, points, k: int, objective: Objective) -> UMaxRe
         raise ValueError(f"k must be >= 2, got {k}")
     pts = as_points_array(points)
     h = len(hull.vertex_indices)
-    if hull.degenerate or h < 3 or k >= h:
+    if hull.degenerate or k >= h:
         return _chain_result(hull, pts, objective)
     if h > _MAX_HULL:
         raise ValueError(

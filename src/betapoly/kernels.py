@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .geometry import Objective, hull_functional
+from .sampler import BetaParams
 
 TWO_PI = 2.0 * math.pi
 
@@ -59,15 +59,22 @@ class KernelSpec:
         if self.n < least:
             raise ValueError(f"{self.objective.value} kernel needs n >= {least}, got {self.n}")
 
-    def evaluate(self, angles, radii) -> float:
-        """The kernel at angles ``(n-1,)`` and radii ``(n,)``."""
+    def evaluate(self, angles, radii) -> float | np.ndarray:
+        """The kernel at angles ``(..., n-1)`` and radii ``(..., n)``.
+
+        The leading axes broadcast.  Two 1-D arguments give a float, any
+        stack an array of the broadcast leading shape; each row's value is
+        bit for bit that of the row evaluated alone.
+        """
         a = np.asarray(angles, dtype=float)
         r = np.asarray(radii, dtype=float)
-        if a.shape != (self.n - 1,) or r.shape != (self.n,):
-            raise ValueError(f"expected angles ({self.n - 1},) and radii ({self.n},)")
-        phi = np.concatenate(([0.0], a))
-        pts = np.column_stack((r * np.cos(phi), r * np.sin(phi)))
-        return float(hull_functional(pts[None], self.objective)[0])
+        if a.shape[-1:] != (self.n - 1,) or r.shape[-1:] != (self.n,):
+            raise ValueError(f"expected angles (..., {self.n - 1}) and radii (..., {self.n})")
+        lead = np.broadcast_shapes(a.shape[:-1], r.shape[:-1])
+        phi = np.concatenate((np.zeros(a.shape[:-1] + (1,)), a), axis=-1)
+        pts = np.stack((r * np.cos(phi), r * np.sin(phi)), axis=-1)
+        values = hull_functional(pts.reshape(-1, self.n, 2), self.objective).reshape(lead)
+        return float(values) if a.ndim == r.ndim == 1 else values
 
     @property
     def maximizer(self) -> Point:
@@ -77,7 +84,7 @@ class KernelSpec:
 
 @dataclass(frozen=True)
 class MaximizerAnalysis:
-    """Finite-difference snapshot of a kernel at one point, normally its maximizer."""
+    """Finite-difference snapshot of a kernel at its maximizer."""
 
     angular_gradient: np.ndarray
     sub_hessian: np.ndarray
@@ -98,10 +105,6 @@ class MaximizerAnalysis:
         return bool(np.all(np.isfinite(self.radial_partials)) and np.all(self.radial_partials > 0.0))
 
 
-def kernel_for(objective: Objective, n: int) -> KernelSpec:
-    return KernelSpec(objective, n)
-
-
 def _base_point(spec: KernelSpec, point: Point | None, step: float) -> Point:
     if step <= 0.0:
         raise ValueError(f"step must be positive, got {step}")
@@ -118,48 +121,27 @@ def numeric_angular_gradient(
     ``spec.maximizer``.
     """
     a0, r0 = _base_point(spec, point, step)
-    grad = np.empty(spec.n - 1)
-    for j in range(spec.n - 1):
-        ap = a0.copy()
-        am = a0.copy()
-        ap[j] += step
-        am[j] -= step
-        grad[j] = (spec.evaluate(ap, r0) - spec.evaluate(am, r0)) / (2.0 * step)
-    return grad
+    shift = step * np.eye(spec.n - 1)
+    return (spec.evaluate(a0 + shift, r0) - spec.evaluate(a0 - shift, r0)) / (2.0 * step)
 
 
 def numeric_sub_hessian(
     spec: KernelSpec, point: Point | None = None, step: float = HESSIAN_STEP
 ) -> np.ndarray:
-    """Second-order central-difference Hessian in the angular block, radii fixed."""
+    """Second-order central-difference Hessian in the angular block, radii fixed.
+
+    The off-diagonal entries are computed for ``i < j`` and mirrored.
+    """
     a0, r0 = _base_point(spec, point, step)
-    d = spec.n - 1
+    shift = step * np.eye(spec.n - 1)
     f0 = spec.evaluate(a0, r0)
-    hess = np.empty((d, d))
-    for i in range(d):
-        ap = a0.copy()
-        am = a0.copy()
-        ap[i] += step
-        am[i] -= step
-        hess[i, i] = (spec.evaluate(ap, r0) - 2.0 * f0 + spec.evaluate(am, r0)) / step**2
-        for j in range(i + 1, d):
-            app = a0.copy()
-            apm = a0.copy()
-            amp = a0.copy()
-            amm = a0.copy()
-            app[[i, j]] += step
-            amm[[i, j]] -= step
-            apm[i] += step
-            apm[j] -= step
-            amp[i] -= step
-            amp[j] += step
-            val = (
-                spec.evaluate(app, r0)
-                - spec.evaluate(apm, r0)
-                - spec.evaluate(amp, r0)
-                + spec.evaluate(amm, r0)
-            ) / (4.0 * step**2)
-            hess[i, j] = hess[j, i] = val
+    plus, minus = a0 + shift, a0 - shift
+    fp, fm = spec.evaluate(np.stack((plus, minus)), r0)
+    hess = np.diag((fp - 2.0 * f0 + fm) / step**2)
+    i, j = np.triu_indices(spec.n - 1, 1)
+    corners = (plus[i] + shift[j], plus[i] - shift[j], minus[i] + shift[j], minus[i] - shift[j])
+    fpp, fpm, fmp, fmm = spec.evaluate(np.stack(corners), r0)
+    hess[i, j] = hess[j, i] = (fpp - fpm - fmp + fmm) / (4.0 * step**2)
     return hess
 
 
@@ -168,33 +150,24 @@ def numeric_radial_partials(
 ) -> np.ndarray:
     """One-sided (inward, second order) radial derivatives at the given radii."""
     a0, r0 = _base_point(spec, point, step)
+    shift = step * np.eye(spec.n)
     f0 = spec.evaluate(a0, r0)
-    out = np.empty(spec.n)
-    for j in range(spec.n):
-        r1 = r0.copy()
-        r2 = r0.copy()
-        r1[j] -= step
-        r2[j] -= 2.0 * step
-        out[j] = (3.0 * f0 - 4.0 * spec.evaluate(a0, r1) + spec.evaluate(a0, r2)) / (2.0 * step)
-    return out
+    f1, f2 = spec.evaluate(a0, np.stack((r0 - shift, r0 - 2.0 * shift)))
+    return (3.0 * f0 - 4.0 * f1 + f2) / (2.0 * step)
 
 
-def analyze_maximizer(
-    spec: KernelSpec,
-    point: Point | None = None,
-    gradient_step: float = GRADIENT_STEP,
-    hessian_step: float = HESSIAN_STEP,
-    radial_step: float = RADIAL_STEP,
-) -> MaximizerAnalysis:
-    """Run all three finite-difference probes at ``point`` (default: the maximizer)."""
-    grad = numeric_angular_gradient(spec, point, gradient_step)
-    hess = numeric_sub_hessian(spec, point, hessian_step)
-    partials = numeric_radial_partials(spec, point, radial_step)
+def analyze_maximizer(spec: KernelSpec, step: float | None = None) -> MaximizerAnalysis:
+    """Run all three finite-difference probes at ``spec.maximizer``.
+
+    ``step`` replaces all three built-in steps; ``None`` keeps them.
+    """
+    steps = (GRADIENT_STEP, HESSIAN_STEP, RADIAL_STEP) if step is None else (step,) * 3
+    hess = numeric_sub_hessian(spec, step=steps[1])
     return MaximizerAnalysis(
-        angular_gradient=grad,
+        angular_gradient=numeric_angular_gradient(spec, step=steps[0]),
         sub_hessian=hess,
         det_negG=float(np.linalg.det(-hess)),
-        radial_partials=partials,
+        radial_partials=numeric_radial_partials(spec, step=steps[2]),
     )
 
 
@@ -205,8 +178,7 @@ def _maximizer_sum(n: int, det_negG: float, mean_log_partial: float, beta: float
     ``log(dh/dr_j)`` over the ``n`` vertices, so the product is
     ``exp(n * (beta+1) * mean_log_partial)``.
     """
-    if beta <= -1.0:
-        raise ValueError(f"beta must be > -1, got {beta}")
+    BetaParams(beta)  # rejects a NaN, infinite or <= -1 beta
     log_i = (
         math.lgamma(n)
         - 0.5 * math.log(det_negG)
@@ -215,21 +187,18 @@ def _maximizer_sum(n: int, det_negG: float, mean_log_partial: float, beta: float
     return math.exp(log_i)
 
 
-def compute_I(spec: KernelSpec, analyses: Sequence[MaximizerAnalysis], beta: float) -> float:
-    """I from the one analysis of ``spec``'s maximizer, times the (n-1)! symmetric copies.
+def compute_I(spec: KernelSpec, analysis: MaximizerAnalysis, beta: float) -> float:
+    """I from the analysis of ``spec``'s maximizer, times the (n-1)! symmetric copies.
 
     Raises:
-        ValueError: unless exactly one analysis is given, or on an A6/A7
-        violation.
+        ValueError: on an A6/A7 violation, or unless ``beta`` is finite and > -1.
     """
-    if len(analyses) != 1:
-        raise ValueError(f"expected exactly one maximizer analysis, got {len(analyses)}")
-    (a,) = analyses
-    if not a.a6_pass:
+    if not analysis.a6_pass:
         raise ValueError("sub-Hessian is singular or indefinite (A6 violation)")
-    if not a.a7_pass:
+    if not analysis.a7_pass:
         raise ValueError("nonpositive radial derivative (A7 violation)")
-    return _maximizer_sum(spec.n, a.det_negG, float(np.mean(np.log(a.radial_partials))), beta)
+    partials = analysis.radial_partials
+    return _maximizer_sum(spec.n, analysis.det_negG, float(np.mean(np.log(partials))), beta)
 
 
 def analytic_det_negG(objective: Objective, n: int) -> float:

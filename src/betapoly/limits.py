@@ -39,13 +39,13 @@ import numpy as np
 
 from .geometry import Objective
 from .kernels import analytic_I
+from .sampler import BetaParams
 
 
 def _validate(n: int, beta: float) -> None:
     if int(n) != n or n < 2:
         raise ValueError(f"n must be an integer >= 2, got {n}")
-    if not math.isfinite(beta) or beta <= -1.0:
-        raise ValueError(f"beta must be finite and > -1, got {beta}")
+    BetaParams(beta)
 
 
 def _log_K(n: int, beta: float) -> float:

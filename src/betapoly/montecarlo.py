@@ -23,7 +23,7 @@ import os
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -486,11 +486,5 @@ def build_summary(config: SimConfig, records: list[TrialRecord], law: LimitLaw) 
         "law": law.constants(),
         "law_median_T": law.median,
         "per_N": per_n,
-        "consistency": {
-            "N": consistency.N,
-            "trials": consistency.trials,
-            "delta": consistency.delta,
-            "fraction_below": consistency.fraction_below,
-            "deficiency_quantiles": consistency.deficiency_quantiles,
-        },
+        "consistency": asdict(consistency),
     }

@@ -45,11 +45,11 @@ from scipy.stats import chi2
 import helpers
 from betapoly.geometry import Objective, umax, umax_bruteforce
 from betapoly.kernels import (
+    KernelSpec,
     analytic_det_negG,
     analytic_radial_partial,
     analyze_maximizer,
     compute_I,
-    kernel_for,
 )
 from betapoly.limits import compute_K, extremal_value, law_for, shape_C, weibull_cdf
 from betapoly.montecarlo import tail_prefactor, tail_probe
@@ -126,7 +126,7 @@ def test_criterion_2a_sub_hessian_gradient_and_partial_precision():
     worst_partial = 0.0
     for n in range(3, 7):
         for objective in Objective:
-            analysis = analyze_maximizer(kernel_for(objective, n))
+            analysis = analyze_maximizer(KernelSpec(objective, n))
             det_rel = abs(analysis.det_negG - analytic_det_negG(objective, n)) / analytic_det_negG(
                 objective, n
             )
@@ -162,7 +162,7 @@ def test_criterion_2b_radial_partials_per_edge_reference():
     details = []
     for n in range(3, 7):
         for objective in Objective:
-            analysis = analyze_maximizer(kernel_for(objective, n))
+            analysis = analyze_maximizer(KernelSpec(objective, n))
             if objective is Objective.PERIMETER:
                 per_edge, degree = math.sin(math.pi / n), 1
             else:
@@ -197,8 +197,8 @@ def test_criterion_3_constant_pipeline():
     for n in range(3, 7):
         for beta in (-0.5, 0.0, 1.5):
             for objective in Objective:
-                spec = kernel_for(objective, n)
-                numeric_I = compute_I(spec, [analyze_maximizer(spec)], beta)
+                spec = KernelSpec(objective, n)
+                numeric_I = compute_I(spec, analyze_maximizer(spec), beta)
                 b_numeric = compute_K(n, beta) * numeric_I
                 b_closed = law_for(objective, n, beta).B
                 worst_link = max(worst_link, abs(b_numeric - b_closed) / b_closed)

@@ -11,7 +11,6 @@ from betapoly.kernels import (
     analytic_radial_partial,
     analyze_maximizer,
     compute_I,
-    kernel_for,
     numeric_angular_gradient,
     numeric_radial_partials,
     numeric_sub_hessian,
@@ -22,23 +21,23 @@ TWO_PI = 2.0 * math.pi
 
 
 def test_perimeter_kernel_examples():
-    k3 = kernel_for(Objective.PERIMETER, 3)
+    k3 = KernelSpec(Objective.PERIMETER, 3)
     assert k3.evaluate(*k3.maximizer) == pytest.approx(3.0 * math.sqrt(3.0))
     assert k3.evaluate(np.array([0.0, 0.0]), np.ones(3)) == pytest.approx(0.0, abs=1e-15)
     assert extremal_value(Objective.PERIMETER, 4) == pytest.approx(4.0 * math.sqrt(2.0))
-    k2 = kernel_for(Objective.PERIMETER, 2)
+    k2 = KernelSpec(Objective.PERIMETER, 2)
     assert extremal_value(Objective.PERIMETER, 2) == pytest.approx(4.0)
     assert k2.evaluate(np.array([math.pi]), np.ones(2)) == pytest.approx(4.0)
 
 
 def test_area_kernel_examples():
-    k3 = kernel_for(Objective.AREA, 3)
+    k3 = KernelSpec(Objective.AREA, 3)
     assert k3.evaluate(*k3.maximizer) == pytest.approx(3.0 * math.sqrt(3.0) / 4.0)
     assert extremal_value(Objective.AREA, 4) == pytest.approx(2.0)
     val = k3.evaluate(np.array([TWO_PI / 3, 2 * TWO_PI / 3]), np.array([0.5, 1.0, 1.0]))
     assert val == pytest.approx(math.sin(TWO_PI / 3), abs=1e-9)  # 0.866025...
     with pytest.raises(ValueError):
-        kernel_for(Objective.AREA, 2)
+        KernelSpec(Objective.AREA, 2)
 
 
 def test_kernel_spec_validation():
@@ -48,11 +47,53 @@ def test_kernel_spec_validation():
         KernelSpec(Objective.AREA, 2)
     with pytest.raises(ValueError, match="area kernel needs n >= 3, got 2"):
         analytic_I(Objective.AREA, 2, 0.0)
+    spec = KernelSpec(Objective.PERIMETER, 3)
+    analysis = analyze_maximizer(spec)
+    for beta in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(ValueError, match="beta must be finite and > -1"):
+            analytic_I(Objective.PERIMETER, 3, beta)
+        with pytest.raises(ValueError, match="beta must be finite and > -1"):
+            compute_I(spec, analysis, beta)
     spec = KernelSpec(Objective.AREA, 4)
     with pytest.raises(ValueError, match="expected angles"):
         spec.evaluate(np.zeros(2), np.ones(4))
     with pytest.raises(ValueError, match="expected angles"):
         spec.evaluate(np.zeros(3), np.ones(3))
+    with pytest.raises(ValueError, match="expected angles"):
+        spec.evaluate(np.zeros((5, 2)), np.ones(4))
+    with pytest.raises(ValueError, match="expected angles"):
+        spec.evaluate(np.zeros(3), np.ones((5, 3)))
+    with pytest.raises(ValueError, match="expected angles"):
+        spec.evaluate(0.0, np.ones(4))
+
+
+@pytest.mark.parametrize("objective,n", [(Objective.PERIMETER, 2), (Objective.PERIMETER, 3),
+                                         (Objective.AREA, 3), (Objective.AREA, 5)])
+def test_stacked_evaluate_equals_row_by_row(objective, n):
+    # Bit for bit: the finite-difference probes evaluate whole stencils this way.
+    spec = KernelSpec(objective, n)
+    rng = np.random.default_rng(31 + n)
+    angles = rng.random((4, 3, n - 1)) * TWO_PI
+    radii = rng.random((3, n))
+    one_angle, one_radius = angles[0, 0], radii[0]
+
+    shared_radii = spec.evaluate(angles, one_radius)
+    assert shared_radii.shape == (4, 3)
+    for k in np.ndindex(4, 3):
+        assert shared_radii[k] == spec.evaluate(angles[k], one_radius)
+
+    shared_angles = spec.evaluate(one_angle, radii)
+    assert shared_angles.shape == (3,)
+    for k in range(3):
+        assert shared_angles[k] == spec.evaluate(one_angle, radii[k])
+
+    both = spec.evaluate(angles, radii)  # (4, 3, n-1) with (3, n)
+    assert both.shape == (4, 3)
+    for k in np.ndindex(4, 3):
+        assert both[k] == spec.evaluate(angles[k], radii[k[1]])
+
+    assert isinstance(spec.evaluate(one_angle, one_radius), float)
+    assert spec.evaluate(angles[:0], one_radius).shape == (0, 3)
 
 
 def _random_polar_tuple(rng, n):
@@ -68,8 +109,8 @@ def test_kernel_matches_cartesian_cycle(n):
     # The kernel is the perimeter / area of the convex hull of its arguments;
     # random radii leave some points inside the hull.
     rng = np.random.default_rng(1000 + n)
-    per = kernel_for(Objective.PERIMETER, n)
-    area = kernel_for(Objective.AREA, n)
+    per = KernelSpec(Objective.PERIMETER, n)
+    area = KernelSpec(Objective.AREA, n)
     for _ in range(50):
         angles, radii, pts = _random_polar_tuple(rng, n)
         hull = convex_hull(pts)
@@ -83,8 +124,8 @@ def test_kernel_permutation_invariance():
     from itertools import permutations
 
     rng = np.random.default_rng(9)
-    per = kernel_for(Objective.PERIMETER, 3)
-    area = kernel_for(Objective.AREA, 3)
+    per = KernelSpec(Objective.PERIMETER, 3)
+    area = KernelSpec(Objective.AREA, 3)
     ref_angles, radii, _ = _random_polar_tuple(rng, 3)
     theta = np.concatenate(([0.0], ref_angles))
     per_ref = per.evaluate(ref_angles, radii)
@@ -99,7 +140,7 @@ def test_kernel_permutation_invariance():
 @pytest.mark.parametrize("objective,n", [(Objective.PERIMETER, 3), (Objective.PERIMETER, 5),
                                          (Objective.AREA, 3), (Objective.AREA, 4)])
 def test_max_value_is_a_maximum(objective, n):
-    spec = kernel_for(objective, n)
+    spec = KernelSpec(objective, n)
     a0, r0 = spec.maximizer
     rng = np.random.default_rng(77)
     M = extremal_value(objective, n)
@@ -111,13 +152,13 @@ def test_max_value_is_a_maximum(objective, n):
 
 
 def test_angular_gradient_vanishes_at_maximizer():
-    for spec in (kernel_for(Objective.PERIMETER, 3), kernel_for(Objective.AREA, 4)):
+    for spec in (KernelSpec(Objective.PERIMETER, 3), KernelSpec(Objective.AREA, 4)):
         g = numeric_angular_gradient(spec, step=1e-5)
         assert np.max(np.abs(g)) < 1e-6
 
 
 def test_angular_gradient_nonzero_off_maximizer():
-    spec = kernel_for(Objective.PERIMETER, 3)
+    spec = KernelSpec(Objective.PERIMETER, 3)
     a0, r0 = spec.maximizer
     g = numeric_angular_gradient(spec, (a0 + 0.1, r0), step=1e-5)
     assert np.max(np.abs(g)) > 1e-3
@@ -126,7 +167,7 @@ def test_angular_gradient_nonzero_off_maximizer():
 def test_gradient_second_order_convergence():
     # Halving the step cuts the central-difference error ~4x where truncation
     # dominates; measured at a non-critical point against a tiny-step reference.
-    spec = kernel_for(Objective.PERIMETER, 3)
+    spec = KernelSpec(Objective.PERIMETER, 3)
     point = (np.array([TWO_PI / 3 + 0.3, 2 * TWO_PI / 3 - 0.1]), np.ones(3))
     ref = numeric_angular_gradient(spec, point, step=1e-7)
     err = lambda h: np.max(np.abs(numeric_angular_gradient(spec, point, step=h) - ref))
@@ -139,7 +180,7 @@ def test_gradient_second_order_convergence():
 def test_sub_hessian_matches_analytic(objective, n):
     if objective is Objective.AREA and n < 3:
         pytest.skip("area needs n >= 3")
-    spec = kernel_for(objective, n)
+    spec = KernelSpec(objective, n)
     G = numeric_sub_hessian(spec)
     assert np.max(np.abs(G - G.T)) < 1e-6
     det = float(np.linalg.det(-G))
@@ -149,7 +190,7 @@ def test_sub_hessian_matches_analytic(objective, n):
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 @pytest.mark.parametrize("objective", list(Objective))
 def test_radial_partials_match_analytic(objective, n):
-    spec = kernel_for(objective, n)
+    spec = KernelSpec(objective, n)
     partials = numeric_radial_partials(spec)
     expected = analytic_radial_partial(objective, n)
     assert np.allclose(partials, expected, atol=1e-5)
@@ -166,7 +207,7 @@ def test_analytic_radial_partial_values():
 
 
 def test_analysis_flags():
-    analysis = analyze_maximizer(kernel_for(Objective.PERIMETER, 4))
+    analysis = analyze_maximizer(KernelSpec(Objective.PERIMETER, 4))
     assert analysis.a6_pass and analysis.a7_pass
     assert analysis.det_negG == pytest.approx(analytic_det_negG(Objective.PERIMETER, 4), rel=1e-4)
 
@@ -175,9 +216,9 @@ def test_analysis_flags():
 @pytest.mark.parametrize("beta", [-0.5, 0.0, 1.5])
 @pytest.mark.parametrize("objective", list(Objective))
 def test_compute_I_matches_closed_form(objective, n, beta):
-    spec = kernel_for(objective, n)
+    spec = KernelSpec(objective, n)
     analysis = analyze_maximizer(spec)
-    I_num = compute_I(spec, [analysis], beta)
+    I_num = compute_I(spec, analysis, beta)
     assert I_num == pytest.approx(analytic_I(objective, n, beta), rel=1e-3)
 
 
@@ -186,14 +227,8 @@ def test_compute_I_exact_values():
     assert analytic_I(Objective.AREA, 3, 0.0) == pytest.approx(64.0 / (9.0 * math.sqrt(3.0)))
 
 
-def test_compute_I_multiplicity_handling():
-    spec = kernel_for(Objective.PERIMETER, 3)
-    with pytest.raises(ValueError):
-        compute_I(spec, [], 0.0)
-
-
 def test_compute_I_rejects_a7_violation():
-    spec = kernel_for(Objective.PERIMETER, 3)
+    spec = KernelSpec(Objective.PERIMETER, 3)
     analysis = analyze_maximizer(spec)
     from betapoly.kernels import MaximizerAnalysis
 
@@ -204,12 +239,12 @@ def test_compute_I_rejects_a7_violation():
         radial_partials=-analysis.radial_partials,
     )
     with pytest.raises(ValueError, match="A7"):
-        compute_I(spec, [broken], 0.0)
+        compute_I(spec, broken, 0.0)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_maximizer_attains_max_value(n):
     for objective in [Objective.PERIMETER] + ([Objective.AREA] if n >= 3 else []):
-        spec = kernel_for(objective, n)
+        spec = KernelSpec(objective, n)
         val = spec.evaluate(*spec.maximizer)
         assert val == pytest.approx(extremal_value(objective, n), abs=1e-10)
