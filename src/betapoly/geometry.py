@@ -6,10 +6,11 @@ vertices fixed, the perimeter is convex and the area is affine in a single
 vertex, so no interior point can beat a hull point, and enlarging a subset
 never decreases either objective.  So ``convex_hull`` drops provably interior
 points with a one-pass circle test and runs a monotone chain on the rest
-(``polar_hull`` does the same for points given by angle and radius, giving
-coordinates only to the points the test keeps), and
-``max_kgon`` runs a max-plus program over the ``h`` hull vertices in
-``O(h^2 k + h^3 / k^2)``.  The exhaustive subset oracle below validates both.
+(``uniform_hull`` does the same for points given by their sampling uniforms,
+giving a radius, an angle and coordinates only to the points the test
+cannot drop), and ``max_kgon`` runs a max-plus program over the ``h`` hull
+vertices in ``O(h^2 k + h^3 / k^2)``.  The exhaustive subset oracle below
+validates both.
 
 Degenerate hulls follow the convex-body convention: a segment has perimeter
 twice its length and zero area; a single point has both objectives zero.
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sampler import cartesian
+from .sampler import BetaParams, cartesian, polar_from_uniforms, radius_uniform_floor
 
 # Below this size the circle pre-filter costs more than it saves.
 _PREFILTER_MIN_POINTS = 128
@@ -91,37 +92,29 @@ def _cross(ox: float, oy: float, ax: float, ay: float, bx: float, by: float) -> 
     return (ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
 
 
+def _far_count(N: int) -> int:
+    """How many far points a circle test of ``N`` points builds its hull from."""
+    return max(32, int(2.0 * math.sqrt(N)))
+
+
 def _prefilter(pts: np.ndarray) -> np.ndarray:
-    """Indices that can still be hull vertices: ``_circle_filter`` about the box midpoint."""
+    """Sorted indices of the points that can be hull vertices (one circle test).
+
+    The circle is about the bounding-box midpoint, and ``_inscribed_radius``
+    gives its radius from the ``_far_count`` points farthest from it.  Points
+    strictly inside are interior to the full hull and dropped.  When the
+    midpoint is not strictly inside the far points' hull (a radius of at
+    most 0), all are kept.
+    """
     x, y = pts[:, 0], pts[:, 1]
     c = np.array([0.5 * x.min() + 0.5 * x.max(), 0.5 * y.min() + 0.5 * y.max()])
     dist = (x - c[0]) ** 2
     dist += (y - c[1]) ** 2
-    return _circle_filter(np.sqrt(dist, out=dist), c, lambda idx: pts[idx])
-
-
-def _circle_filter(dist: np.ndarray, centre: np.ndarray, points_at) -> np.ndarray:
-    """Sorted indices of the points that can be hull vertices (one circle test).
-
-    Point ``i`` lies at distance ``dist[i]`` from ``centre``, and
-    ``points_at(idx)`` returns the coordinates of points ``idx``; it is
-    called only on the ``max(32, 2 sqrt N)`` farthest points, so the others
-    never need coordinates.  Points strictly inside the circle about
-    ``centre`` whose radius ``_inscribed_radius`` gives are interior to the
-    full hull and dropped.  When ``centre`` is not strictly inside the far
-    points' hull (a radius of at most 0), all are kept.
-    """
-    far = _farthest(dist)
-    radius = _inscribed_radius(points_at(far), centre, float(dist[far].max()))
-    if radius > 0.0:
-        return np.nonzero(dist >= radius)[0]
-    return np.arange(len(dist), dtype=np.int64)
-
-
-def _farthest(dist: np.ndarray) -> np.ndarray:
-    """Positions of the ``max(32, 2 sqrt N)`` largest entries of ``dist``."""
-    kth = len(dist) - max(32, int(2.0 * math.sqrt(len(dist))))
-    return np.argpartition(dist, kth)[kth:]
+    np.sqrt(dist, out=dist)
+    kth = len(dist) - _far_count(len(dist))
+    far = np.argpartition(dist, kth)[kth:]
+    radius = _inscribed_radius(pts[far], c, float(dist[far].max()))
+    return np.nonzero(dist >= radius)[0]
 
 
 def _inscribed_radius(far: np.ndarray, centre: np.ndarray, reach: float) -> float:
@@ -194,23 +187,41 @@ def convex_hull(points) -> PolygonChain:
     return PolygonChain(tuple(_rotate_min_first(hull_idx)))
 
 
-def polar_hull(phi: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, PolygonChain]:
-    """Hull of the points at angles ``phi`` and radii ``r``, with few coordinates.
+def uniform_hull(
+    params: BetaParams, angle_u: np.ndarray, radius_u: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, PolygonChain]:
+    """Hull of the points that ``polar_from_uniforms`` makes of two uniform blocks.
 
-    The circle test runs about the origin on the radii, so only the farthest
-    points and the kept points get coordinates (``sampler.cartesian``), and
-    the monotone chain runs on the kept points without a second test.
+    Only the points the circle test about the origin cannot drop get a
+    radius, an angle and coordinates.  A radius increases with its uniform,
+    so the test runs on ``radius_u``: the points with
+    ``u >= 1 - _far_count(N) / N`` are the far set, whose hull gives the
+    radius of a disk about the origin inside the full hull
+    (``_inscribed_radius``); the points with
+    ``u >= sampler.radius_uniform_floor(params, radius)``, a superset of
+    those whose computed radius reaches the disk, then take the exact test
+    ``r >= radius``.  Below ``_PREFILTER_MIN_POINTS`` points the far set is
+    empty.  When it has fewer than 3 points, or the origin is not strictly
+    inside its hull, the radius is at most 0 and every point is kept.  The
+    monotone chain runs on the kept points.  The blocks are left as they
+    are.
+
     Returns the kept indices (sorted), their coordinates, which are the rows
-    of ``cartesian(phi, r)`` at those indices bit for bit, and their hull as
+    of ``cartesian(*polar_from_uniforms(params, angle_u, radius_u))`` at
+    those indices bit for bit (each map is elementwise), and their hull as
     positions into the kept points.  Mapped through the kept indices, that
-    hull is ``convex_hull(cartesian(phi, r))``.
+    hull is ``convex_hull`` of the whole sample.
     """
-    if len(r) >= _PREFILTER_MIN_POINTS:
-        keep = _circle_filter(r, np.zeros(2), lambda idx: cartesian(phi[idx], r[idx]))
-    else:
-        keep = np.arange(len(r), dtype=np.int64)
-    pts = cartesian(phi[keep], r[keep])
-    return keep, pts, PolygonChain(tuple(_rotate_min_first(_monotone_chain(pts))))
+    N = len(radius_u)
+    far_floor = 1.0 - _far_count(N) / N if N >= _PREFILTER_MIN_POINTS else math.inf
+    far = np.flatnonzero(radius_u >= far_floor)
+    phi, r = polar_from_uniforms(params, angle_u[far], radius_u[far])
+    radius = _inscribed_radius(cartesian(phi, r), np.zeros(2), float(r.max(initial=0.0)))
+    keep = np.flatnonzero(radius_u >= radius_uniform_floor(params, radius))
+    phi, r = polar_from_uniforms(params, angle_u[keep], radius_u[keep])
+    reach = r >= radius
+    pts = cartesian(phi[reach], r[reach])
+    return keep[reach], pts, PolygonChain(tuple(_rotate_min_first(_monotone_chain(pts))))
 
 
 def _rotate_min_first(cycle):

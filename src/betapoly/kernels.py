@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Objective, hull_functional
-from .sampler import BetaParams
+from .sampler import BetaParams, check_vertex_count
 
 TWO_PI = 2.0 * math.pi
 
@@ -47,8 +47,9 @@ class KernelSpec:
     """The kernel of arity ``n``: ``objective`` of the hull of ``n`` points.
 
     Raises:
-        ValueError: for ``n < 2`` (perimeter) or ``n < 3`` (area: the area
-        of two points is identically zero, so no isolated maximum exists).
+        ValueError: for an ``n`` that is not an integer, ``n < 2``
+        (perimeter) or ``n < 3`` (area: the area of two points is
+        identically zero, so no isolated maximum exists).
     """
 
     objective: Objective
@@ -56,8 +57,7 @@ class KernelSpec:
 
     def __post_init__(self) -> None:
         least = 2 if self.objective is Objective.PERIMETER else 3
-        if self.n < least:
-            raise ValueError(f"{self.objective.value} kernel needs n >= {least}, got {self.n}")
+        check_vertex_count(self.n, least, f"{self.objective.value} kernel")
 
     def evaluate(self, angles, radii) -> float | np.ndarray:
         """The kernel at angles ``(..., n-1)`` and radii ``(..., n)``.

@@ -39,12 +39,11 @@ import numpy as np
 
 from .geometry import Objective
 from .kernels import analytic_I
-from .sampler import BetaParams
+from .sampler import BetaParams, check_vertex_count
 
 
 def _validate(n: int, beta: float) -> None:
-    if int(n) != n or n < 2:
-        raise ValueError(f"n must be an integer >= 2, got {n}")
+    check_vertex_count(n)
     BetaParams(beta)
 
 

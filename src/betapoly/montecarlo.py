@@ -28,10 +28,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import Objective, hull_functional, max_kgon, polar_hull
+from .geometry import Objective, hull_functional, max_kgon, uniform_hull
 from .kernels import analytic_I
 from .limits import LimitLaw, compute_K, extremal_value, law_for, shape_C, weibull_cdf
-from .sampler import BetaParams, SeedPolicy, cartesian, draw_polar, polar_from_uniforms
+from .sampler import (
+    BetaParams,
+    SeedPolicy,
+    cartesian,
+    check_vertex_count,
+    draw_uniforms,
+    polar_from_uniforms,
+)
 
 DEFAULT_SHAPE_WINDOW = (0.05, 0.6)
 MIN_FIT_POINTS = 100
@@ -59,6 +66,7 @@ class SimConfig:
     consistency_delta: float = CONSISTENCY_DELTA
 
     def __post_init__(self) -> None:
+        check_vertex_count(self.n)
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if not self.N_list:
@@ -139,18 +147,18 @@ class ConsistencyReport:
 
 
 def _run_one(args) -> TrialRecord:
-    """One trial: ``draw_polar -> polar_hull -> max_kgon``.
+    """One trial: ``draw_uniforms -> uniform_hull -> max_kgon``.
 
     The trial's points are ``sample_batch(params, N, policy, trial_index)``,
-    drawn in polar form.  ``polar_hull`` gives coordinates only to the
-    points that can be hull vertices, and they are that array's rows bit for
-    bit, so ``H`` and ``hull_size`` equal those of
+    left as uniforms.  ``uniform_hull`` gives a radius, an angle and
+    coordinates only to the points that can be hull vertices, and they are
+    that array's rows bit for bit, so ``H`` and ``hull_size`` equal those of
     ``sample_batch -> convex_hull -> max_kgon`` bit for bit.
     """
     objective, n, beta, master_seed, N, trial_index, M, A = args
     start = time.perf_counter()
     rng = SeedPolicy(master_seed).trial_generator(trial_index)
-    _, points, hull = polar_hull(*draw_polar(BetaParams(beta), rng, N))
+    _, points, hull = uniform_hull(BetaParams(beta), *draw_uniforms(rng, N))
     result = max_kgon(hull, points, n, objective)
     elapsed = time.perf_counter() - start
     return TrialRecord(

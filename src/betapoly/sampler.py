@@ -13,12 +13,27 @@ widens as ``beta`` approaches -1: it starts near u = 0.02 at beta = -0.999
 (u = 0.19 at beta = -0.99), and 96% (69%) of the radii round to 1 there.
 The radius itself stays within one ulp of the exact inverse.  No clamping
 is applied.
+
+Because the radius increases with its uniform, a trial can tell from the
+uniform alone which points can reach a radius: :func:`radius_uniform_floor`
+gives a uniform below which the computed inverse, rounding included, stays
+short of it.  Its certificate (proved in its docstring) needs only that
+``pow`` is accurate to 2^-42 relative, some 2 000 ulp (libm's is within
+1 ulp), and it holds for every ``beta > -1`` and every radius.  It is tight
+for the radii a trial meets (``1 - u*`` exceeds the exact tail mass by a
+relative ~1e-11 where ``1 - radius^2`` is ~1e-3), and loose only where the
+inverse itself is: once ``1 - radius^2`` nears 2^-50 the bound admits up
+to 2^(beta+1) times the exact tail, and near ``beta = -1`` the floor falls
+toward 0 (below 0.035 at ``beta = -0.999``), so nearly every point is
+kept.  It is exactly 0, keeping every point, for radii below ~1e-6 or not
+positive.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -36,6 +51,18 @@ class BetaParams:
     def __post_init__(self) -> None:
         if not math.isfinite(self.beta) or self.beta <= -1.0:
             raise ValueError(f"beta must be finite and > -1, got {self.beta}")
+
+
+def check_vertex_count(n, least: int = 2, owner: str = "a polygon") -> None:
+    """Reject a vertex count ``n`` that is not a whole number ``>= least``.
+
+    The one rule for ``n`` across the package.  Whole floats such as ``4.0``
+    pass; ``3.5``, NaN, infinities and non-numbers raise ``ValueError``.
+    """
+    if not (isinstance(n, numbers.Real) and math.isfinite(n) and n == int(n)):
+        raise ValueError(f"n must be an integer, got {n!r}")
+    if n < least:
+        raise ValueError(f"{owner} needs n >= {least}, got {n}")
 
 
 @dataclass(frozen=True)
@@ -93,6 +120,64 @@ def _radius_from_uniform(params: BetaParams, u: np.ndarray, out=None) -> np.ndar
     return np.sqrt(1.0 - (1.0 - u) ** (1.0 / (params.beta + 1.0)), out=out)
 
 
+# Relative slack of each step of radius_uniform_floor's bound.  It grants
+# the elementwise pow in _radius_from_uniform a relative error of a quarter
+# of it, 2^-42.
+_FLOOR_SLACK = 2.0**-40
+
+
+def radius_uniform_floor(params: BetaParams, radius: float) -> float:
+    """A uniform ``u*`` below which no radius ``_radius_from_uniform`` computes reaches ``radius``.
+
+    So the points whose computed radius reaches ``radius`` are among those
+    with ``u >= u*``, and only those need the inverse CDF.  Returns 0.0
+    (every point kept) unless ``radius`` lies in (0, 1] and the bound ``X``
+    below is below 1.
+
+    Proof.  Let ``d = 2^-53`` be the unit roundoff, ``R = radius`` in (0, 1],
+    ``W = 1 - R^2`` and ``e = 1 / (beta + 1)``, all exact reals.  For a
+    uniform ``u`` the inverse computes ``v = fl(1 - u)``, the exponent
+    ``e' = fl(1 / fl(beta + 1))``, ``p = pow(v, e')`` and
+    ``r = fl(sqrt(fl(1 - p)))``.  Suppose ``r >= R``.
+
+    1. Subtraction and ``sqrt`` round correctly, ``fl(y) <= y (1 + d)``, so
+       ``1 - p >= R^2 / (1 + d)^3 >= R^2 (1 - 3d)``: ``p <= W + 3d``.
+    2. ``pow`` errs by at most ``P = 2^-42`` relative for normal
+       results and by less than the least normal, 2^-1022, below them, so
+       ``v^e' <= (W + 4d) / (1 - P) =: X``.
+    3. ``e'`` is two roundings of ``e``: ``e' <= e (1 + 3d)``.  If ``X < 1``
+       then ``ln v <= ln X / e' <= (beta + 1) ln X / (1 + 3d) =: L``, as
+       ``ln X < 0``.
+    4. ``fl(1 - u)`` is exact for ``u >= 1/2`` (Sterbenz) and within half an
+       ulp of 1, 2^-54, below, so ``u >= 1 - v - 2^-54 >= 1 - exp(L) - 2^-54``.
+
+    The code computes ``X' = ((1 - R)(1 + R) + 8d)(1 + s)``,
+    ``L' = fl(beta + 1) log(X') (1 - s)`` and
+    ``u* = -expm1(L') (1 - 4d) - 4d``, with ``s = _FLOOR_SLACK = 4P``, and
+    ``log`` and ``expm1`` within 2d relative.  ``(1 - R)(1 + R)`` is ``W``
+    within a factor ``(1 - d)^3``, so ``X' >= (W + 5d)(1 - 2d)(1 + s) >=
+    (W + 4d)(1 + s/2) >= X``.  ``L'`` is ``(beta + 1) ln X'`` within
+    ``(1 + 6d)(1 - s) <= 1 - s/2 <= 1 / (1 + 3d)``, and ``ln X' < 0``, so
+    ``L' >= L``.  Then ``-expm1(L')`` is at most ``1 - exp(L)`` times
+    ``1 + 2d``, which ``1 - 4d`` absorbs with the product's rounding, and
+    ``- 4d`` covers the 2^-54 of step 4 and the last subtraction's rounding
+    (below ``d``, as ``u* < 1``).  Hence ``u* <= 1 - exp(L) - 2^-54 <= u``.
+
+    The bound holds for every ``beta > -1``.  It is loose where the inverse
+    loses precision: ``1 - u*`` is about ``X'^(beta+1) >= (8d)^(beta+1)``,
+    above 0.96 at ``beta = -0.999``, and for ``W`` near ``d`` the ``8d``
+    term dominates ``X'``.
+    """
+    if not 0.0 < radius <= 1.0:
+        return 0.0
+    d, s = 2.0**-53, _FLOOR_SLACK
+    x = ((1.0 - radius) * (1.0 + radius) + 8.0 * d) * (1.0 + s)
+    if x >= 1.0:
+        return 0.0
+    log_v = (params.beta + 1.0) * math.log(x) * (1.0 - s)
+    return max(0.0, -math.expm1(log_v) * (1.0 - 4.0 * d) - 4.0 * d)
+
+
 def sample_batch(
     params: BetaParams,
     count: int,
@@ -109,18 +194,17 @@ def sample_batch(
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    return cartesian(*draw_polar(params, seed_policy.trial_generator(trial_index), count))
+    blocks = draw_uniforms(seed_policy.trial_generator(trial_index), count)
+    return cartesian(*polar_from_uniforms(params, *blocks))
 
 
-def draw_polar(
-    params: BetaParams, rng: np.random.Generator, count: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Angles and radii of ``count`` points: the whole angle block, then the radius block.
+def draw_uniforms(rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The uniforms of ``count`` points: the whole angle block, then the radius block.
 
     The one stream layout of a drawn batch, so the points are a pure function
     of the generator's state.
     """
-    return polar_from_uniforms(params, rng.random(count), rng.random(count))
+    return rng.random(count), rng.random(count)
 
 
 def polar_from_uniforms(

@@ -16,13 +16,20 @@ from betapoly.geometry import (
     convex_hull,
     hull_functional,
     max_kgon,
-    polar_hull,
     polygon_area,
     polygon_perimeter,
     umax,
     umax_bruteforce,
+    uniform_hull,
 )
-from betapoly.sampler import BetaParams, SeedPolicy, cartesian, draw_polar, sample_batch
+from betapoly.sampler import (
+    BetaParams,
+    SeedPolicy,
+    cartesian,
+    draw_uniforms,
+    polar_from_uniforms,
+    sample_batch,
+)
 
 SQUARE = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
 
@@ -91,10 +98,11 @@ def _assert_prefilter_exact(pts):
     assert convex_hull(pts).vertex_indices == tuple(_rotate_min_first(_monotone_chain(pts)))
 
 
-def _assert_polar_prefilter_exact(phi, r):
-    """``polar_hull`` mapped through its kept points equals the full monotone chain."""
-    pts = cartesian(phi, r)
-    keep, kept_pts, hull = polar_hull(phi, r)
+def _assert_uniform_hull_exact(params, angle_u, radius_u):
+    """``uniform_hull`` mapped through its kept points equals the full monotone chain."""
+    blocks = angle_u.copy(), radius_u.copy()
+    pts = cartesian(*polar_from_uniforms(params, *blocks))
+    keep, kept_pts, hull = uniform_hull(params, angle_u, radius_u)
     assert np.array_equal(kept_pts, pts[keep])
     assert tuple(int(keep[i]) for i in hull.vertex_indices) == tuple(
         _rotate_min_first(_monotone_chain(pts))
@@ -114,8 +122,8 @@ def test_convex_hull_prefilter_agrees_with_direct_chain():
 def test_prefilter_exact_on_samples(beta, N):
     pts = sample_batch(BetaParams(beta), N, SeedPolicy(23), N)
     _assert_prefilter_exact(pts)
-    polar = draw_polar(BetaParams(beta), SeedPolicy(23).trial_generator(N), N)
-    keep = _assert_polar_prefilter_exact(*polar)
+    blocks = draw_uniforms(SeedPolicy(23).trial_generator(N), N)
+    keep = _assert_uniform_hull_exact(BetaParams(beta), *blocks)
     if N > 128 and beta >= 0.0:  # at beta = -0.99 most points are hull vertices
         assert len(_prefilter(pts)) < N // 2
         assert len(keep) < N // 2
@@ -162,44 +170,47 @@ def test_prefilter_keeps_all_when_centre_is_outside_the_sub_hull():
 
 
 def test_prefilter_exact_keeps_all_when_origin_is_outside_the_far_hull():
-    # An arc of 200 unit-radius points within 60 degrees, plus 100 nearer
-    # points in the same wedge: the farthest points' hull misses the origin,
-    # so the radius filter keeps every point.
-    phi = np.concatenate([np.linspace(0.0, math.pi / 3.0, 200), np.linspace(0.1, 0.9, 100)])
-    r = np.concatenate([np.ones(200), np.linspace(0.2, 0.8, 100)])
-    keep = _assert_polar_prefilter_exact(phi, r)
-    assert np.array_equal(keep, np.arange(len(r)))
+    # An arc of 200 points of one radius (the largest uniform below 1)
+    # within 60 degrees, plus 100 nearer points in the same wedge: the far
+    # points' hull misses the origin, so the radius filter keeps every point.
+    angle_u = np.concatenate([np.linspace(0.0, 1.0 / 6.0, 200), np.linspace(0.02, 0.14, 100)])
+    radius_u = np.concatenate([np.full(200, np.nextafter(1.0, 0.0)), np.linspace(0.2, 0.8, 100)])
+    keep = _assert_uniform_hull_exact(BetaParams(0.0), angle_u, radius_u)
+    assert np.array_equal(keep, np.arange(len(radius_u)))
 
 
 @st.composite
-def _polar_clouds(draw):
-    """100 to 400 points by angle and radius, so both sides of the filter's
-    128-point minimum occur.
+def _uniform_clouds(draw):
+    """A beta and the angle and radius uniforms of 3 to 400 points.
 
-    Some radii repeat a few levels, 0 always among them, some points are
-    exact copies of others, and the angles span either a full turn or a
-    one-sided arc, whose far points' hull misses the origin.
+    Some radius uniforms repeat a few levels, 0 always among them, so some
+    radii are equal; some points are exact copies of others; and the angles
+    span either a full turn or a one-sided arc, whose far points' hull
+    misses the origin.
     """
-    N = draw(st.integers(100, 400))
+    beta = draw(st.sampled_from([-0.99, -0.5, 0.0, 2.0]))
+    N = draw(st.integers(3, 400))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    arc = draw(st.sampled_from([2.0 * math.pi, math.pi / 3.0, math.pi]))
-    phi = rng.uniform(0.0, arc, N)
-    r = rng.random(N) ** draw(st.sampled_from([0.1, 0.5, 1.0, 4.0]))
-    levels = [0.0] + draw(st.lists(st.floats(0.0, 1.0), max_size=4))
+    arc = draw(st.sampled_from([1.0, 1.0 / 6.0, 0.5]))
+    angle_u = rng.uniform(0.0, arc, N)
+    radius_u = rng.random(N) ** draw(st.sampled_from([0.1, 0.5, 1.0, 4.0]))
+    levels = [0.0] + draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=4))
     repeated = rng.random(N) < draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
-    r[repeated] = rng.choice(levels, int(repeated.sum()))
+    radius_u[repeated] = rng.choice(levels, int(repeated.sum()))
     copies = rng.integers(0, N, draw(st.integers(0, 20)))
     originals = rng.integers(0, N, len(copies))
-    phi[copies], r[copies] = phi[originals], r[originals]
-    return phi, r
+    angle_u[copies], radius_u[copies] = angle_u[originals], radius_u[originals]
+    return BetaParams(beta), angle_u, radius_u
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
-@given(_polar_clouds())
-def test_polar_hull_equals_convex_hull_of_the_whole_cloud(cloud):
-    phi, r = cloud
-    pts = cartesian(phi, r)
-    keep, kept_pts, hull = polar_hull(phi, r)
+@given(_uniform_clouds())
+def test_uniform_hull_equals_convex_hull_of_the_whole_cloud(cloud):
+    params, angle_u, radius_u = cloud
+    blocks = angle_u.copy(), radius_u.copy()
+    pts = cartesian(*polar_from_uniforms(params, angle_u.copy(), radius_u.copy()))
+    keep, kept_pts, hull = uniform_hull(params, angle_u, radius_u)
+    assert np.array_equal(angle_u, blocks[0]) and np.array_equal(radius_u, blocks[1])
     assert np.array_equal(kept_pts, pts[keep])
     mapped = tuple(int(keep[i]) for i in hull.vertex_indices)
     assert mapped == convex_hull(pts).vertex_indices

@@ -40,6 +40,11 @@ def test_area_kernel_examples():
         KernelSpec(Objective.AREA, 2)
 
 
+def test_analytic_I_rejects_a_non_integer_n():
+    with pytest.raises(ValueError, match="n must be an integer, got 3.5"):
+        analytic_I(Objective.PERIMETER, 3.5, 0.0)
+
+
 def test_kernel_spec_validation():
     with pytest.raises(ValueError, match="perimeter kernel needs n >= 2, got 1"):
         KernelSpec(Objective.PERIMETER, 1)

@@ -31,6 +31,12 @@ def test_compute_K_matches_high_precision_oracle():
             )
 
 
+@pytest.mark.parametrize("n", [float("inf"), float("nan")])
+def test_compute_K_rejects_a_non_finite_n(n):
+    with pytest.raises(ValueError, match="n must be an integer"):
+        compute_K(n, 0.0)
+
+
 def test_compute_K_domain():
     with pytest.raises(ValueError):
         compute_K(1, 0.0)

@@ -4,14 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from betapoly import montecarlo
+from betapoly import geometry, montecarlo, sampler
 from betapoly.geometry import (
     Objective,
     convex_hull,
     hull_functional,
     max_kgon,
-    polar_hull,
     umax_bruteforce,
+    uniform_hull,
 )
 from betapoly.limits import extremal_value, law_for, shape_C, weibull_cdf
 from betapoly.montecarlo import (
@@ -27,7 +27,14 @@ from betapoly.montecarlo import (
     write_ecdf_csv,
     write_trials_csv,
 )
-from betapoly.sampler import BetaParams, SeedPolicy, cartesian, draw_polar, sample_batch
+from betapoly.sampler import (
+    BetaParams,
+    SeedPolicy,
+    cartesian,
+    draw_uniforms,
+    polar_from_uniforms,
+    sample_batch,
+)
 
 PERIMETER_LAW = law_for(Objective.PERIMETER, 3, 0.0)
 
@@ -54,6 +61,37 @@ def test_sim_config_validation():
         _small_config(N_list=(2,))
     with pytest.raises(ValueError):
         _small_config(consistency_delta=0.0)
+
+
+def test_sim_config_rejects_a_non_integer_n():
+    with pytest.raises(ValueError, match="n must be an integer, got 3.5"):
+        _small_config(n=3.5)
+
+
+def test_a_trial_gives_radii_and_coordinates_to_few_points(monkeypatch):
+    # A trial filters its points on their radius uniforms, so at N = 10^5
+    # only ~1 000 points get the inverse CDF, an angle and cos/sin.  A return
+    # to whole-array transcendental functions shows here as N radii.
+    N = 100_000
+    counts = {"radii": 0, "coordinates": 0}
+
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            counts[key] += len(args[1])
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    inverse = counted(sampler._radius_from_uniform, "radii")
+    monkeypatch.setattr(sampler, "_radius_from_uniform", inverse)
+    for module in (geometry, montecarlo):
+        monkeypatch.setattr(module, "cartesian", counted(sampler.cartesian, "coordinates"))
+    law = law_for(Objective.PERIMETER, 3, 0.0)
+    record = montecarlo._run_one((Objective.PERIMETER, 3, 0.0, 42, N, 0, law.M, law.A))
+    assert 0 < counts["radii"] < N // 20
+    assert 0 < counts["coordinates"] < N // 20
+    pts = sample_batch(BetaParams(0.0), N, SeedPolicy(42), 0)
+    assert record.H == max_kgon(convex_hull(pts), pts, 3, Objective.PERIMETER).value
 
 
 def test_run_trials_deterministic_across_workers():
@@ -111,7 +149,8 @@ def test_trials_equal_the_full_sample_path(objective, beta):
         for t in range(cfg.trials):
             pts = sample_batch(params, N, policy, t)
             hull = convex_hull(pts)
-            keep, cand, cand_hull = polar_hull(*draw_polar(params, policy.trial_generator(t), N))
+            blocks = draw_uniforms(policy.trial_generator(t), N)
+            keep, cand, cand_hull = uniform_hull(params, *blocks)
             assert np.array_equal(cand, pts[keep])
             kept_hull = tuple(int(keep[i]) for i in cand_hull.vertex_indices)
             assert kept_hull == hull.vertex_indices
@@ -218,7 +257,7 @@ def _sequential_hits(objective, n, beta, eps, draws, seed):
         count = 0
         for start in range(0, draws, montecarlo._TAIL_CHUNK):
             m = min(montecarlo._TAIL_CHUNK, draws - start)
-            pts = cartesian(*draw_polar(params, rng, m * n))
+            pts = cartesian(*polar_from_uniforms(params, *draw_uniforms(rng, m * n)))
             vals = hull_functional(pts.reshape(m, n, 2), objective)
             count += int(np.count_nonzero(vals >= M - e))
         hits.append(count)

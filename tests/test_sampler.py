@@ -6,13 +6,16 @@ from scipy.integrate import quad
 
 import helpers
 from betapoly.sampler import (
+    TWO_PI,
     BetaParams,
     SeedPolicy,
     _radius_from_uniform,
     cartesian,
-    draw_polar,
+    check_vertex_count,
+    draw_uniforms,
     polar_from_uniforms,
     radius_cdf,
+    radius_uniform_floor,
     read_points_csv,
     sample_batch,
     write_points_csv,
@@ -132,13 +135,110 @@ def test_cartesian_rows_of_any_subset_are_the_rows_of_the_whole_batch():
     # size, order or position.
     params, policy = BetaParams(0.0), SeedPolicy(13)
     whole = sample_batch(params, 5_000, policy, 2)
-    phi, r = draw_polar(params, policy.trial_generator(2), 5_000)
+    phi, r = polar_from_uniforms(params, *draw_uniforms(policy.trial_generator(2), 5_000))
     rng = np.random.default_rng(5)
     subsets = [np.arange(k) for k in range(1, 18)]
     subsets += [np.arange(3, 4_999, 7), np.arange(4_999, 0, -3)]
     subsets += [np.sort(rng.choice(5_000, k, replace=False)) for k in (1, 9, 33, 1_000)]
     for idx in subsets:
         assert np.array_equal(cartesian(phi[idx], r[idx]), whole[idx])
+
+
+@pytest.mark.parametrize("beta", [-0.99, -0.5, 0.0, 0.5, 2.0])
+def test_inverse_cdf_of_any_subset_is_the_rows_of_the_whole_batch(beta):
+    # A trial runs the angle map and the inverse CDF only on the points its
+    # uniform filter keeps; they must be the very doubles the whole batch
+    # gets, for any length (1..70, so SIMD tail loops run), order, position,
+    # fancy index, mask or view.
+    params = BetaParams(beta)
+    rng = np.random.default_rng(19)
+    angle_u, radius_u = rng.random(300), rng.random(300)
+    radius_u[:60] = 1.0 - rng.random(60) * 10.0 ** rng.uniform(-15.0, -3.0, 60)
+    radius_u[60:64] = [0.0, 0.5, np.nextafter(0.5, 0.0), np.nextafter(1.0, 0.0)]
+    rng.shuffle(radius_u)
+    phi, r = polar_from_uniforms(params, angle_u.copy(), radius_u.copy())
+    for length in range(1, 71):
+        start = int(rng.integers(0, 300 - length + 1))
+        view = slice(start, start + length)
+        assert np.array_equal(_radius_from_uniform(params, radius_u[view]), r[view])
+        assert np.array_equal(TWO_PI * angle_u[view], phi[view])
+        mask = np.zeros(300, dtype=bool)
+        mask[rng.choice(300, length, replace=False)] = True
+        for idx in (rng.choice(300, length, replace=False), mask, np.arange(length)[::-1]):
+            sub_phi, sub_r = polar_from_uniforms(params, angle_u[idx], radius_u[idx])
+            assert np.array_equal(sub_r, r[idx]) and np.array_equal(sub_phi, phi[idx])
+
+
+def _bits(x: float) -> int:
+    return int(np.array([x]).view(np.int64)[0])
+
+
+def _double(bits: int) -> float:
+    return float(np.array([bits], dtype=np.int64).view(np.float64)[0])
+
+
+def _first_reaching(params, radius, lo):
+    """Least double ``u >= lo`` whose computed radius reaches ``radius``, by
+    bisection on the bits, or the largest uniform if none does."""
+    reaches = lambda bits: _inverse(params, [_double(bits)])[0] >= radius
+    a, b = _bits(lo), _bits(np.nextafter(1.0, 0.0))
+    if reaches(a):
+        return lo
+    if not reaches(b):
+        return _double(b)
+    while b - a > 1:
+        m = (a + b) // 2
+        a, b = (a, m) if reaches(m) else (m, b)
+    return _double(b)
+
+
+def _ulp_steps(x, k, top):
+    """The doubles up to ``k`` steps either side of ``x``, kept in [0, top]."""
+    bits = _bits(x) + np.arange(-k, k + 1)
+    return np.array([_double(b) for b in bits if 0 <= b <= _bits(top)])
+
+
+@pytest.mark.parametrize("beta", [-0.999, -0.99, -0.9, 0.0, 2.0, 10.0])
+def test_radius_uniform_floor_selects_every_uniform_that_reaches_the_radius(beta):
+    # The floor must never drop a uniform whose computed radius, taken from
+    # the whole array, reaches the radius: ulp steps around the floor,
+    # around radius_cdf(radius) and around the first uniform that reaches
+    # it, plus random uniforms, some between the floor and 1.
+    params = BetaParams(beta)
+    rng = np.random.default_rng(23)
+    top = np.nextafter(1.0, 0.0)
+    for radius in (0.1, 0.5, 0.9, 0.999, 1 - 2**-20, 1 - 2**-30, 1 - 2**-40, 1 - 2**-50, 1.0):
+        floor = radius_uniform_floor(params, radius)
+        assert 0.0 < floor < 1.0
+        anchors = (floor, radius_cdf(params, radius), _first_reaching(params, radius, floor))
+        u = np.concatenate(
+            [_ulp_steps(x, 64, top) for x in anchors]
+            + [rng.random(4_000), floor + (1.0 - floor) * rng.random(4_000)]
+        )
+        u = np.minimum(u, top)
+        r = _inverse(params, u)
+        assert np.all(u[r >= radius] >= floor)
+        # The slack is not so wide that the filter keeps far too many points.
+        w = (1.0 - radius) * (1.0 + radius)
+        if beta >= -0.9 and w >= 2**-20:
+            assert 1.0 - floor <= w ** (beta + 1.0) * (1.0 + 1e-6) + 2**-49
+    # Without a certificate (a radius outside (0, 1], or too small for the
+    # bound) the floor is 0, so every point is kept.
+    u = np.concatenate([[0.0], rng.random(100)])
+    for radius in (-0.5, 0.0, 1e-7, 1.5, float("nan")):
+        floor = radius_uniform_floor(params, radius)
+        assert floor == 0.0 and np.all(u >= floor)
+
+
+def test_check_vertex_count():
+    check_vertex_count(2)
+    check_vertex_count(4.0)
+    check_vertex_count(np.int64(3), least=3)
+    for bad in (3.5, float("inf"), float("nan"), "4", None):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            check_vertex_count(bad)
+    with pytest.raises(ValueError, match="area kernel needs n >= 3, got 2"):
+        check_vertex_count(2, 3, "area kernel")
 
 
 def test_sample_batch_determinism():
