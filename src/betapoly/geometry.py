@@ -4,13 +4,12 @@ The maximum of either objective over all vertex subsets of size at most ``k``
 is attained on extreme points of the full convex hull: with all other
 vertices fixed, the perimeter is convex and the area is affine in a single
 vertex, so no interior point can beat a hull point, and enlarging a subset
-never decreases either objective.  So ``convex_hull`` drops provably interior
-points with a one-pass circle test and runs a monotone chain on the rest
-(``uniform_hull`` does the same for points given by their sampling uniforms,
-giving a radius, an angle and coordinates only to the points the test
-cannot drop), and ``max_kgon`` runs a max-plus program over the ``h`` hull
-vertices in ``O(h^2 k + h^3 / k^2)``.  The exhaustive subset oracle below
-validates both.
+never decreases either objective.  So ``convex_hull`` and ``uniform_hull``
+(for points given by their sampling uniforms) drop provably interior points
+with one circle test, ``_circle_hull``, whose far points' hull is at large
+``N`` the hull itself, and ``max_kgon`` runs a max-plus program over the
+``h`` hull vertices in ``O(h^2 k + h^3 / k^2)``.  The exhaustive subset
+oracle below validates both.
 
 Degenerate hulls follow the convex-body convention: a segment has perimeter
 twice its length and zero area; a single point has both objectives zero.
@@ -21,14 +20,16 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .sampler import BetaParams, cartesian, polar_from_uniforms, radius_uniform_floor
+from .sampler import BetaParams, cartesian, check_vertex_count, polar_from_uniforms
+from .sampler import radius_uniform_floor
 
-# Below this size the circle pre-filter costs more than it saves.
-_PREFILTER_MIN_POINTS = 128
-_PREFILTER_MARGIN = 1e-9  # relative slack on the pre-filter's radius
+# Below this size the circle test of _circle_hull costs more than it saves.
+_CIRCLE_MIN_POINTS = 128
+_CIRCLE_MARGIN = 1e-9  # relative slack on _inscribed_radius
 # Most hull vertices max_kgon takes: its edge-weight tables are h x h.
 _MAX_HULL = 4096
 _DP_BLOCK = 1 << 18  # most (anchor, predecessor, successor) cells per step
@@ -97,44 +98,48 @@ def _far_count(N: int) -> int:
     return max(32, int(2.0 * math.sqrt(N)))
 
 
-def _prefilter(pts: np.ndarray) -> np.ndarray:
-    """Sorted indices of the points that can be hull vertices (one circle test).
+def _circle_hull(key: np.ndarray, far_floor: float, coords, centre: np.ndarray, key_floor):
+    """One circle test: the kept indices, their coordinates and their hull.
 
-    The circle is about the bounding-box midpoint, and ``_inscribed_radius``
-    gives its radius from the ``_far_count`` points farthest from it.  Points
-    strictly inside are interior to the full hull and dropped.  When the
-    midpoint is not strictly inside the far points' hull (a radius of at
-    most 0), all are kept.
+    ``key`` grows with each point's distance from ``centre``, and no point
+    with ``key < key_floor(radius)`` reaches ``radius``.  The points with
+    ``key >= far_floor`` form the far set, ``coords(indices)`` gives their
+    coordinates, and the disk of ``_inscribed_radius`` lies inside their
+    hull.  If that disk's key floor is at least ``far_floor``, the far set
+    holds every possible vertex and every exact copy of one, so its hull is
+    the hull; otherwise the chain runs again on the points above the floor.
+    The hull is positions into the kept indices (sorted), and mapped through
+    them it is the monotone chain of every point (copies keep the smallest).
     """
-    x, y = pts[:, 0], pts[:, 1]
-    c = np.array([0.5 * x.min() + 0.5 * x.max(), 0.5 * y.min() + 0.5 * y.max()])
-    dist = (x - c[0]) ** 2
-    dist += (y - c[1]) ** 2
-    np.sqrt(dist, out=dist)
-    kth = len(dist) - _far_count(len(dist))
-    far = np.argpartition(dist, kth)[kth:]
-    radius = _inscribed_radius(pts[far], c, float(dist[far].max()))
-    return np.nonzero(dist >= radius)[0]
+    keep = np.flatnonzero(key >= far_floor)
+    pts = coords(keep)
+    ring = _monotone_chain(pts)
+    floor = key_floor(_inscribed_radius(pts[ring], centre))
+    if floor < far_floor:
+        keep = np.flatnonzero(key >= floor)
+        pts = coords(keep)
+        ring = _monotone_chain(pts)
+    return keep, pts, ring
 
 
-def _inscribed_radius(far: np.ndarray, centre: np.ndarray, reach: float) -> float:
-    """Radius of a disk about ``centre`` inside the hull of the points ``far``.
+def _inscribed_radius(ring: np.ndarray, centre: np.ndarray) -> float:
+    """Radius of a disk about ``centre`` inside the convex polygon ``ring`` (CCW).
 
-    The hull of ``far`` contains the disk whose radius is the least distance
-    from ``centre`` to one of its edge lines; the radius returned is that,
-    shrunk by ``_PREFILTER_MARGIN * reach``, where ``reach`` is the largest
-    distance of a point of ``far`` from ``centre``, a margin far above
-    rounding error.  So a point of the full sample closer to ``centre`` than
-    this is interior to the full hull.  The result is not positive when
-    ``centre`` is not strictly inside the hull of ``far``.
+    The polygon contains the disk whose radius is the least distance from
+    ``centre`` to one of its edge lines; the radius returned is that, shrunk
+    by ``_CIRCLE_MARGIN`` times the largest distance of a vertex from
+    ``centre``, a margin far above rounding error.  So a point closer to
+    ``centre`` than this is interior to the hull of any set holding
+    ``ring``.  The result is not positive when ``centre`` is not strictly
+    inside a polygon of 3 or more vertices.
     """
-    ring = far[_monotone_chain(far)]
     if len(ring) < 3:
         return 0.0
     e = np.roll(ring, -1, axis=0) - ring  # raw coordinates: short edges stay accurate
     rel = ring - centre
     radius = np.min((rel[:, 0] * e[:, 1] - rel[:, 1] * e[:, 0]) / np.hypot(e[:, 0], e[:, 1]))
-    return float(radius) - _PREFILTER_MARGIN * reach
+    reach = np.hypot(rel[:, 0], rel[:, 1]).max()
+    return float(radius) - _CIRCLE_MARGIN * float(reach)
 
 
 def _monotone_chain(pts: np.ndarray) -> list[int]:
@@ -177,14 +182,21 @@ def convex_hull(points) -> PolygonChain:
     Returns a degenerate chain of 1 or 2 indices when the input has fewer
     than 3 distinct extreme points.  Ties in coordinates keep the smallest
     original index; the chain is rotated so its smallest index comes first.
+    From ``_CIRCLE_MIN_POINTS`` points on, ``_circle_hull`` runs on the
+    distances from the bounding-box midpoint (each its own key floor), with
+    the ``_far_count`` farthest points as far set.
     """
     pts = as_points_array(points)
-    if len(pts) >= _PREFILTER_MIN_POINTS:
-        cand = _prefilter(pts)
-        hull_idx = [int(cand[i]) for i in _monotone_chain(pts[cand])]
-    else:
-        hull_idx = _monotone_chain(pts)
-    return PolygonChain(tuple(_rotate_min_first(hull_idx)))
+    if len(pts) < _CIRCLE_MIN_POINTS:
+        return PolygonChain(tuple(_rotate_min_first(_monotone_chain(pts))))
+    x, y = pts[:, 0], pts[:, 1]
+    c = np.array([0.5 * x.min() + 0.5 * x.max(), 0.5 * y.min() + 0.5 * y.max()])
+    dist = (x - c[0]) ** 2
+    dist += (y - c[1]) ** 2
+    np.sqrt(dist, out=dist)
+    kth = len(dist) - _far_count(len(dist))
+    keep, _, ring = _circle_hull(dist, np.partition(dist, kth)[kth], pts.__getitem__, c, float)
+    return PolygonChain(tuple(_rotate_min_first([int(keep[i]) for i in ring])))
 
 
 def uniform_hull(
@@ -192,19 +204,12 @@ def uniform_hull(
 ) -> tuple[np.ndarray, np.ndarray, PolygonChain]:
     """Hull of the points that ``polar_from_uniforms`` makes of two uniform blocks.
 
-    Only the points the circle test about the origin cannot drop get a
-    radius, an angle and coordinates.  A radius increases with its uniform,
-    so the test runs on ``radius_u``: the points with
-    ``u >= 1 - _far_count(N) / N`` are the far set, whose hull gives the
-    radius of a disk about the origin inside the full hull
-    (``_inscribed_radius``); the points with
-    ``u >= sampler.radius_uniform_floor(params, radius)``, a superset of
-    those whose computed radius reaches the disk, then take the exact test
-    ``r >= radius``.  Below ``_PREFILTER_MIN_POINTS`` points the far set is
-    empty.  When it has fewer than 3 points, or the origin is not strictly
-    inside its hull, the radius is at most 0 and every point is kept.  The
-    monotone chain runs on the kept points.  The blocks are left as they
-    are.
+    A radius increases with its uniform, so ``_circle_hull`` runs about the
+    origin on ``radius_u``: the far set is ``u >= 1 - _far_count(N) / N``
+    (every point below ``_CIRCLE_MIN_POINTS``), and a radius's key floor is
+    ``sampler.radius_uniform_floor``.  Only the points the test looks at get
+    a radius, an angle and coordinates: every point when the origin is not
+    strictly inside the far set's hull.  The blocks are left as they are.
 
     Returns the kept indices (sorted), their coordinates, which are the rows
     of ``cartesian(*polar_from_uniforms(params, angle_u, radius_u))`` at
@@ -213,15 +218,14 @@ def uniform_hull(
     hull is ``convex_hull`` of the whole sample.
     """
     N = len(radius_u)
-    far_floor = 1.0 - _far_count(N) / N if N >= _PREFILTER_MIN_POINTS else math.inf
-    far = np.flatnonzero(radius_u >= far_floor)
-    phi, r = polar_from_uniforms(params, angle_u[far], radius_u[far])
-    radius = _inscribed_radius(cartesian(phi, r), np.zeros(2), float(r.max(initial=0.0)))
-    keep = np.flatnonzero(radius_u >= radius_uniform_floor(params, radius))
-    phi, r = polar_from_uniforms(params, angle_u[keep], radius_u[keep])
-    reach = r >= radius
-    pts = cartesian(phi[reach], r[reach])
-    return keep[reach], pts, PolygonChain(tuple(_rotate_min_first(_monotone_chain(pts))))
+    far_floor = 1.0 - _far_count(N) / N if N >= _CIRCLE_MIN_POINTS else -math.inf
+
+    def coords(i):
+        return cartesian(*polar_from_uniforms(params, angle_u[i], radius_u[i]))
+
+    floor = partial(radius_uniform_floor, params)
+    keep, pts, ring = _circle_hull(radius_u, far_floor, coords, np.zeros(2), floor)
+    return keep, pts, PolygonChain(tuple(_rotate_min_first(ring)))
 
 
 def _rotate_min_first(cycle):
@@ -356,10 +360,10 @@ def max_kgon(hull: PolygonChain, points, k: int, objective: Objective) -> UMaxRe
     predecessor at every layer, and the first anchor with the best total wins.
 
     Raises:
-        ValueError: if ``k < 2``, or if ``k < h`` and ``h > _MAX_HULL``.
+        ValueError: if ``k`` is not an integer ``>= 2``, or if ``k < h`` and
+        ``h > _MAX_HULL``.
     """
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
+    check_vertex_count(k)
     pts = as_points_array(points)
     h = len(hull.vertex_indices)
     if hull.degenerate or k >= h:
@@ -430,16 +434,14 @@ def umax(points, n: int, objective: Objective) -> UMaxResult:
     """Exact maximum of the objective over all subsets of at most ``n`` points.
 
     Raises:
-        ValueError: if fewer than ``n`` points are supplied, ``n < 2``, or
-        the hull is too large for ``max_kgon``.
+        ValueError: if ``n`` is not an integer ``>= 2``, fewer than ``n``
+        points are supplied, or the hull is too large for ``max_kgon``.
     """
     pts = as_points_array(points)
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+    check_vertex_count(n)
     if len(pts) < n:
         raise ValueError(f"need at least n={n} points, got {len(pts)}")
-    hull = convex_hull(pts)
-    return max_kgon(hull, pts, n, objective)
+    return max_kgon(convex_hull(pts), pts, n, objective)
 
 
 def umax_bruteforce(points, n: int, objective: Objective) -> UMaxResult:
@@ -452,8 +454,7 @@ def umax_bruteforce(points, n: int, objective: Objective) -> UMaxResult:
     from itertools import combinations
 
     pts = as_points_array(points)
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+    check_vertex_count(n)
     if len(pts) < n:
         raise ValueError(f"need at least n={n} points, got {len(pts)}")
     total = math.comb(len(pts), n)

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Objective
-from .kernels import analytic_I
+from .kernels import KernelSpec, analytic_I
 from .sampler import BetaParams, check_vertex_count
 
 
@@ -87,13 +87,11 @@ def extremal_value(objective: Objective, n: int) -> float:
 
     Attained by the regular n-gon inscribed in the unit circle:
     2*n*sin(pi/n) for the perimeter, (n/2)*sin(2*pi/n) for the area.
+    ``n`` is validated as for ``KernelSpec(objective, n)``.
     """
+    KernelSpec(objective, n)
     if objective is Objective.PERIMETER:
-        if n < 2:
-            raise ValueError(f"perimeter needs n >= 2, got {n}")
         return 2.0 * n * math.sin(math.pi / n)
-    if n < 3:
-        raise ValueError(f"area needs n >= 3, got {n}")
     return 0.5 * n * math.sin(2.0 * math.pi / n)
 
 

@@ -150,9 +150,9 @@ def _run_one(args) -> TrialRecord:
     """One trial: ``draw_uniforms -> uniform_hull -> max_kgon``.
 
     The trial's points are ``sample_batch(params, N, policy, trial_index)``,
-    left as uniforms.  ``uniform_hull`` gives a radius, an angle and
-    coordinates only to the points that can be hull vertices, and they are
-    that array's rows bit for bit, so ``H`` and ``hull_size`` equal those of
+    left as uniforms.  ``uniform_hull`` gives coordinates only to the points
+    its circle test looks at, which are that array's rows bit for bit, so
+    ``H`` and ``hull_size`` equal those of
     ``sample_batch -> convex_hull -> max_kgon`` bit for bit.
     """
     objective, n, beta, master_seed, N, trial_index, M, A = args

@@ -54,12 +54,13 @@ class BetaParams:
 
 
 def check_vertex_count(n, least: int = 2, owner: str = "a polygon") -> None:
-    """Reject a vertex count ``n`` that is not a whole number ``>= least``.
+    """Reject a vertex count ``n`` that is not an integer ``>= least``.
 
-    The one rule for ``n`` across the package.  Whole floats such as ``4.0``
-    pass; ``3.5``, NaN, infinities and non-numbers raise ``ValueError``.
+    The one rule for ``n`` across the package.  Python and numpy integers
+    pass; ``bool``, floats (whole ones such as ``4.0`` too) and non-numbers
+    raise ``ValueError``.
     """
-    if not (isinstance(n, numbers.Real) and math.isfinite(n) and n == int(n)):
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
         raise ValueError(f"n must be an integer, got {n!r}")
     if n < least:
         raise ValueError(f"{owner} needs n >= {least}, got {n}")

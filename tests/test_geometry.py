@@ -10,8 +10,8 @@ from betapoly import geometry
 from betapoly.geometry import (
     Objective,
     PolygonChain,
+    _far_count,
     _monotone_chain,
-    _prefilter,
     _rotate_min_first,
     convex_hull,
     hull_functional,
@@ -93,9 +93,40 @@ def _regular(h: int) -> np.ndarray:
     return np.column_stack([np.cos(angles), np.sin(angles)])
 
 
-def _assert_prefilter_exact(pts):
-    """The pre-filtered hull equals the monotone chain run on every point."""
+def _assert_convex_hull_exact(pts):
+    """The circle-filtered hull equals the monotone chain run on every point."""
     assert convex_hull(pts).vertex_indices == tuple(_rotate_min_first(_monotone_chain(pts)))
+
+
+def _convex_hull_kept(monkeypatch, pts):
+    """Indices that ``convex_hull(pts)``'s one ``_circle_hull`` call keeps."""
+    kept = []
+    circle_hull = geometry._circle_hull
+
+    def recording(*args):
+        kept.append(circle_hull(*args))
+        return kept[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(geometry, "_circle_hull", recording)
+        convex_hull(pts)
+    ((keep, _, _),) = kept
+    return keep
+
+
+def _chain_sizes(monkeypatch, run):
+    """Sizes of the point sets of the monotone chains that ``run()`` calls."""
+    sizes = []
+    chain = geometry._monotone_chain
+
+    def counting(pts):
+        sizes.append(len(pts))
+        return chain(pts)
+
+    with monkeypatch.context() as m:
+        m.setattr(geometry, "_monotone_chain", counting)
+        run()
+    return sizes
 
 
 def _assert_uniform_hull_exact(params, angle_u, radius_u):
@@ -110,22 +141,40 @@ def _assert_uniform_hull_exact(params, angle_u, radius_u):
     return keep
 
 
-def test_convex_hull_prefilter_agrees_with_direct_chain():
-    # 130 points exercises the circle pre-filter; the monotone chain run on
-    # the whole set must give the identical hull.
+def test_convex_hull_prefilter_agrees_with_direct_chain(monkeypatch):
+    # 130 points exercises the circle filter; the monotone chain run on the
+    # whole set must give the identical hull.
     pts = sample_batch(BetaParams(-0.5), 130, SeedPolicy(17), 0)
-    _assert_prefilter_exact(pts)
+    assert len(_convex_hull_kept(monkeypatch, pts)) < len(pts)
+    _assert_convex_hull_exact(pts)
+
+
+@pytest.mark.parametrize("N, chains", [(64_000, 1), (1000, 2)])
+def test_uniform_hull_chains_the_far_set_alone_when_it_holds_every_vertex(monkeypatch, N, chains):
+    # At seed 42, beta = 0, the floor of the far set's disk clears the far
+    # set's own floor at N = 64 000 but not at N = 1 000.
+    blocks = draw_uniforms(SeedPolicy(42).trial_generator(0), N)
+    params = BetaParams(0.0)
+    sizes = _chain_sizes(monkeypatch, lambda: _assert_uniform_hull_exact(params, *blocks))
+    assert len(sizes) == chains and sizes == sorted(sizes)
+
+
+@pytest.mark.parametrize("N, chains", [(4000, 1), (1000, 2)])
+def test_convex_hull_chains_the_far_set_alone_when_it_holds_every_vertex(monkeypatch, N, chains):
+    pts = sample_batch(BetaParams(0.0), N, SeedPolicy(42), 0)
+    sizes = _chain_sizes(monkeypatch, lambda: _assert_convex_hull_exact(pts))
+    assert len(sizes) == chains and sizes[0] == _far_count(N) and sizes == sorted(sizes)
 
 
 @pytest.mark.parametrize("beta", [-0.99, 0.0, 2.0])
 @pytest.mark.parametrize("N", [128, 1000, 20_000])
-def test_prefilter_exact_on_samples(beta, N):
+def test_prefilter_exact_on_samples(monkeypatch, beta, N):
     pts = sample_batch(BetaParams(beta), N, SeedPolicy(23), N)
-    _assert_prefilter_exact(pts)
+    _assert_convex_hull_exact(pts)
     blocks = draw_uniforms(SeedPolicy(23).trial_generator(N), N)
     keep = _assert_uniform_hull_exact(BetaParams(beta), *blocks)
     if N > 128 and beta >= 0.0:  # at beta = -0.99 most points are hull vertices
-        assert len(_prefilter(pts)) < N // 2
+        assert len(_convex_hull_kept(monkeypatch, pts)) < N // 2
         assert len(keep) < N // 2
 
 
@@ -133,40 +182,43 @@ def test_prefilter_exact_on_samples(beta, N):
     "shift, scale",
     [((1e3, -7e2), 1.0), ((0.0, 0.0), 1e-8), ((0.0, 0.0), 1e8), ((-3e-8, 5e-8), 1e-8)],
 )
-def test_prefilter_exact_off_centre_and_rescaled(shift, scale):
+def test_prefilter_exact_off_centre_and_rescaled(monkeypatch, shift, scale):
     for trial in range(3):
         pts = sample_batch(BetaParams(0.0), 3000, SeedPolicy(29), trial) * scale + shift
-        _assert_prefilter_exact(pts)
-        assert len(_prefilter(pts)) < 1500
+        _assert_convex_hull_exact(pts)
+        assert len(_convex_hull_kept(monkeypatch, pts)) < 1500
 
 
 def test_prefilter_exact_on_cocircular_polygon_with_interior_points():
     ring = _regular(256)
     inner = sample_batch(BetaParams(0.0), 400, SeedPolicy(31), 0) * 0.9
     for pts in (np.vstack([ring, inner]), np.vstack([inner, ring]), np.vstack([inner, ring]) + 5.0):
-        _assert_prefilter_exact(pts)
+        _assert_convex_hull_exact(pts)
         assert len(convex_hull(pts).vertex_indices) == 256
 
 
-def test_prefilter_keeps_smallest_index_of_duplicated_extremes():
-    pts = sample_batch(BetaParams(0.0), 500, SeedPolicy(37), 0)
-    hull = list(convex_hull(pts).vertex_indices)
-    # Copies of every hull vertex both before and after the originals.
-    dup = np.vstack([pts[hull[::2]], pts, pts[hull]])
-    _assert_prefilter_exact(dup)
-    for i in convex_hull(dup).vertex_indices:
-        same = np.flatnonzero(np.all(dup == dup[i], axis=1))
-        assert i == same.min() and len(same) >= 2
+def test_prefilter_keeps_smallest_index_of_duplicated_extremes(monkeypatch):
+    # Copies of every (every 8th) hull vertex after the originals and of
+    # every 2nd (16th) before them: the chain runs twice at 500 points, and
+    # once, on the far set alone, at 20 000.
+    for N, step, chains in ((500, 1, 2), (20_000, 8, 1)):
+        pts = sample_batch(BetaParams(0.0), N, SeedPolicy(37), 0)
+        hull = list(convex_hull(pts).vertex_indices)
+        dup = np.vstack([pts[hull[:: 2 * step]], pts, pts[hull[::step]]])
+        assert len(_chain_sizes(monkeypatch, lambda: _assert_convex_hull_exact(dup))) == chains
+        for i in convex_hull(dup).vertex_indices:
+            same = np.flatnonzero(np.all(dup == dup[i], axis=1))
+            assert i == same.min() and (len(same) >= 2 or step > 1)
 
 
-def test_prefilter_keeps_all_when_centre_is_outside_the_sub_hull():
+def test_prefilter_keeps_all_when_centre_is_outside_the_sub_hull(monkeypatch):
     # An arc of 200 hull vertices plus the origin: the points farthest from
     # the bounding-box midpoint hug the x-axis, and their hull misses it.
     angles = np.linspace(0.0, math.pi / 3.0, 200)
     pts = np.vstack([np.column_stack([np.cos(angles), np.sin(angles)]), [[0.0, 0.0]]])
-    assert len(_prefilter(pts)) == len(pts)
+    assert np.array_equal(_convex_hull_kept(monkeypatch, pts), np.arange(len(pts)))
     assert len(convex_hull(pts).vertex_indices) == len(pts)
-    _assert_prefilter_exact(pts)
+    _assert_convex_hull_exact(pts)
 
 
 def test_prefilter_exact_keeps_all_when_origin_is_outside_the_far_hull():
@@ -216,13 +268,13 @@ def test_uniform_hull_equals_convex_hull_of_the_whole_cloud(cloud):
     assert mapped == convex_hull(pts).vertex_indices
 
 
-def test_prefilter_falls_back_on_collinear_cloud():
+def test_prefilter_falls_back_on_collinear_cloud(monkeypatch):
     t = np.random.default_rng(41).uniform(-1.0, 1.0, 300)
     pts = np.column_stack([t, 0.5 * t + 0.25])
-    assert len(_prefilter(pts)) == len(pts)
+    assert np.array_equal(_convex_hull_kept(monkeypatch, pts), np.arange(len(pts)))
     hull = convex_hull(pts)
     assert hull.degenerate and sorted(hull.vertex_indices) == sorted([t.argmin(), t.argmax()])
-    _assert_prefilter_exact(pts)
+    _assert_convex_hull_exact(pts)
 
 
 def test_polygon_perimeter_examples():

@@ -3,7 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from betapoly.geometry import Objective, convex_hull, polygon_area, polygon_perimeter
+from betapoly.geometry import (
+    Objective,
+    convex_hull,
+    max_kgon,
+    polygon_area,
+    polygon_perimeter,
+    umax,
+    umax_bruteforce,
+)
 from betapoly.kernels import (
     KernelSpec,
     analytic_I,
@@ -16,6 +24,7 @@ from betapoly.kernels import (
     numeric_sub_hessian,
 )
 from betapoly.limits import extremal_value
+from betapoly.montecarlo import SimConfig, tail_probe
 
 TWO_PI = 2.0 * math.pi
 
@@ -52,6 +61,29 @@ def test_kernel_spec_validation():
         KernelSpec(Objective.AREA, 2)
     with pytest.raises(ValueError, match="area kernel needs n >= 3, got 2"):
         analytic_I(Objective.AREA, 2, 0.0)
+    # One rule for n across the public API: an int (not a bool), never a
+    # float, even a whole one.
+    pts = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [0.5, 0.5]])
+    for call in (
+        lambda: KernelSpec(Objective.PERIMETER, True),
+        lambda: extremal_value(Objective.PERIMETER, 3.5),
+        lambda: extremal_value(Objective.AREA, float("nan")),
+        lambda: umax(pts, 3.0, Objective.PERIMETER),
+        lambda: max_kgon(convex_hull(pts), pts, 3.0, Objective.PERIMETER),
+        lambda: umax_bruteforce(pts, 3.5, Objective.AREA),
+        lambda: tail_probe(Objective.AREA, 4.0, 0.0, [0.1, 0.2], 10**5, 1),
+        lambda: SimConfig(Objective.PERIMETER, 4.0, 0.0, (100,), 2, 1),
+    ):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            call()
+    with pytest.raises(ValueError, match="perimeter kernel needs n >= 2, got 1"):
+        extremal_value(Objective.PERIMETER, 1)
+    with pytest.raises(ValueError, match="area kernel needs n >= 3, got 2"):
+        extremal_value(Objective.AREA, 2)
+    with pytest.raises(ValueError, match="a polygon needs n >= 2, got 1"):
+        umax(pts, 1, Objective.AREA)
+    with pytest.raises(ValueError, match="a polygon needs n >= 2, got 1"):
+        umax_bruteforce(pts, 1, Objective.AREA)
     spec = KernelSpec(Objective.PERIMETER, 3)
     analysis = analyze_maximizer(spec)
     for beta in (float("nan"), float("inf"), -1.0):

@@ -315,7 +315,7 @@ def test_tail_probe_grid_validation():
         # the maximum is attained with probability zero; a zero epsilon can
         # never meet the expected-hit guard
         tail_probe(Objective.PERIMETER, 3, 0.0, (0.5, 0.0), 1000, seed=1)
-    with pytest.raises(ValueError, match="area needs n >= 3"):
+    with pytest.raises(ValueError, match="area kernel needs n >= 3, got 2"):
         tail_probe(Objective.AREA, 2, 0.0, (0.5, 0.4), 1000, seed=1)
 
 

@@ -232,9 +232,8 @@ def test_radius_uniform_floor_selects_every_uniform_that_reaches_the_radius(beta
 
 def test_check_vertex_count():
     check_vertex_count(2)
-    check_vertex_count(4.0)
     check_vertex_count(np.int64(3), least=3)
-    for bad in (3.5, float("inf"), float("nan"), "4", None):
+    for bad in (4.0, 3.5, float("inf"), float("nan"), "4", None, True, np.float64(3.0)):
         with pytest.raises(ValueError, match="n must be an integer"):
             check_vertex_count(bad)
     with pytest.raises(ValueError, match="area kernel needs n >= 3, got 2"):
