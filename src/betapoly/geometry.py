@@ -25,7 +25,7 @@ from functools import partial
 import numpy as np
 
 from .sampler import BetaParams, cartesian, check_vertex_count, polar_from_uniforms
-from .sampler import radius_uniform_floor
+from .sampler import radius_uniform_floor, select_uniforms
 
 # Below this size the circle test of _circle_hull costs more than it saves.
 _CIRCLE_MIN_POINTS = 128
@@ -89,35 +89,30 @@ def as_points_array(points) -> np.ndarray:
     return pts
 
 
-def _cross(ox: float, oy: float, ax: float, ay: float, bx: float, by: float) -> float:
-    return (ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
-
-
 def _far_count(N: int) -> int:
     """How many far points a circle test of ``N`` points builds its hull from."""
     return max(32, int(2.0 * math.sqrt(N)))
 
 
-def _circle_hull(key: np.ndarray, far_floor: float, coords, centre: np.ndarray, key_floor):
+def _circle_hull(select, far_floor: float, centre: np.ndarray, key_floor):
     """One circle test: the kept indices, their coordinates and their hull.
 
-    ``key`` grows with each point's distance from ``centre``, and no point
-    with ``key < key_floor(radius)`` reaches ``radius``.  The points with
-    ``key >= far_floor`` form the far set, ``coords(indices)`` gives their
-    coordinates, and the disk of ``_inscribed_radius`` lies inside their
+    Each point has a key that grows with its distance from ``centre``, and
+    no point with ``key < key_floor(radius)`` reaches ``radius``;
+    ``select(floor)`` gives the indices (sorted) and coordinates of the
+    points with ``key >= floor``.  The points with ``key >= far_floor`` form
+    the far set, and the disk of ``_inscribed_radius`` lies inside their
     hull.  If that disk's key floor is at least ``far_floor``, the far set
     holds every possible vertex and every exact copy of one, so its hull is
     the hull; otherwise the chain runs again on the points above the floor.
-    The hull is positions into the kept indices (sorted), and mapped through
-    them it is the monotone chain of every point (copies keep the smallest).
+    The hull is positions into the kept indices, and mapped through them it
+    is the monotone chain of every point (copies keep the smallest).
     """
-    keep = np.flatnonzero(key >= far_floor)
-    pts = coords(keep)
+    keep, pts = select(far_floor)
     ring = _monotone_chain(pts)
     floor = key_floor(_inscribed_radius(pts[ring], centre))
     if floor < far_floor:
-        keep = np.flatnonzero(key >= floor)
-        pts = coords(keep)
+        keep, pts = select(floor)
         ring = _monotone_chain(pts)
     return keep, pts, ring
 
@@ -162,11 +157,14 @@ def _monotone_chain(pts: np.ndarray) -> list[int]:
     def half(indices) -> list[int]:
         out: list[int] = []
         for i in indices:
-            while len(out) >= 2 and (
-                _cross(xs[out[-2]], ys[out[-2]], xs[out[-1]], ys[out[-1]], xs[i], ys[i])
-                <= 0.0
-            ):
-                out.pop()
+            bx, by = xs[i], ys[i]
+            while len(out) >= 2:
+                o, a = out[-2], out[-1]
+                ox, oy = xs[o], ys[o]
+                if (xs[a] - ox) * (by - oy) - (ys[a] - oy) * (bx - ox) <= 0.0:
+                    out.pop()
+                else:
+                    break
             out.append(i)
         return out
 
@@ -195,21 +193,31 @@ def convex_hull(points) -> PolygonChain:
     dist += (y - c[1]) ** 2
     np.sqrt(dist, out=dist)
     kth = len(dist) - _far_count(len(dist))
-    keep, _, ring = _circle_hull(dist, np.partition(dist, kth)[kth], pts.__getitem__, c, float)
+
+    def select(floor):
+        keep = np.flatnonzero(dist >= floor)
+        return keep, pts[keep]
+
+    keep, _, ring = _circle_hull(select, np.partition(dist, kth)[kth], c, float)
     return PolygonChain(tuple(_rotate_min_first([int(keep[i]) for i in ring])))
 
 
 def uniform_hull(
-    params: BetaParams, angle_u: np.ndarray, radius_u: np.ndarray
+    params: BetaParams, angle_u, radius_u
 ) -> tuple[np.ndarray, np.ndarray, PolygonChain]:
     """Hull of the points that ``polar_from_uniforms`` makes of two uniform blocks.
 
-    A radius increases with its uniform, so ``_circle_hull`` runs about the
-    origin on ``radius_u``: the far set is ``u >= 1 - _far_count(N) / N``
-    (every point below ``_CIRCLE_MIN_POINTS``), and a radius's key floor is
-    ``sampler.radius_uniform_floor``.  Only the points the test looks at get
-    a radius, an angle and coordinates: every point when the origin is not
-    strictly inside the far set's hull.  The blocks are left as they are.
+    The blocks are arrays or, as ``sampler.stream_uniforms`` gives them
+    for large trials, ``sampler.UniformStream``s; ``select_uniforms`` reads
+    either a chunk at a time.  A radius increases with its uniform, so
+    ``_circle_hull`` runs about the origin on ``radius_u``: the far set is
+    ``u >= 1 - _far_count(N) / N`` (every point below
+    ``_CIRCLE_MIN_POINTS``), a threshold known before any chunk is read,
+    and a radius's key floor is ``sampler.radius_uniform_floor``.  The
+    blocks are read a second time, which replays a stream, only when the far
+    set falls short.  Only the points a read selects get a radius, an angle
+    and coordinates: every point when the origin is not strictly inside the
+    far set's hull.  Array blocks are left as they are.
 
     Returns the kept indices (sorted), their coordinates, which are the rows
     of ``cartesian(*polar_from_uniforms(params, angle_u, radius_u))`` at
@@ -220,11 +228,12 @@ def uniform_hull(
     N = len(radius_u)
     far_floor = 1.0 - _far_count(N) / N if N >= _CIRCLE_MIN_POINTS else -math.inf
 
-    def coords(i):
-        return cartesian(*polar_from_uniforms(params, angle_u[i], radius_u[i]))
+    def select(floor):
+        keep, a, r = select_uniforms(angle_u, radius_u, floor)
+        return keep, cartesian(*polar_from_uniforms(params, a, r))
 
     floor = partial(radius_uniform_floor, params)
-    keep, pts, ring = _circle_hull(radius_u, far_floor, coords, np.zeros(2), floor)
+    keep, pts, ring = _circle_hull(select, far_floor, np.zeros(2), floor)
     return keep, pts, PolygonChain(tuple(_rotate_min_first(ring)))
 
 

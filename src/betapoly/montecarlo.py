@@ -36,8 +36,8 @@ from .sampler import (
     SeedPolicy,
     cartesian,
     check_vertex_count,
-    draw_uniforms,
     polar_from_uniforms,
+    stream_uniforms,
 )
 
 DEFAULT_SHAPE_WINDOW = (0.05, 0.6)
@@ -147,18 +147,20 @@ class ConsistencyReport:
 
 
 def _run_one(args) -> TrialRecord:
-    """One trial: ``draw_uniforms -> uniform_hull -> max_kgon``.
+    """One trial: ``stream_uniforms -> uniform_hull -> max_kgon``.
 
     The trial's points are ``sample_batch(params, N, policy, trial_index)``,
-    left as uniforms.  ``uniform_hull`` gives coordinates only to the points
-    its circle test looks at, which are that array's rows bit for bit, so
-    ``H`` and ``hull_size`` equal those of
+    left as uniforms and, above ``sampler._CHUNK`` points, drawn a chunk at
+    a time, so a trial holds ``O(_CHUNK)`` uniforms and the ``O(sqrt N)``
+    points its circle test keeps (more where ``beta`` nears -1), not ``N``.
+    ``uniform_hull`` gives coordinates only to those points, which are that
+    array's rows bit for bit, so ``H`` and ``hull_size`` equal those of
     ``sample_batch -> convex_hull -> max_kgon`` bit for bit.
     """
     objective, n, beta, master_seed, N, trial_index, M, A = args
     start = time.perf_counter()
-    rng = SeedPolicy(master_seed).trial_generator(trial_index)
-    _, points, hull = uniform_hull(BetaParams(beta), *draw_uniforms(rng, N))
+    blocks = stream_uniforms(SeedPolicy(master_seed), trial_index, N)
+    _, points, hull = uniform_hull(BetaParams(beta), *blocks)
     result = max_kgon(hull, points, n, objective)
     elapsed = time.perf_counter() - start
     return TrialRecord(
@@ -190,7 +192,8 @@ def run_trials(config: SimConfig, threads: int | None = None) -> list[TrialRecor
         for N in config.N_list
         for t in range(config.trials)
     ]
-    workers = _workers(threads)
+    # A fork-started pool starts all its workers at once: start no idle ones.
+    workers = min(_workers(threads), len(jobs))
     if workers == 1 or len(jobs) < 4:
         return [_run_one(j) for j in jobs]
     chunk = max(1, len(jobs) // (8 * workers))

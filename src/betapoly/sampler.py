@@ -27,6 +27,11 @@ to 2^(beta+1) times the exact tail, and near ``beta = -1`` the floor falls
 toward 0 (below 0.035 at ``beta = -0.999``), so nearly every point is
 kept.  It is exactly 0, keeping every point, for radii below ~1e-6 or not
 positive.
+
+A trial need not hold its uniforms: above ``_CHUNK`` points
+``stream_uniforms`` gives its blocks as ``UniformStream``s, which draw any
+slice on demand, and ``select_uniforms`` reads arrays and streams alike,
+``_CHUNK`` points at a time.
 """
 
 from __future__ import annotations
@@ -40,6 +45,10 @@ from pathlib import Path
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
+# Most points select_uniforms reads at once, and the most stream_uniforms
+# draws whole.  Bounds memory (and keeps the working set in cache) only: any
+# value gives the same doubles and the same points.
+_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -71,10 +80,12 @@ class SeedPolicy:
     """Deterministic stream derivation for reproducible (parallel) sampling.
 
     Trial ``t`` draws from ``PCG64(SeedSequence((master_seed, t)))``.  Within
-    a trial the stream is consumed in a fixed order (the whole angle block
-    first, then the radius block), so every coordinate is a pure function of
-    ``(master_seed, trial_index, point_index)`` regardless of thread count or
-    scheduling.
+    a trial the stream has a fixed layout (the whole angle block first, then
+    the radius block), so every coordinate is a pure function of
+    ``(master_seed, trial_index, point_index)`` regardless of thread count,
+    scheduling or the order the stream is read in: a streamed trial reads
+    both blocks in lockstep chunks, the radius block from a second generator
+    jumped past the angle block (``trial_generator``'s ``skip``).
     """
 
     master_seed: int
@@ -206,6 +217,67 @@ def draw_uniforms(rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.
     of the generator's state.
     """
     return rng.random(count), rng.random(count)
+
+
+class UniformStream:
+    """Draws ``[skip, skip + count)`` of trial ``trial_index``'s stream, as a block read by slices.
+
+    ``stream[lo:hi]`` is ``policy.trial_generator(trial_index).random(skip +
+    hi)[skip + lo:]`` bit for bit, drawn when asked for.  A slice that starts
+    where the last one ended continues that slice's generator; any other
+    slice, such as a second pass from 0, jumps a fresh generator to it.  So
+    the stream holds no uniforms, and reading it again replays its doubles.
+    """
+
+    def __init__(self, policy: SeedPolicy, trial_index: int, skip: int, count: int):
+        self._policy, self._trial, self._skip, self._count = policy, trial_index, skip, count
+        self._rng, self._at = None, -1
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, part: slice) -> np.ndarray:
+        lo, hi, step = part.indices(self._count)
+        if step != 1:
+            raise ValueError("a UniformStream reads contiguous slices only")
+        if lo != self._at:
+            self._rng = self._policy.trial_generator(self._trial, skip=self._skip + lo)
+        count = max(0, hi - lo)
+        self._at = lo + count
+        return self._rng.random(count)
+
+
+def stream_uniforms(
+    policy: SeedPolicy, trial_index: int, count: int
+) -> tuple[np.ndarray, np.ndarray] | tuple[UniformStream, UniformStream]:
+    """The angle and radius blocks ``draw_uniforms`` draws for trial ``trial_index``.
+
+    Up to ``_CHUNK`` points they are its arrays, from one generator.  Beyond
+    that they are two ``UniformStream``s, the radius block starting
+    ``count`` draws in, so ``select_uniforms`` never holds a whole block.
+    """
+    if count <= _CHUNK:
+        return draw_uniforms(policy.trial_generator(trial_index), count)
+    return (
+        UniformStream(policy, trial_index, 0, count),
+        UniformStream(policy, trial_index, count, count),
+    )
+
+
+def select_uniforms(angle_u, radius_u, floor: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The points with ``radius_u >= floor``: their indices (sorted) and their two uniforms.
+
+    ``angle_u`` and ``radius_u`` are blocks of one length, arrays or
+    ``UniformStream``s, read ``_CHUNK`` points at a time in lockstep: a
+    stream is drawn once per call and never held whole.  The uniforms
+    returned are copies; array blocks are left as they are.
+    """
+    parts = []
+    for lo in range(0, len(radius_u), _CHUNK):
+        a, r = angle_u[lo : lo + _CHUNK], radius_u[lo : lo + _CHUNK]
+        i = np.flatnonzero(r >= floor)
+        parts.append((i + lo, a[i], r[i]))
+    return tuple(np.concatenate(p) for p in zip(*parts))
 
 
 def polar_from_uniforms(

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from betapoly import geometry
+from betapoly import geometry, sampler
 from betapoly.geometry import (
     Objective,
     PolygonChain,
@@ -256,16 +256,53 @@ def _uniform_clouds(draw):
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
-@given(_uniform_clouds())
-def test_uniform_hull_equals_convex_hull_of_the_whole_cloud(cloud):
+@given(_uniform_clouds(), st.sampled_from([None, 1, 7, 64]))
+def test_uniform_hull_equals_convex_hull_of_the_whole_cloud(cloud, chunk):
+    # As one chunk (None: the default size) and split into several.
     params, angle_u, radius_u = cloud
     blocks = angle_u.copy(), radius_u.copy()
     pts = cartesian(*polar_from_uniforms(params, angle_u.copy(), radius_u.copy()))
-    keep, kept_pts, hull = uniform_hull(params, angle_u, radius_u)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(sampler, "_CHUNK", chunk or sampler._CHUNK)
+        keep, kept_pts, hull = uniform_hull(params, angle_u, radius_u)
     assert np.array_equal(angle_u, blocks[0]) and np.array_equal(radius_u, blocks[1])
     assert np.array_equal(kept_pts, pts[keep])
     mapped = tuple(int(keep[i]) for i in hull.vertex_indices)
     assert mapped == convex_hull(pts).vertex_indices
+
+
+@pytest.mark.parametrize("chunk", [97, 128, 1_000])
+def test_uniform_hull_keeps_the_smallest_copy_across_chunk_boundaries(monkeypatch, chunk):
+    # Copies of hull vertices before and after the originals, each in
+    # another chunk, and the chunks read once (20 000 points) or twice
+    # (500): every hull vertex is the smallest index of its copies.
+    params = BetaParams(0.0)
+    monkeypatch.setattr(sampler, "_CHUNK", chunk)
+    for N, step, chains in ((500, 1, 2), (20_000, 8, 1)):
+        blocks = draw_uniforms(SeedPolicy(37).trial_generator(0), N)
+        keep, _, hull = uniform_hull(params, *blocks)
+        ring = keep[list(hull.vertex_indices)]
+        dup = [np.concatenate([u[ring[:: 2 * step]], u, u[ring[::step]]]) for u in blocks]
+        sizes = _chain_sizes(monkeypatch, lambda: _assert_uniform_hull_exact(params, *dup))
+        assert len(sizes) == chains
+        keep, _, hull = uniform_hull(params, *dup)
+        for i in keep[list(hull.vertex_indices)]:
+            same = np.flatnonzero((dup[0] == dup[0][i]) & (dup[1] == dup[1][i]))
+            assert i == same.min() and (len(same) >= 2 or step > 1)
+
+
+def test_uniform_hull_keeps_the_smallest_copy_next_to_a_chunk_boundary(monkeypatch):
+    # A hull vertex that ends a chunk and its copy that starts the next.
+    params = BetaParams(0.0)
+    angle_u, radius_u = draw_uniforms(SeedPolicy(41).trial_generator(0), 2_000)
+    keep, _, hull = uniform_hull(params, angle_u, radius_u)
+    v = int(keep[hull.vertex_indices[len(hull.vertex_indices) // 2]])
+    dup = [np.insert(u, v + 1, u[v]) for u in (angle_u, radius_u)]
+    monkeypatch.setattr(sampler, "_CHUNK", v + 1)
+    keep = _assert_uniform_hull_exact(params, *dup)
+    assert v in keep and v + 1 in keep
+    keep, _, hull = uniform_hull(params, *dup)
+    assert v in keep[list(hull.vertex_indices)] and v + 1 not in keep[list(hull.vertex_indices)]
 
 
 def test_prefilter_falls_back_on_collinear_cloud(monkeypatch):
@@ -491,6 +528,41 @@ def test_umax_value_equals_bruteforce_on_integer_clouds(case, objective):
         assert fast == slow
     else:
         assert fast == pytest.approx(slow, rel=1e-12, abs=0.0)
+
+
+@st.composite
+def _adversarial_clouds(draw):
+    """3 to 12 points where the hull's orientation tests are close calls.
+
+    A cocircular regular polygon, rotated and with each coordinate moved by
+    at most one ulp; or a random cloud scaled by 1e-8 or 1e8, or moved far
+    off the origin.  With a subset size.
+    """
+    N = draw(st.integers(3, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["regular", "scaled", "off-centre"]))
+    if kind == "regular":
+        angles = 2.0 * math.pi * np.arange(N) / N + draw(st.floats(0.0, 2.0 * math.pi))
+        pts = np.column_stack([np.cos(angles), np.sin(angles)])
+        ulps = rng.integers(-1, 2, pts.shape)
+        pts = np.where(ulps > 0, np.nextafter(pts, np.inf), pts)
+        pts = np.where(ulps < 0, np.nextafter(pts, -np.inf), pts)
+    elif kind == "scaled":
+        pts = rng.uniform(-1.0, 1.0, (N, 2)) * draw(st.sampled_from([1e-8, 1e8]))
+    else:
+        shift = draw(st.tuples(*[st.floats(-1e3, 1e3)] * 2))
+        pts = rng.uniform(-1.0, 1.0, (N, 2)) + shift
+    return pts, draw(st.integers(2, min(N, 5)))
+
+
+# Values only: on exact ties umax and the oracle may pick different cycles.
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_adversarial_clouds(), st.sampled_from(list(Objective)))
+def test_umax_value_equals_bruteforce_on_adversarial_clouds(case, objective):
+    pts, n = case
+    fast = umax(pts, n, objective).value
+    slow = umax_bruteforce(pts, n, objective).value
+    assert fast == pytest.approx(slow, rel=1e-12, abs=0.0)
 
 
 def test_umax_single_subset():

@@ -68,11 +68,31 @@ def test_sim_config_rejects_a_non_integer_n():
         _small_config(n=3.5)
 
 
-def test_a_trial_gives_radii_and_coordinates_to_few_points(monkeypatch):
-    # A trial filters its points on their radius uniforms, so at N = 10^5
-    # only ~1 000 points get the inverse CDF, an angle and cos/sin.  A return
-    # to whole-array transcendental functions shows here as N radii.
-    N = 100_000
+class _CountingGenerator:
+    """A generator that records the size of each ``random`` request."""
+
+    def __init__(self, rng, requests):
+        self._rng, self._requests = rng, requests
+
+    def random(self, size):
+        self._requests.append(size)
+        return self._rng.random(size)
+
+
+def _count_draws(monkeypatch):
+    """Record every draw request of a trial generator; returns the list of sizes."""
+    requests = []
+    make = SeedPolicy.trial_generator
+
+    def counting(self, trial_index, skip=0):
+        return _CountingGenerator(make(self, trial_index, skip), requests)
+
+    monkeypatch.setattr(SeedPolicy, "trial_generator", counting)
+    return requests
+
+
+def _assert_trial_touches_few_points(monkeypatch, N):
+    """Run one trial of N points and check what it draws and converts."""
     counts = {"radii": 0, "coordinates": 0}
 
     def counted(fn, key):
@@ -82,16 +102,36 @@ def test_a_trial_gives_radii_and_coordinates_to_few_points(monkeypatch):
 
         return wrapper
 
+    pts = sample_batch(BetaParams(0.0), N, SeedPolicy(42), 0)
     inverse = counted(sampler._radius_from_uniform, "radii")
     monkeypatch.setattr(sampler, "_radius_from_uniform", inverse)
     for module in (geometry, montecarlo):
         monkeypatch.setattr(module, "cartesian", counted(sampler.cartesian, "coordinates"))
+    draws = _count_draws(monkeypatch)
     law = law_for(Objective.PERIMETER, 3, 0.0)
     record = montecarlo._run_one((Objective.PERIMETER, 3, 0.0, 42, N, 0, law.M, law.A))
-    assert 0 < counts["radii"] < N // 20
-    assert 0 < counts["coordinates"] < N // 20
-    pts = sample_batch(BetaParams(0.0), N, SeedPolicy(42), 0)
+    bound = min(N // 20, sampler._CHUNK + 8 * math.isqrt(N))
+    assert 0 < counts["radii"] < bound
+    assert 0 < counts["coordinates"] < bound
+    assert N > sampler._CHUNK and max(draws) <= sampler._CHUNK
+    assert sum(draws) in (2 * N, 4 * N)  # one pass, or a replay
     assert record.H == max_kgon(convex_hull(pts), pts, 3, Objective.PERIMETER).value
+
+
+def test_a_trial_gives_radii_and_coordinates_to_few_points(monkeypatch):
+    # A trial filters its points on their radius uniforms, so at N = 10^5
+    # only ~1 000 points get the inverse CDF, an angle and cos/sin.  A return
+    # to whole-array transcendental functions shows here as N radii.  Beyond
+    # a chunk the uniforms are streamed: no draw asks for more than a chunk,
+    # and radii and coordinates stay below a chunk plus O(sqrt N).
+    _assert_trial_touches_few_points(monkeypatch, 100_000)
+
+
+def test_a_trial_of_many_chunks_holds_a_chunk_of_uniforms_at_a_time(monkeypatch):
+    # 245 chunks of 4 096: the radii and coordinates, ~2 sqrt N, stay far
+    # below N / 20.
+    monkeypatch.setattr(sampler, "_CHUNK", 4096)
+    _assert_trial_touches_few_points(monkeypatch, 1_000_000)
 
 
 def test_run_trials_deterministic_across_workers():
@@ -167,6 +207,61 @@ def test_trials_equal_the_full_sample_path(objective, beta):
         hull, pts = hulls[r.N, r.trial_index]
         assert max_kgon(hull, pts, cfg.n, objective).value == r.H
         assert len(hull.vertex_indices) == r.hull_size
+
+
+@pytest.mark.parametrize("chunk", [97, 128, 1_000])
+def test_chunked_trials_equal_the_full_sample_path(monkeypatch, chunk):
+    # The stream read in chunks of any size, most trials over several of
+    # them, gives H and hull sizes bit-equal to the whole sample's.
+    monkeypatch.setattr(sampler, "_CHUNK", chunk)
+    for beta, Ns in ((-0.9, (300, 1_100)), (0.0, (300, 2_500)), (2.0, (300, 2_500))):
+        cfg = _small_config(beta=beta, N_list=Ns, trials=2)
+        for r in run_trials(cfg, threads=1):
+            pts = sample_batch(BetaParams(beta), r.N, SeedPolicy(cfg.master_seed), r.trial_index)
+            hull = convex_hull(pts)
+            assert max_kgon(hull, pts, cfg.n, cfg.objective).value == r.H
+            assert len(hull.vertex_indices) == r.hull_size
+
+
+def test_a_streamed_trial_replays_its_stream_when_the_far_set_falls_short(monkeypatch):
+    # At seed 42, beta = 0, N = 1 000 the far set's disk floor falls below
+    # the far set's own floor, so a streamed trial draws its stream twice,
+    # a chunk at a time.
+    N = 1_000
+    pts = sample_batch(BetaParams(0.0), N, SeedPolicy(42), 0)
+    expected = max_kgon(convex_hull(pts), pts, 3, Objective.AREA)
+    monkeypatch.setattr(sampler, "_CHUNK", 97)
+    draws = _count_draws(monkeypatch)
+    law = law_for(Objective.AREA, 3, 0.0)
+    record = montecarlo._run_one((Objective.AREA, 3, 0.0, 42, N, 0, law.M, law.A))
+    assert sum(draws) == 4 * N and max(draws) == 97
+    assert (record.H, record.hull_size) == (expected.value, len(convex_hull(pts).vertex_indices))
+
+
+def test_run_trials_starts_no_more_workers_than_trials(monkeypatch):
+    # A fork-started pool starts every worker at once, so 16 threads on 8
+    # trials must ask for 8.  The pool is replaced by an in-process one.
+    started = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs, chunksize=1):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InProcessPool)
+    cfg = _small_config(N_list=(40,), trials=8)
+    runs = [run_trials(cfg, threads=t) for t in (16, 1)]
+    assert started == [8]
+    keys = [[(r.N, r.trial_index, r.H, r.hull_size) for r in recs] for recs in runs]
+    assert keys[0] == keys[1]
 
 
 def test_empirical_cdf_evaluate():

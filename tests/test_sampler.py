@@ -5,10 +5,12 @@ import pytest
 from scipy.integrate import quad
 
 import helpers
+from betapoly import sampler
 from betapoly.sampler import (
     TWO_PI,
     BetaParams,
     SeedPolicy,
+    UniformStream,
     _radius_from_uniform,
     cartesian,
     check_vertex_count,
@@ -18,6 +20,8 @@ from betapoly.sampler import (
     radius_uniform_floor,
     read_points_csv,
     sample_batch,
+    select_uniforms,
+    stream_uniforms,
     write_points_csv,
 )
 
@@ -127,6 +131,50 @@ def test_skipped_block_matches_draw_points_slice(beta):
         radii = policy.trial_generator(3, skip=m * n + lo).random(hi - lo)
         block = cartesian(*polar_from_uniforms(params, angles, radii))
         assert np.array_equal(block, whole[lo:hi])
+
+
+def test_uniform_stream_slices_are_the_drawn_blocks():
+    # In order, out of order, overlapping and again from the start, every
+    # slice of a stream is the same slice of draw_uniforms' blocks.
+    policy, N = SeedPolicy(61), 1_000
+    whole = draw_uniforms(policy.trial_generator(4), N)
+    streams = UniformStream(policy, 4, 0, N), UniformStream(policy, 4, N, N)
+    assert len(streams[0]) == len(streams[1]) == N
+    for lo, hi in ((0, 97), (97, 500), (500, 1_000), (0, 1_000), (250, 260), (3, 3), (990, 5_000)):
+        for stream, block in zip(streams, whole):
+            assert np.array_equal(stream[lo:hi], block[lo:hi])
+    with pytest.raises(ValueError, match="contiguous"):
+        streams[0][::2]
+
+
+def test_stream_uniforms_draws_small_trials_whole(monkeypatch):
+    # Up to a chunk the blocks are draw_uniforms' arrays; beyond it they are
+    # streams of the same doubles.
+    policy = SeedPolicy(62)
+    monkeypatch.setattr(sampler, "_CHUNK", 100)
+    for N in (99, 100):
+        blocks = stream_uniforms(policy, 1, N)
+        assert all(isinstance(b, np.ndarray) for b in blocks)
+        assert all(map(np.array_equal, blocks, draw_uniforms(policy.trial_generator(1), N)))
+    streamed = stream_uniforms(policy, 1, 101)
+    assert all(isinstance(b, UniformStream) for b in streamed)
+    whole = draw_uniforms(policy.trial_generator(1), 101)
+    assert all(np.array_equal(s[0:101], b) for s, b in zip(streamed, whole))
+
+
+@pytest.mark.parametrize("chunk", [1, 97, 128, 1_000, 1 << 16])
+def test_select_uniforms_is_the_same_on_arrays_and_streams_in_any_chunks(monkeypatch, chunk):
+    policy, N = SeedPolicy(63), 1_000
+    monkeypatch.setattr(sampler, "_CHUNK", chunk)
+    angle_u, radius_u = draw_uniforms(policy.trial_generator(0), N)
+    blocks = angle_u.copy(), radius_u.copy()
+    streams = UniformStream(policy, 0, 0, N), UniformStream(policy, 0, N, N)
+    for floor in (-math.inf, 0.0, 0.5, 0.99, 1.0):
+        keep = np.flatnonzero(radius_u >= floor)
+        for source in (blocks, streams, streams):  # the second stream pass replays
+            got = select_uniforms(*source, floor)
+            assert all(map(np.array_equal, got, (keep, angle_u[keep], radius_u[keep])))
+    assert np.array_equal(blocks[0], angle_u) and np.array_equal(blocks[1], radius_u)
 
 
 def test_cartesian_rows_of_any_subset_are_the_rows_of_the_whole_batch():
