@@ -24,7 +24,7 @@ from functools import partial
 
 import numpy as np
 
-from .sampler import BetaParams, cartesian, check_vertex_count, polar_from_uniforms
+from .sampler import BetaParams, check_vertex_count, points_from_uniforms
 from .sampler import radius_uniform_floor, select_uniforms
 
 # Below this size the circle test of _circle_hull costs more than it saves.
@@ -205,9 +205,9 @@ def convex_hull(points) -> PolygonChain:
 def uniform_hull(
     params: BetaParams, angle_u, radius_u
 ) -> tuple[np.ndarray, np.ndarray, PolygonChain]:
-    """Hull of the points that ``polar_from_uniforms`` makes of two uniform blocks.
+    """Hull of the points that ``points_from_uniforms`` makes of two uniform blocks.
 
-    The blocks are arrays or, as ``sampler.stream_uniforms`` gives them
+    The blocks are arrays or, as ``sampler.uniform_blocks`` gives them
     for large trials, ``sampler.UniformStream``s; ``select_uniforms`` reads
     either a chunk at a time.  A radius increases with its uniform, so
     ``_circle_hull`` runs about the origin on ``radius_u``: the far set is
@@ -220,8 +220,8 @@ def uniform_hull(
     far set's hull.  Array blocks are left as they are.
 
     Returns the kept indices (sorted), their coordinates, which are the rows
-    of ``cartesian(*polar_from_uniforms(params, angle_u, radius_u))`` at
-    those indices bit for bit (each map is elementwise), and their hull as
+    of ``points_from_uniforms(params, angle_u, radius_u)`` at those
+    indices bit for bit (the map is elementwise), and their hull as
     positions into the kept points.  Mapped through the kept indices, that
     hull is ``convex_hull`` of the whole sample.
     """
@@ -230,7 +230,7 @@ def uniform_hull(
 
     def select(floor):
         keep, a, r = select_uniforms(angle_u, radius_u, floor)
-        return keep, cartesian(*polar_from_uniforms(params, a, r))
+        return keep, points_from_uniforms(params, a, r)
 
     floor = partial(radius_uniform_floor, params)
     keep, pts, ring = _circle_hull(select, far_floor, np.zeros(2), floor)
@@ -247,11 +247,6 @@ def polygon_perimeter(chain: PolygonChain, points) -> float:
     """Cyclic edge-length sum; a 2-point chain counts its segment twice."""
     pts = as_points_array(points)
     idx = chain.vertex_indices
-    if len(idx) < 2:
-        return 0.0
-    if len(idx) == 2:
-        a, b = pts[idx[0]], pts[idx[1]]
-        return 2.0 * math.hypot(b[0] - a[0], b[1] - a[1])
     total = 0.0
     for i in range(len(idx)):
         a = pts[idx[i]]
@@ -264,8 +259,6 @@ def polygon_area(chain: PolygonChain, points) -> float:
     """Signed shoelace area: positive for CCW chains, 0 for degenerate ones."""
     pts = as_points_array(points)
     idx = chain.vertex_indices
-    if len(idx) < 3:
-        return 0.0
     total = 0.0
     for i in range(len(idx)):
         ax, ay = pts[idx[i]]

@@ -27,9 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Objective, hull_functional
-from .sampler import BetaParams, check_vertex_count
-
-TWO_PI = 2.0 * math.pi
+from .sampler import BetaParams, cartesian, check_vertex_count
 
 # Finite-difference defaults.  The Hessian step balances second-difference
 # truncation (~h^2) against roundoff (~eps/h^2); 1e-5 is too small for the
@@ -72,14 +70,14 @@ class KernelSpec:
             raise ValueError(f"expected angles (..., {self.n - 1}) and radii (..., {self.n})")
         lead = np.broadcast_shapes(a.shape[:-1], r.shape[:-1])
         phi = np.concatenate((np.zeros(a.shape[:-1] + (1,)), a), axis=-1)
-        pts = np.stack((r * np.cos(phi), r * np.sin(phi)), axis=-1)
-        values = hull_functional(pts.reshape(-1, self.n, 2), self.objective).reshape(lead)
+        pts = cartesian(phi, r).reshape(-1, self.n, 2)
+        values = hull_functional(pts, self.objective).reshape(lead)
         return float(values) if a.ndim == r.ndim == 1 else values
 
     @property
     def maximizer(self) -> Point:
         """The regular n-gon on the unit circle as ``(angles, radii)``."""
-        return TWO_PI * np.arange(1, self.n) / self.n, np.ones(self.n)
+        return math.tau * np.arange(1, self.n) / self.n, np.ones(self.n)
 
 
 @dataclass(frozen=True)
@@ -203,7 +201,7 @@ def compute_I(spec: KernelSpec, analysis: MaximizerAnalysis, beta: float) -> flo
 
 def analytic_det_negG(objective: Objective, n: int) -> float:
     """Closed-form det(-G) at any maximizer of the kernel."""
-    ang = math.pi / n if objective is Objective.PERIMETER else TWO_PI / n
+    ang = math.pi / n if objective is Objective.PERIMETER else math.tau / n
     return 2.0 ** (1 - n) * n * math.sin(ang) ** (n - 1)
 
 
@@ -215,7 +213,7 @@ def analytic_radial_partial(objective: Objective, n: int) -> float:
     """
     if objective is Objective.PERIMETER:
         return 2.0 * math.sin(math.pi / n)
-    return math.sin(TWO_PI / n)
+    return math.sin(math.tau / n)
 
 
 def analytic_I(objective: Objective, n: int, beta: float) -> float:

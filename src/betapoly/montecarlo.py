@@ -34,19 +34,19 @@ from .limits import LimitLaw, compute_K, extremal_value, law_for, shape_C, weibu
 from .sampler import (
     BetaParams,
     SeedPolicy,
-    cartesian,
+    check_integer,
     check_vertex_count,
-    polar_from_uniforms,
-    stream_uniforms,
+    points_from_uniforms,
+    uniform_blocks,
 )
 
 DEFAULT_SHAPE_WINDOW = (0.05, 0.6)
 MIN_FIT_POINTS = 100
 MIN_EXPECTED_HITS = 100.0
 CONSISTENCY_DELTA = 0.01
-# Tuples per tail_probe chunk.  Each chunk takes its angles, then its radii,
-# from the epsilon's stream, so this fixes the stream: changing it changes
-# the hits.
+# Tuples per tail_probe chunk.  Each chunk takes its uniform_blocks from the
+# epsilon's stream, so this fixes which uniforms make up which tuple:
+# changing it changes the hits.
 _TAIL_CHUNK = 250_000
 # Most tuples a tail_probe job scores at once.  Bounds memory (and keeps the
 # working set in cache) only: any value gives the same hits.
@@ -67,10 +67,15 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         check_vertex_count(self.n)
+        BetaParams(self.beta)
+        SeedPolicy(self.master_seed)
+        check_integer(self.trials, "trials")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if not self.N_list:
             raise ValueError("N_list must be nonempty")
+        for N in self.N_list:
+            check_integer(N, "every N")
         if any(N < self.n for N in self.N_list):
             raise ValueError(f"every N must be >= n={self.n}, got {self.N_list}")
         if not (self.consistency_delta > 0.0):
@@ -147,19 +152,20 @@ class ConsistencyReport:
 
 
 def _run_one(args) -> TrialRecord:
-    """One trial: ``stream_uniforms -> uniform_hull -> max_kgon``.
+    """One trial: ``uniform_blocks -> uniform_hull -> max_kgon``.
 
     The trial's points are ``sample_batch(params, N, policy, trial_index)``,
-    left as uniforms and, above ``sampler._CHUNK`` points, drawn a chunk at
-    a time, so a trial holds ``O(_CHUNK)`` uniforms and the ``O(sqrt N)``
-    points its circle test keeps (more where ``beta`` nears -1), not ``N``.
+    its stream's blocks at draw 0, left as uniforms and, above
+    ``sampler._CHUNK`` points, drawn a chunk at a time, so a trial holds
+    ``O(_CHUNK)`` uniforms and the ``O(sqrt N)`` points its circle test
+    keeps (more where ``beta`` nears -1), not ``N``.
     ``uniform_hull`` gives coordinates only to those points, which are that
     array's rows bit for bit, so ``H`` and ``hull_size`` equal those of
     ``sample_batch -> convex_hull -> max_kgon`` bit for bit.
     """
     objective, n, beta, master_seed, N, trial_index, M, A = args
     start = time.perf_counter()
-    blocks = stream_uniforms(SeedPolicy(master_seed), trial_index, N)
+    blocks = uniform_blocks(SeedPolicy(master_seed), trial_index, N)
     _, points, hull = uniform_hull(BetaParams(beta), *blocks)
     result = max_kgon(hull, points, n, objective)
     elapsed = time.perf_counter() - start
@@ -269,17 +275,15 @@ def tail_prefactor(objective: Objective, n: int, beta: float) -> float:
 def _tail_hits(params, objective, n, policy, k, threshold, start, m, lo, hi) -> int:
     """Hits among tuples ``[lo, hi)`` of the chunk of ``m`` tuples at tuple ``start``.
 
-    The chunk owns raw draws ``[2ns, 2ns + nm)`` of stream ``k`` for its
-    angles and the next ``nm`` for its radii, so two generators jumped ahead
-    to tuple ``lo`` of the angle block and of the radius block reproduce the
-    sequential draws.
+    The chunk's points are the ``n m`` points of ``uniform_blocks`` at draw
+    ``2 n start`` of stream ``k``, so tuple ``j`` of the chunk is its points
+    ``[n j, n j + n)``, and a job reads only its slice of them.
     """
-    angles = policy.trial_generator(k, skip=n * (2 * start + lo))
-    radii = policy.trial_generator(k, skip=n * (2 * start + m + lo))
+    angle_u, radius_u = uniform_blocks(policy, k, n * m, skip=2 * n * start)
     hits = 0
-    for b in range(lo, hi, _TAIL_BLOCK):
-        count = n * min(_TAIL_BLOCK, hi - b)
-        pts = cartesian(*polar_from_uniforms(params, angles.random(count), radii.random(count)))
+    for b in range(n * lo, n * hi, n * _TAIL_BLOCK):
+        part = slice(b, min(b + n * _TAIL_BLOCK, n * hi))
+        pts = points_from_uniforms(params, angle_u[part], radius_u[part])
         vals = hull_functional(pts.reshape(-1, n, 2), objective)
         hits += int(np.count_nonzero(vals >= threshold))
     return hits
@@ -298,12 +302,13 @@ def tail_probe(
 
     The grid is sorted descending and each epsilon gets its own derived
     stream, so the result depends only on the grid as a set.  The stream is
-    consumed in chunks of ``_TAIL_CHUNK`` tuples, each drawing its angle
-    block and then its radius block; the chunk size fixes which uniforms make
-    up which tuple.  Each chunk is split into up to ``threads`` jobs (``None``
-    means ``os.cpu_count()``) that jump ahead to their slice of the stream,
-    run on a thread pool and score at most ``_TAIL_BLOCK`` tuples at a time,
-    which bounds memory only.  The pool gets no more threads than the probe
+    consumed in chunks of ``_TAIL_CHUNK`` tuples, each the
+    ``sampler.uniform_blocks`` of its points; the chunk size fixes which
+    uniforms make up which tuple.  Each chunk is split into up to
+    ``threads`` jobs (``None`` means ``os.cpu_count()``) that read their
+    slice of its blocks (a streamed block jumps ahead to it), run on a
+    thread pool and score at most ``_TAIL_BLOCK`` tuples at a time, which
+    bounds memory only.  The pool gets no more threads than the probe
     has full chunks of tuples, so a small probe runs in the calling thread.
     Hits are integer sums over the jobs, so the result is identical for
     every thread count.  Guards each epsilon by requiring >= 100 expected
@@ -311,16 +316,19 @@ def tail_probe(
     from the fit with a warning.
 
     Raises:
-        ValueError: on a bad grid, a guard violation, ``threads < 1``, or
-        < 2 nonzero probabilities to fit.
+        ValueError: on a bad grid, a guard violation, ``threads < 1``, a
+        ``draws_per_epsilon`` or ``seed`` that is not an integer, or < 2
+        nonzero probabilities to fit.
     """
     workers = _workers(threads)
+    policy = SeedPolicy(seed)
     eps = tuple(sorted({float(e) for e in epsilon_grid}, reverse=True))
     if len(eps) < 2:
         raise ValueError("epsilon grid must contain at least 2 distinct values")
     M = extremal_value(objective, n)
     if eps[0] >= M or eps[-1] <= 0.0:
         raise ValueError(f"epsilons must lie in (0, M={M:.6g}), got {eps}")
+    check_integer(draws_per_epsilon, "draws_per_epsilon")
     if draws_per_epsilon < 1:
         raise ValueError("draws_per_epsilon must be >= 1")
     prefactor = tail_prefactor(objective, n, beta)
@@ -335,7 +343,6 @@ def tail_probe(
             )
 
     params = BetaParams(beta)
-    policy = SeedPolicy(seed)
 
     # Below a chunk of tuples per thread, starting the pool and handing the
     # interpreter lock back and forth cost more than the second core gives

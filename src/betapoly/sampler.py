@@ -28,10 +28,10 @@ toward 0 (below 0.035 at ``beta = -0.999``), so nearly every point is
 kept.  It is exactly 0, keeping every point, for radii below ~1e-6 or not
 positive.
 
-A trial need not hold its uniforms: above ``_CHUNK`` points
-``stream_uniforms`` gives its blocks as ``UniformStream``s, which draw any
-slice on demand, and ``select_uniforms`` reads arrays and streams alike,
-``_CHUNK`` points at a time.
+``uniform_blocks`` lays out a stream's uniforms and ``points_from_uniforms``
+maps them to points, for ``sample_batch``, trials and tail chunks alike.
+Above ``_CHUNK`` points the blocks are ``UniformStream``s, which draw any
+slice on demand; ``select_uniforms`` reads both kinds ``_CHUNK`` at a time.
 """
 
 from __future__ import annotations
@@ -44,8 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
-TWO_PI = 2.0 * math.pi
-# Most points select_uniforms reads at once, and the most stream_uniforms
+# Most points select_uniforms reads at once, and the most uniform_blocks
 # draws whole.  Bounds memory (and keeps the working set in cache) only: any
 # value gives the same doubles and the same points.
 _CHUNK = 1 << 16
@@ -62,15 +61,20 @@ class BetaParams:
             raise ValueError(f"beta must be finite and > -1, got {self.beta}")
 
 
-def check_vertex_count(n, least: int = 2, owner: str = "a polygon") -> None:
-    """Reject a vertex count ``n`` that is not an integer ``>= least``.
+def check_integer(value, name: str) -> None:
+    """Reject a ``value`` that is not an integer, naming it ``name``.
 
-    The one rule for ``n`` across the package.  Python and numpy integers
-    pass; ``bool``, floats (whole ones such as ``4.0`` too) and non-numbers
-    raise ``ValueError``.
+    The one rule for counts and seeds across the package.  Python and numpy
+    integers pass; ``bool``, floats (whole ones such as ``4.0`` too) and
+    non-numbers raise ``ValueError``.
     """
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
-        raise ValueError(f"n must be an integer, got {n!r}")
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def check_vertex_count(n, least: int = 2, owner: str = "a polygon") -> None:
+    """Reject a vertex count ``n`` that is not an integer ``>= least``."""
+    check_integer(n, "n")
     if n < least:
         raise ValueError(f"{owner} needs n >= {least}, got {n}")
 
@@ -83,14 +87,13 @@ class SeedPolicy:
     a trial the stream has a fixed layout (the whole angle block first, then
     the radius block), so every coordinate is a pure function of
     ``(master_seed, trial_index, point_index)`` regardless of thread count,
-    scheduling or the order the stream is read in: a streamed trial reads
-    both blocks in lockstep chunks, the radius block from a second generator
-    jumped past the angle block (``trial_generator``'s ``skip``).
+    scheduling or the order the stream is read in (``uniform_blocks``).
     """
 
     master_seed: int
 
     def __post_init__(self) -> None:
+        check_integer(self.master_seed, "master_seed")
         if not (0 <= int(self.master_seed) < 2**64):
             raise ValueError(
                 f"master_seed must be a 64-bit unsigned integer, got {self.master_seed}"
@@ -121,7 +124,7 @@ def radius_cdf(params: BetaParams, s: float | np.ndarray) -> float | np.ndarray:
         ValueError: if any ``s`` falls outside [0, 1].
     """
     arr = np.asarray(s, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
+    if not np.all((arr >= 0.0) & (arr <= 1.0)):  # NaN fails both
         raise ValueError(f"radius must lie in [0, 1], got {s}")
     out = 1.0 - (1.0 - arr**2) ** (params.beta + 1.0)
     return float(out) if np.isscalar(s) or arr.ndim == 0 else out
@@ -198,25 +201,16 @@ def sample_batch(
 ) -> np.ndarray:
     """Draw ``count`` independent points as a float64 array of shape (count, 2).
 
-    Deterministic for fixed ``(master_seed, trial_index)``: the angle block is
-    drawn first, then the radius block, from the trial's own stream.
+    Deterministic for fixed ``(master_seed, trial_index)``: the points are
+    ``uniform_blocks(seed_policy, trial_index, count)`` read whole.
 
     Raises:
         ValueError: if ``count < 1``.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    blocks = draw_uniforms(seed_policy.trial_generator(trial_index), count)
-    return cartesian(*polar_from_uniforms(params, *blocks))
-
-
-def draw_uniforms(rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The uniforms of ``count`` points: the whole angle block, then the radius block.
-
-    The one stream layout of a drawn batch, so the points are a pure function
-    of the generator's state.
-    """
-    return rng.random(count), rng.random(count)
+    blocks = uniform_blocks(seed_policy, trial_index, count)
+    return points_from_uniforms(params, *(block[:] for block in blocks))
 
 
 class UniformStream:
@@ -247,20 +241,25 @@ class UniformStream:
         return self._rng.random(count)
 
 
-def stream_uniforms(
-    policy: SeedPolicy, trial_index: int, count: int
+def uniform_blocks(
+    policy: SeedPolicy, stream: int, count: int, skip: int = 0
 ) -> tuple[np.ndarray, np.ndarray] | tuple[UniformStream, UniformStream]:
-    """The angle and radius blocks ``draw_uniforms`` draws for trial ``trial_index``.
+    """The uniforms of ``count`` points of stream ``stream``, starting at its draw ``skip``.
 
-    Up to ``_CHUNK`` points they are its arrays, from one generator.  Beyond
-    that they are two ``UniformStream``s, the radius block starting
-    ``count`` draws in, so ``select_uniforms`` never holds a whole block.
+    The one stream layout: the angle block is draws ``[skip, skip + count)``
+    and the radius block the ``count`` draws after it.  A trial's points are
+    its blocks at ``skip = 0``; a tail chunk of ``m`` ``n``-tuples at tuple
+    ``start`` owns the blocks of ``n m`` points at ``skip = 2 n start``.  Up
+    to ``_CHUNK`` points the blocks are arrays, from one generator.  Beyond
+    that they are two ``UniformStream``s, so a reader never holds a whole
+    block; slicing either gives the same doubles.
     """
     if count <= _CHUNK:
-        return draw_uniforms(policy.trial_generator(trial_index), count)
+        rng = policy.trial_generator(stream, skip=skip)
+        return rng.random(count), rng.random(count)
     return (
-        UniformStream(policy, trial_index, 0, count),
-        UniformStream(policy, trial_index, count, count),
+        UniformStream(policy, stream, skip, count),
+        UniformStream(policy, stream, skip + count, count),
     )
 
 
@@ -280,27 +279,25 @@ def select_uniforms(angle_u, radius_u, floor: float) -> tuple[np.ndarray, np.nda
     return tuple(np.concatenate(p) for p in zip(*parts))
 
 
-def polar_from_uniforms(
-    params: BetaParams, angle_u: np.ndarray, radius_u: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Point ``i``'s angle and radius from ``angle_u[i]`` and ``radius_u[i]``, uniforms on [0, 1).
+def points_from_uniforms(params: BetaParams, angle_u, radius_u) -> np.ndarray:
+    """Point ``i``'s coordinates from ``angle_u[i]`` and ``radius_u[i]``, uniforms on [0, 1).
 
-    The one formula behind every drawn point.  Both blocks are overwritten
-    (with the angles and the radii) rather than copied, so blocks the caller
-    still holds add no memory to the draw.
+    The one formula behind every drawn point: angle ``2 pi u``, radius the
+    inverse of ``radius_cdf``.  Elementwise, so the rows of any subset of
+    uniforms are the same doubles as those rows of the whole block.  Both
+    blocks are overwritten (with the angles and the radii) rather than
+    copied, so blocks the caller still holds add no memory to the draw.
     """
-    phi = np.multiply(TWO_PI, angle_u, out=angle_u)
-    r = _radius_from_uniform(params, radius_u, out=radius_u)
-    return phi, r
+    phi = np.multiply(math.tau, angle_u, out=angle_u)
+    return cartesian(phi, _radius_from_uniform(params, radius_u, out=radius_u))
 
 
 def cartesian(phi: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Coordinates ``(r cos phi, r sin phi)`` as an array of shape ``(len(r), 2)``.
+    """Coordinates ``(r cos phi, r sin phi)``, stacked on a last axis of length 2.
 
-    Elementwise, so the rows of any subset of points are the same doubles
-    as the rows of the whole batch.
+    ``phi`` and ``r`` broadcast, so 1-D arguments give shape ``(len(r), 2)``.
     """
-    return np.column_stack((r * np.cos(phi), r * np.sin(phi)))
+    return np.stack((r * np.cos(phi), r * np.sin(phi)), axis=-1)
 
 
 def write_points_csv(path: str | Path, points: np.ndarray) -> None:

@@ -25,10 +25,9 @@ from betapoly.geometry import (
 from betapoly.sampler import (
     BetaParams,
     SeedPolicy,
-    cartesian,
-    draw_uniforms,
-    polar_from_uniforms,
+    points_from_uniforms,
     sample_batch,
+    uniform_blocks,
 )
 
 SQUARE = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
@@ -132,7 +131,7 @@ def _chain_sizes(monkeypatch, run):
 def _assert_uniform_hull_exact(params, angle_u, radius_u):
     """``uniform_hull`` mapped through its kept points equals the full monotone chain."""
     blocks = angle_u.copy(), radius_u.copy()
-    pts = cartesian(*polar_from_uniforms(params, *blocks))
+    pts = points_from_uniforms(params, *blocks)
     keep, kept_pts, hull = uniform_hull(params, angle_u, radius_u)
     assert np.array_equal(kept_pts, pts[keep])
     assert tuple(int(keep[i]) for i in hull.vertex_indices) == tuple(
@@ -153,7 +152,7 @@ def test_convex_hull_prefilter_agrees_with_direct_chain(monkeypatch):
 def test_uniform_hull_chains_the_far_set_alone_when_it_holds_every_vertex(monkeypatch, N, chains):
     # At seed 42, beta = 0, the floor of the far set's disk clears the far
     # set's own floor at N = 64 000 but not at N = 1 000.
-    blocks = draw_uniforms(SeedPolicy(42).trial_generator(0), N)
+    blocks = uniform_blocks(SeedPolicy(42), 0, N)
     params = BetaParams(0.0)
     sizes = _chain_sizes(monkeypatch, lambda: _assert_uniform_hull_exact(params, *blocks))
     assert len(sizes) == chains and sizes == sorted(sizes)
@@ -171,7 +170,7 @@ def test_convex_hull_chains_the_far_set_alone_when_it_holds_every_vertex(monkeyp
 def test_prefilter_exact_on_samples(monkeypatch, beta, N):
     pts = sample_batch(BetaParams(beta), N, SeedPolicy(23), N)
     _assert_convex_hull_exact(pts)
-    blocks = draw_uniforms(SeedPolicy(23).trial_generator(N), N)
+    blocks = uniform_blocks(SeedPolicy(23), N, N)
     keep = _assert_uniform_hull_exact(BetaParams(beta), *blocks)
     if N > 128 and beta >= 0.0:  # at beta = -0.99 most points are hull vertices
         assert len(_convex_hull_kept(monkeypatch, pts)) < N // 2
@@ -261,7 +260,7 @@ def test_uniform_hull_equals_convex_hull_of_the_whole_cloud(cloud, chunk):
     # As one chunk (None: the default size) and split into several.
     params, angle_u, radius_u = cloud
     blocks = angle_u.copy(), radius_u.copy()
-    pts = cartesian(*polar_from_uniforms(params, angle_u.copy(), radius_u.copy()))
+    pts = points_from_uniforms(params, angle_u.copy(), radius_u.copy())
     with pytest.MonkeyPatch.context() as m:
         m.setattr(sampler, "_CHUNK", chunk or sampler._CHUNK)
         keep, kept_pts, hull = uniform_hull(params, angle_u, radius_u)
@@ -279,7 +278,7 @@ def test_uniform_hull_keeps_the_smallest_copy_across_chunk_boundaries(monkeypatc
     params = BetaParams(0.0)
     monkeypatch.setattr(sampler, "_CHUNK", chunk)
     for N, step, chains in ((500, 1, 2), (20_000, 8, 1)):
-        blocks = draw_uniforms(SeedPolicy(37).trial_generator(0), N)
+        blocks = [block[:] for block in uniform_blocks(SeedPolicy(37), 0, N)]  # arrays
         keep, _, hull = uniform_hull(params, *blocks)
         ring = keep[list(hull.vertex_indices)]
         dup = [np.concatenate([u[ring[:: 2 * step]], u, u[ring[::step]]]) for u in blocks]
@@ -294,7 +293,7 @@ def test_uniform_hull_keeps_the_smallest_copy_across_chunk_boundaries(monkeypatc
 def test_uniform_hull_keeps_the_smallest_copy_next_to_a_chunk_boundary(monkeypatch):
     # A hull vertex that ends a chunk and its copy that starts the next.
     params = BetaParams(0.0)
-    angle_u, radius_u = draw_uniforms(SeedPolicy(41).trial_generator(0), 2_000)
+    angle_u, radius_u = uniform_blocks(SeedPolicy(41), 0, 2_000)
     keep, _, hull = uniform_hull(params, angle_u, radius_u)
     v = int(keep[hull.vertex_indices[len(hull.vertex_indices) // 2]])
     dup = [np.insert(u, v + 1, u[v]) for u in (angle_u, radius_u)]
@@ -326,6 +325,12 @@ def test_polygon_perimeter_examples():
     assert polygon_perimeter(PolygonChain((0,)), SQUARE) == 0.0
     two = PolygonChain((0, 2))
     assert polygon_perimeter(two, SQUARE) == pytest.approx(4.0)  # twice the segment
+    # The cyclic sum gives the degenerate conventions exactly.
+    pts = np.array([[0.1, -0.7], [1e-12, 3.3e5], [0.3, 0.1]])
+    for i, j in ((0, 1), (1, 2), (2, 0), (1, 1)):
+        a, b = pts[i], pts[j]
+        expected = 2.0 * math.hypot(b[0] - a[0], b[1] - a[1])
+        assert polygon_perimeter(PolygonChain((i, j)), pts) == expected
 
 
 def test_polygon_area_examples():
@@ -337,6 +342,11 @@ def test_polygon_area_examples():
         3.0 * math.sqrt(3.0) / 4.0
     )
     assert polygon_area(PolygonChain((0, 2)), SQUARE) == 0.0
+    # Degenerate chains have area +0.0 exactly, the sign of zero included.
+    pts = np.array([[0.1, -0.7], [-1e-12, 3.3e5], [0.3, 0.1]])
+    for chain in ((0,), (1,), (0, 1), (1, 2), (2, 0), (1, 1)):
+        area = polygon_area(PolygonChain(chain), pts)
+        assert area == 0.0 and math.copysign(1.0, area) == 1.0
 
 
 def _hull_tuples(n: int) -> np.ndarray:

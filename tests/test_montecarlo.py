@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from betapoly import geometry, montecarlo, sampler
+from betapoly import montecarlo, sampler
 from betapoly.geometry import (
     Objective,
     convex_hull,
@@ -30,10 +30,9 @@ from betapoly.montecarlo import (
 from betapoly.sampler import (
     BetaParams,
     SeedPolicy,
-    cartesian,
-    draw_uniforms,
-    polar_from_uniforms,
+    points_from_uniforms,
     sample_batch,
+    uniform_blocks,
 )
 
 PERIMETER_LAW = law_for(Objective.PERIMETER, 3, 0.0)
@@ -61,6 +60,20 @@ def test_sim_config_validation():
         _small_config(N_list=(2,))
     with pytest.raises(ValueError):
         _small_config(consistency_delta=0.0)
+    # Rejected when built, not later in run_trials or numpy.
+    for bad in (2.5, 25.0, True):
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            _small_config(trials=bad)
+    for bad in ((100.0,), (40, 90.5), (True, 40)):
+        with pytest.raises(ValueError, match="every N must be an integer"):
+            _small_config(N_list=bad)
+    for bad in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(ValueError, match="beta must be finite"):
+            _small_config(beta=bad)
+    for bad in (1.5, 11.0, True, -1):
+        with pytest.raises(ValueError, match="master_seed"):
+            _small_config(master_seed=bad)
+    _small_config(N_list=(np.int64(40),), trials=np.int32(3), master_seed=np.uint64(11))
 
 
 def test_sim_config_rejects_a_non_integer_n():
@@ -105,8 +118,7 @@ def _assert_trial_touches_few_points(monkeypatch, N):
     pts = sample_batch(BetaParams(0.0), N, SeedPolicy(42), 0)
     inverse = counted(sampler._radius_from_uniform, "radii")
     monkeypatch.setattr(sampler, "_radius_from_uniform", inverse)
-    for module in (geometry, montecarlo):
-        monkeypatch.setattr(module, "cartesian", counted(sampler.cartesian, "coordinates"))
+    monkeypatch.setattr(sampler, "cartesian", counted(sampler.cartesian, "coordinates"))
     draws = _count_draws(monkeypatch)
     law = law_for(Objective.PERIMETER, 3, 0.0)
     record = montecarlo._run_one((Objective.PERIMETER, 3, 0.0, 42, N, 0, law.M, law.A))
@@ -189,8 +201,7 @@ def test_trials_equal_the_full_sample_path(objective, beta):
         for t in range(cfg.trials):
             pts = sample_batch(params, N, policy, t)
             hull = convex_hull(pts)
-            blocks = draw_uniforms(policy.trial_generator(t), N)
-            keep, cand, cand_hull = uniform_hull(params, *blocks)
+            keep, cand, cand_hull = uniform_hull(params, *uniform_blocks(policy, t, N))
             assert np.array_equal(cand, pts[keep])
             kept_hull = tuple(int(keep[i]) for i in cand_hull.vertex_indices)
             assert kept_hull == hull.vertex_indices
@@ -343,7 +354,11 @@ def test_tail_probe_blocks_do_not_change_the_hits(monkeypatch):
 
 
 def _sequential_hits(objective, n, beta, eps, draws, seed):
-    """The chunked stream scored chunk by chunk, as one generator draws it."""
+    """The chunked stream scored chunk by chunk, as one generator draws it.
+
+    Drawn with ``rng.random`` alone, so the stream layout under test is not
+    its own reference.
+    """
     params = BetaParams(beta)
     M = extremal_value(objective, n)
     hits = []
@@ -352,25 +367,30 @@ def _sequential_hits(objective, n, beta, eps, draws, seed):
         count = 0
         for start in range(0, draws, montecarlo._TAIL_CHUNK):
             m = min(montecarlo._TAIL_CHUNK, draws - start)
-            pts = cartesian(*polar_from_uniforms(params, *draw_uniforms(rng, m * n)))
+            pts = points_from_uniforms(params, rng.random(m * n), rng.random(m * n))
             vals = hull_functional(pts.reshape(m, n, 2), objective)
             count += int(np.count_nonzero(vals >= M - e))
         hits.append(count)
     return tuple(hits)
 
 
-def test_tail_probe_ragged_draws_reproduce_the_sequential_stream():
+def test_tail_probe_ragged_draws_reproduce_the_sequential_stream(monkeypatch):
     # Two chunks, the second cut into three whole blocks and a ragged tail.
     draws = montecarlo._TAIL_CHUNK + 3 * montecarlo._TAIL_BLOCK + 7
     expected = _sequential_hits(Objective.PERIMETER, 3, 0.0, (0.4, 0.5), draws, 99)
     # Nearly every triangle has perimeter above 1e-9, so a tuple scored twice
     # or not at all shows in the count.
     M = extremal_value(Objective.PERIMETER, 3)
-    for threads in (1, 2, 3):
-        res = tail_probe(Objective.PERIMETER, 3, 0.0, (0.4, 0.5), draws, seed=99, threads=threads)
-        assert res.hits == expected
-        every = tail_probe(Objective.PERIMETER, 3, 0.0, (M - 1e-9, M - 2e-9), draws, 99, threads)
-        assert every.hits == (draws, draws)
+    every = (M - 1e-9, M - 2e-9)
+    # The chunks' blocks as streams (the default), the ragged one alone as
+    # arrays, and both as arrays.
+    for chunk in (sampler._CHUNK, 3 * (draws - montecarlo._TAIL_CHUNK), 3 * draws):
+        monkeypatch.setattr(sampler, "_CHUNK", chunk)
+        for threads in (1, 2, 3):
+            res = tail_probe(Objective.PERIMETER, 3, 0.0, (0.4, 0.5), draws, 99, threads)
+            assert res.hits == expected
+            res = tail_probe(Objective.PERIMETER, 3, 0.0, every, draws, 99, threads)
+            assert res.hits == (draws, draws)
 
 
 def test_tail_probe_guard_rejects_undersampled_epsilon():
@@ -412,6 +432,12 @@ def test_tail_probe_grid_validation():
         tail_probe(Objective.PERIMETER, 3, 0.0, (0.5, 0.0), 1000, seed=1)
     with pytest.raises(ValueError, match="area kernel needs n >= 3, got 2"):
         tail_probe(Objective.AREA, 2, 0.0, (0.5, 0.4), 1000, seed=1)
+    for bad in (1000.0, 1000.5, True):
+        with pytest.raises(ValueError, match="draws_per_epsilon must be an integer"):
+            tail_probe(Objective.PERIMETER, 3, 0.0, (0.5, 0.4), bad, seed=1)
+    for bad in (1.5, 1.0, True):
+        with pytest.raises(ValueError, match="master_seed must be an integer"):
+            tail_probe(Objective.PERIMETER, 3, 0.0, (0.5, 0.4), 1000, seed=bad)
 
 
 @pytest.mark.parametrize(

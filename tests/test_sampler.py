@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,21 +8,19 @@ from scipy.integrate import quad
 import helpers
 from betapoly import sampler
 from betapoly.sampler import (
-    TWO_PI,
     BetaParams,
     SeedPolicy,
     UniformStream,
     _radius_from_uniform,
     cartesian,
     check_vertex_count,
-    draw_uniforms,
-    polar_from_uniforms,
+    points_from_uniforms,
     radius_cdf,
     radius_uniform_floor,
     read_points_csv,
     sample_batch,
     select_uniforms,
-    stream_uniforms,
+    uniform_blocks,
     write_points_csv,
 )
 
@@ -63,6 +62,10 @@ def test_radius_cdf_domain_errors():
         radius_cdf(params, -0.1)
     with pytest.raises(ValueError):
         radius_cdf(params, 1.1)
+    with pytest.raises(ValueError):
+        radius_cdf(params, float("nan"))
+    with pytest.raises(ValueError):
+        radius_cdf(params, np.array([0.5, np.nan]))
 
 
 def test_sample_radius_examples():
@@ -129,15 +132,16 @@ def test_skipped_block_matches_draw_points_slice(beta):
     for lo, hi in ((0, 1), (0, m * n), (123, 2_345), (m * n - 7, m * n)):
         angles = policy.trial_generator(3, skip=lo).random(hi - lo)
         radii = policy.trial_generator(3, skip=m * n + lo).random(hi - lo)
-        block = cartesian(*polar_from_uniforms(params, angles, radii))
+        block = points_from_uniforms(params, angles, radii)
         assert np.array_equal(block, whole[lo:hi])
 
 
 def test_uniform_stream_slices_are_the_drawn_blocks():
     # In order, out of order, overlapping and again from the start, every
-    # slice of a stream is the same slice of draw_uniforms' blocks.
+    # slice of a stream is the same slice of the drawn blocks.
     policy, N = SeedPolicy(61), 1_000
-    whole = draw_uniforms(policy.trial_generator(4), N)
+    rng = policy.trial_generator(4)
+    whole = rng.random(N), rng.random(N)
     streams = UniformStream(policy, 4, 0, N), UniformStream(policy, 4, N, N)
     assert len(streams[0]) == len(streams[1]) == N
     for lo, hi in ((0, 97), (97, 500), (500, 1_000), (0, 1_000), (250, 260), (3, 3), (990, 5_000)):
@@ -147,26 +151,26 @@ def test_uniform_stream_slices_are_the_drawn_blocks():
         streams[0][::2]
 
 
-def test_stream_uniforms_draws_small_trials_whole(monkeypatch):
-    # Up to a chunk the blocks are draw_uniforms' arrays; beyond it they are
-    # streams of the same doubles.
+def test_uniform_blocks_draws_small_blocks_whole(monkeypatch):
+    # The angle block is draws [skip, skip + N) and the radius block the N
+    # after it.  Up to a chunk they are arrays; beyond it they are streams
+    # of the same doubles.
     policy = SeedPolicy(62)
     monkeypatch.setattr(sampler, "_CHUNK", 100)
-    for N in (99, 100):
-        blocks = stream_uniforms(policy, 1, N)
-        assert all(isinstance(b, np.ndarray) for b in blocks)
-        assert all(map(np.array_equal, blocks, draw_uniforms(policy.trial_generator(1), N)))
-    streamed = stream_uniforms(policy, 1, 101)
-    assert all(isinstance(b, UniformStream) for b in streamed)
-    whole = draw_uniforms(policy.trial_generator(1), 101)
-    assert all(np.array_equal(s[0:101], b) for s, b in zip(streamed, whole))
+    for N, skip in itertools.product((1, 99, 100, 101, 250), (0, 1, 600)):
+        raw = policy.trial_generator(1).random(skip + 2 * N)[skip:]
+        blocks = uniform_blocks(policy, 1, N, skip)
+        kind = np.ndarray if N <= 100 else UniformStream
+        assert all(isinstance(b, kind) and len(b) == N for b in blocks)
+        assert np.array_equal(blocks[0][0:N], raw[:N]) and np.array_equal(blocks[1][0:N], raw[N:])
 
 
 @pytest.mark.parametrize("chunk", [1, 97, 128, 1_000, 1 << 16])
 def test_select_uniforms_is_the_same_on_arrays_and_streams_in_any_chunks(monkeypatch, chunk):
     policy, N = SeedPolicy(63), 1_000
     monkeypatch.setattr(sampler, "_CHUNK", chunk)
-    angle_u, radius_u = draw_uniforms(policy.trial_generator(0), N)
+    rng = policy.trial_generator(0)
+    angle_u, radius_u = rng.random(N), rng.random(N)
     blocks = angle_u.copy(), radius_u.copy()
     streams = UniformStream(policy, 0, 0, N), UniformStream(policy, 0, N, N)
     for floor in (-math.inf, 0.0, 0.5, 0.99, 1.0):
@@ -178,18 +182,23 @@ def test_select_uniforms_is_the_same_on_arrays_and_streams_in_any_chunks(monkeyp
 
 
 def test_cartesian_rows_of_any_subset_are_the_rows_of_the_whole_batch():
-    # A trial gives coordinates to a subset of its polar points only; they
-    # must be the very doubles sample_batch returns, whatever the subset's
-    # size, order or position.
+    # A trial gives coordinates to a subset of its points only; they must be
+    # the very doubles sample_batch returns, whatever the subset's size,
+    # order or position.
     params, policy = BetaParams(0.0), SeedPolicy(13)
     whole = sample_batch(params, 5_000, policy, 2)
-    phi, r = polar_from_uniforms(params, *draw_uniforms(policy.trial_generator(2), 5_000))
+    angle_u, radius_u = uniform_blocks(policy, 2, 5_000)
     rng = np.random.default_rng(5)
     subsets = [np.arange(k) for k in range(1, 18)]
     subsets += [np.arange(3, 4_999, 7), np.arange(4_999, 0, -3)]
     subsets += [np.sort(rng.choice(5_000, k, replace=False)) for k in (1, 9, 33, 1_000)]
     for idx in subsets:
-        assert np.array_equal(cartesian(phi[idx], r[idx]), whole[idx])
+        sub = points_from_uniforms(params, angle_u[idx], radius_u[idx])
+        assert np.array_equal(sub, whole[idx])
+    # The kernels stack their points on a last axis: a stack of batches is
+    # the batches' own rows.
+    phi, r = math.tau * angle_u.reshape(50, 100), radius_u.reshape(50, 100)
+    assert np.array_equal(cartesian(phi, r).reshape(-1, 2), cartesian(phi.ravel(), r.ravel()))
 
 
 @pytest.mark.parametrize("beta", [-0.99, -0.5, 0.0, 0.5, 2.0])
@@ -204,17 +213,19 @@ def test_inverse_cdf_of_any_subset_is_the_rows_of_the_whole_batch(beta):
     radius_u[:60] = 1.0 - rng.random(60) * 10.0 ** rng.uniform(-15.0, -3.0, 60)
     radius_u[60:64] = [0.0, 0.5, np.nextafter(0.5, 0.0), np.nextafter(1.0, 0.0)]
     rng.shuffle(radius_u)
-    phi, r = polar_from_uniforms(params, angle_u.copy(), radius_u.copy())
+    phi, r = math.tau * angle_u, _radius_from_uniform(params, radius_u)
+    pts = points_from_uniforms(params, angle_u.copy(), radius_u.copy())
+    assert np.array_equal(pts, cartesian(phi, r))
     for length in range(1, 71):
         start = int(rng.integers(0, 300 - length + 1))
         view = slice(start, start + length)
         assert np.array_equal(_radius_from_uniform(params, radius_u[view]), r[view])
-        assert np.array_equal(TWO_PI * angle_u[view], phi[view])
+        assert np.array_equal(math.tau * angle_u[view], phi[view])
         mask = np.zeros(300, dtype=bool)
         mask[rng.choice(300, length, replace=False)] = True
         for idx in (rng.choice(300, length, replace=False), mask, np.arange(length)[::-1]):
-            sub_phi, sub_r = polar_from_uniforms(params, angle_u[idx], radius_u[idx])
-            assert np.array_equal(sub_r, r[idx]) and np.array_equal(sub_phi, phi[idx])
+            sub = points_from_uniforms(params, angle_u[idx], radius_u[idx])
+            assert np.array_equal(sub, pts[idx])
 
 
 def _bits(x: float) -> int:
@@ -307,6 +318,11 @@ def test_sample_batch_validation():
         SeedPolicy(-1)
     with pytest.raises(ValueError):
         SeedPolicy(2**64)
+    SeedPolicy(np.uint64(2**64 - 1))
+    # int() would truncate these to seed 1's stream.
+    for bad in (1.5, 1.0, True, "1", None):
+        with pytest.raises(ValueError, match="master_seed must be an integer"):
+            SeedPolicy(bad)
     with pytest.raises(ValueError):
         SeedPolicy(5).trial_generator(-2)
     with pytest.raises(ValueError):
