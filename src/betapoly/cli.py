@@ -301,6 +301,8 @@ def _cmd_tailprobe(objective, n, beta, eps, draws, seed, out_dir, threads) -> in
     start = time.perf_counter()
     result = montecarlo.tail_probe(objective, n, beta, eps, draws, seed, threads=threads)
     _log(f"tail probe finished in {time.perf_counter() - start:.1f}s on {threads} thread(s)")
+    for e, scored in zip(result.epsilon_grid, result.scored):
+        _log(f"eps={e:g}: {100.0 * scored / result.draws_per_epsilon:.1f}% of tuples scored")
 
     prefactor = montecarlo.tail_prefactor(objective, n, beta)
     C = limits.shape_C(n, beta)

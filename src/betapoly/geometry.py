@@ -9,7 +9,9 @@ never decreases either objective.  So ``convex_hull`` and ``uniform_hull``
 with one circle test, ``_circle_hull``, whose far points' hull is at large
 ``N`` the hull itself, and ``max_kgon`` runs a max-plus program over the
 ``h`` hull vertices in ``O(h^2 k + h^3 / k^2)``.  The exhaustive subset
-oracle below validates both.
+oracle below validates both.  ``threshold_radius`` bounds how far in a
+vertex of a triangle scoring a given value can lie, so the tail probe
+scores only the triples that can reach it.
 
 Degenerate hulls follow the convex-body convention: a segment has perimeter
 twice its length and zero area; a single point has both objectives zero.
@@ -33,6 +35,8 @@ _CIRCLE_MARGIN = 1e-9  # relative slack on _inscribed_radius
 # Most hull vertices max_kgon takes: its edge-weight tables are h x h.
 _MAX_HULL = 4096
 _DP_BLOCK = 1 << 18  # most (anchor, predecessor, successor) cells per step
+_RADIUS_MARGIN = 2.0**-32  # relative slack of threshold_radius's certificate
+_BISECTIONS = 48  # halvings of each bisection in threshold_radius
 
 
 class Objective(enum.Enum):
@@ -338,6 +342,108 @@ def hull_functional(tuples, objective: Objective) -> np.ndarray:
     return total
 
 
+def threshold_radius(objective: Objective, n: int, threshold: float) -> float:
+    """A radius ``r0`` that every point of an ``n``-tuple scoring ``threshold`` reaches.
+
+    Among points made by ``sampler.points_from_uniforms``, any ``n``-tuple
+    with a point whose computed radius is below ``r0`` gets a
+    ``hull_functional`` value below ``threshold``.  So with
+    ``sampler.radius_uniform_floor`` it tells from the radius uniforms
+    alone which tuples can score ``threshold``.  Proved for ``n = 3``; it
+    is 0.0 (no tuple excluded) for every other ``n``, and whenever
+    ``threshold`` is at most ``g(0)``, 4 for perimeter and 1/2 for area.
+
+    The bound.  Let ``g(r)`` be the largest objective of a triangle in the
+    unit disk with a vertex ``p`` at radius ``r``, the others ``q1, q2``.
+    Put ``a = |q1 + q2| / 2`` and ``b = |q1 - q2| / 2``, so
+    ``a^2 + b^2 = (|q1|^2 + |q2|^2) / 2 <= 1``.
+
+    * Perimeter.  ``|p - q1|^2 + |p - q2|^2 = 2 r^2 + 2 a^2 + 2 b^2 -
+      2 p.(q1 + q2) <= 2 (1 + r^2 + 2 r a)``, so by QM-AM the perimeter is
+      at most ``2 sqrt(1 + r^2 + 2 r a) + 2 b``.  That grows with ``a``
+      and ``b``, so ``g(r) <= max F_r`` over ``[0, pi/2]``, with
+      ``F_r(x) = 2 sqrt(1 + r^2 + 2 r cos x) + 2 sin x``; equality holds at
+      ``q = (cos x, +-sin x)``, ``p = (-r, 0)``.  ``F_r'' = -2 r cos x /
+      sqrt(s) - 2 r^2 sin^2 x / s^(3/2) - 2 sin x <= 0`` (``s`` the
+      radicand), so ``F_r`` is concave.
+    * Area.  If the line ``q1 q2`` lies at distance ``x`` from the centre
+      (``q1 = q2`` gives area 0), the chord it cuts has length
+      ``2 sqrt(1 - x^2)`` and ``p`` lies within ``x + r`` of the line, so
+      ``g(r) <= max F_r`` over ``[0, 1]``, with ``F_r(x) = (x + r)
+      sqrt(1 - x^2)``, concave; equality holds with ``q`` the chord's ends
+      and ``p`` opposite.  Its maximum sits at ``x = (sqrt(r^2 + 8) - r) /
+      4``, in ``[1/2, 1/sqrt 2]``.
+
+    In both, ``F_r`` grows with ``r``, so a tuple with a point at radius
+    ``t <= r`` scores at most ``g(r)``, and ``g(0)`` is 4 or 1/2.  For
+    a concave ``F``, the tangent at any ``x^`` lies above it, so on a
+    domain of length at most 2, ``max F <= F(x^) + 2 |F'(x^)| =: G(r)``.
+    The code bisects on the sign of ``F_r'`` over ``[0, pi/2]`` or
+    ``[0, 3/4]`` for ``x^``, so ``G(r) - g(r)`` is rounding only, and
+    bisects on ``r`` for the largest one it certifies,
+    ``G'(r0) <= fl(threshold (1 - m))``, with ``G'`` the computed ``G`` and
+    ``m = _RADIUS_MARGIN = 2^-32``; ``r0 = 0`` needs no certificate.
+
+    Rounding.  Let ``d = 2^-53`` and assume ``cos``, ``sin`` and ``hypot``
+    err by at most ``P = 2^-42`` relative, as ``sampler`` assumes of
+    ``pow`` (libm errs by about 1 ulp).  Write ``T = threshold``.
+
+    1. A computed radius is ``sqrt(1 - y)`` with ``y >= 0``, so at most 1,
+       and a point's coordinates ``fl(r cos)``, ``fl(r sin)`` have norm at
+       most ``r (1 + d)(1 + P) =: r k``, ``k <= 1 + 2^-41``.  The tuple
+       divided by ``k`` lies in the disk with a point at radius below
+       ``r0``, and the objective is homogeneous of degree 1 or 2, so its
+       exact value is at most ``k^2 g(r0)``.
+    2. ``hull_functional`` at ``n = 3`` rounds the perimeter up by at most
+       ``(1 + d)^3 (1 + P)``.  The area's cross product ``c`` of rounded
+       differences ``u, v`` errs by at most ``d |c| + 3.1 d |u| |v|``, with
+       ``|u|, |v| <= 2 k``, so the area is at most ``(1 + d)`` times the
+       exact one plus ``2^-50``.  Either way the computed value is at most
+       ``(1 + 2^-39) g(r0) + 2^-50``.
+    3. ``x^`` lies in ``[0, pi/2]`` (where ``s >= 1``) or ``[0, 3/4]``
+       (where ``sqrt(1 - x^2) >= 0.66``), so ``F`` and ``F'`` there take
+       a few operations on terms below 6, each within ``P`` relative, and
+       ``G'`` differs from the exact ``G`` by less than ``2^-35``.  Hence
+       ``g(r0) <= G(r0) <= T (1 - m)(1 + d) + 2^-35``, and, as a nonzero
+       ``r0`` needs ``T >= G'(0) > 0.49``, the computed value is at most
+       ``T - T m (1 - 2^-6) + 2^-34.9 < T``.
+
+    The bound is tight: ``r0`` sits within ~1e-9 of ``g^-1(T)``.
+    """
+    if n != 3:
+        return 0.0
+    if objective is Objective.PERIMETER:
+        top = math.pi / 2
+
+        def curve(r, x):
+            s = math.sqrt(1.0 + r * r + 2.0 * r * math.cos(x))
+            return 2.0 * s + 2.0 * math.sin(x), 2.0 * math.cos(x) - 2.0 * r * math.sin(x) / s
+
+    else:
+        top = 0.75
+
+        def curve(r, x):
+            w = math.sqrt(1.0 - x * x)
+            return (x + r) * w, (1.0 - 2.0 * x * x - r * x) / w
+
+    def bound(r):  # G'(r)
+        lo, hi = 0.0, top
+        for _ in range(_BISECTIONS):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if curve(r, mid)[1] > 0.0 else (lo, mid)
+        value, slope = curve(r, lo)
+        return value + 2.0 * abs(slope)
+
+    cap = threshold * (1.0 - _RADIUS_MARGIN)
+    if not bound(0.0) <= cap:
+        return 0.0
+    lo, hi = 0.0, 1.0
+    for _ in range(_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if bound(mid) <= cap else (lo, mid)
+    return lo
+
+
 def _chain_result(chain: PolygonChain, pts: np.ndarray, objective: Objective) -> UMaxResult:
     measure = polygon_perimeter if objective is Objective.PERIMETER else polygon_area
     return UMaxResult(measure(chain, pts), chain.vertex_indices)
@@ -376,12 +482,22 @@ def max_kgon(hull: PolygonChain, points, k: int, objective: Objective) -> UMaxRe
             f"(its tables have h x h entries)"
         )
     idx = np.asarray(hull.vertex_indices, dtype=np.int64)
-    if objective is Objective.PERIMETER:
-        diff = pts[idx, None, :] - pts[None, idx, :]
-        weight = np.hypot(diff[..., 0], diff[..., 1])
-    else:  # any origin gives a closed cycle the same shoelace sum; this one keeps terms small
-        rel = pts[idx] - pts[idx[0]]
-        weight = 0.5 * (np.outer(rel[:, 0], rel[:, 1]) - np.outer(rel[:, 1], rel[:, 0]))
+    # Any origin gives a closed cycle the same shoelace sum; this one keeps
+    # the area's terms small.
+    rel = pts[idx] - pts[idx[0]]
+    # The weight table is the one h x h array: it is built a block of rows
+    # at a time.
+    weight = np.empty((h, h))
+    rows = max(1, _DP_BLOCK // h)
+    for lo in range(0, h, rows):
+        block = weight[lo : lo + rows]
+        if objective is Objective.PERIMETER:
+            diff = pts[idx[lo : lo + rows], None, :] - pts[None, idx, :]
+            np.hypot(diff[..., 0], diff[..., 1], out=block)
+        else:
+            np.multiply.outer(rel[lo : lo + rows, 0], rel[:, 1], out=block)
+            block -= np.multiply.outer(rel[lo : lo + rows, 1], rel[:, 0])
+            block *= 0.5
 
     _, rooted = _max_plus(weight, np.zeros(1, dtype=np.int64), [np.arange(1, h)] * (k - 1))
     p = rooted(0)
@@ -398,9 +514,11 @@ def _max_plus(weight: np.ndarray, anchors: np.ndarray, layers: list[np.ndarray])
 
     Positions are unwrapped hull positions (``weight`` is read modulo ``h``),
     strictly increasing along a chain and below ``anchor + h`` at its end.
-    Anchors go in blocks of at most ``_DP_BLOCK`` cells per step.  Returns
-    each anchor's best total (``-inf`` without a chain) and ``trace(t)``,
-    the positions of anchor ``t``'s best chain.
+    Anchors go in blocks of at most ``_DP_BLOCK`` cells per step; where one
+    anchor's step has more, it is cut into blocks of successor columns, so
+    each predecessor ``argmax`` (first maximum on ties) is the same.
+    Returns each anchor's best total (``-inf`` without a chain) and
+    ``trace(t)``, the positions of anchor ``t``'s best chain.
     """
     h = len(weight)
     pairs = list(zip(layers, layers[1:]))
@@ -411,10 +529,15 @@ def _max_plus(weight: np.ndarray, anchors: np.ndarray, layers: list[np.ndarray])
         dp = np.where(a < layers[0], weight[a % h, layers[0] % h], -np.inf)
         args = []
         for u, v in pairs:
-            step = np.where(u[:, None] < v, weight[u[:, None] % h, v % h], -np.inf)
-            cand = dp[:, :, None] + step
-            args.append(cand.argmax(axis=1))
-            dp = cand.max(axis=1)
+            cols = max(1, _DP_BLOCK // (len(a) * len(u)))
+            parts = []
+            for c in range(0, len(v), cols):
+                w = v[c : c + cols]
+                step = np.where(u[:, None] < w, weight[u[:, None] % h, w % h], -np.inf)
+                cand = dp[:, :, None] + step
+                parts.append((cand.argmax(axis=1), cand.max(axis=1)))
+            arg, dp = parts[0] if len(parts) == 1 else (np.hstack(p) for p in zip(*parts))
+            args.append(arg)
         dp += np.where(layers[-1] < a + h, weight[layers[-1] % h, a % h], -np.inf)
         args.append(dp.argmax(axis=1))
         totals.append(dp.max(axis=1))

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from betapoly import montecarlo
 from betapoly.cli import dispatch
 from betapoly.montecarlo import CONSISTENCY_DELTA
 from betapoly.sampler import BetaParams, SeedPolicy, sample_batch, write_points_csv
@@ -217,6 +218,33 @@ def test_tailprobe_cli_thread_determinism(tmp_path, capsys):
     assert (a / "tail.csv").read_bytes() == (b / "tail.csv").read_bytes()
     assert (a / "tail_summary.json").read_bytes() == (b / "tail_summary.json").read_bytes()
     assert json.loads((a / "tail_summary.json").read_text())["draws_per_epsilon"] == 300007
+
+
+def test_tailprobe_cli_logs_the_scored_share_and_keeps_its_files(tmp_path, capsys, monkeypatch):
+    # The radius prefilter scores only the tuples that can reach M - eps; it
+    # logs their share on stderr and leaves both files as the unfiltered
+    # probe writes them.
+    def run(sub):
+        argv = [
+            "--threads", "2",
+            "tailprobe", "--objective", "perimeter", "--n", "3", "--beta", "0",
+            "--eps", "0.4,0.5", "--draws", "300000", "--seed", "9",
+            "--out-dir", str(tmp_path / sub),
+        ]
+        code, _, err = _run(capsys, argv)
+        assert code == 0
+        return err
+
+    err = run("filtered")
+    assert "eps=0.5: 13.4% of tuples scored" in err
+    assert "eps=0.4: 7.4% of tuples scored" in err
+    monkeypatch.setattr(montecarlo, "threshold_radius", lambda objective, n, threshold: 0.0)
+    err = run("unfiltered")
+    assert "eps=0.5: 100.0% of tuples scored" in err
+    for name in ("tail.csv", "tail_summary.json"):
+        filtered = (tmp_path / "filtered" / name).read_bytes()
+        assert filtered == (tmp_path / "unfiltered" / name).read_bytes()
+        assert b"scored" not in filtered
 
 
 def test_threads_validation(capsys):

@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,14 +19,17 @@ from betapoly.geometry import (
     max_kgon,
     polygon_area,
     polygon_perimeter,
+    threshold_radius,
     umax,
     umax_bruteforce,
     uniform_hull,
 )
+from betapoly.limits import extremal_value
 from betapoly.sampler import (
     BetaParams,
     SeedPolicy,
     points_from_uniforms,
+    radius_uniform_floor,
     sample_batch,
     uniform_blocks,
 )
@@ -451,6 +455,42 @@ def test_max_kgon_anchor_blocks_do_not_change_the_result(monkeypatch):
     assert [max_kgon(hull, pts, k, objective) for objective, k in cases] == whole
 
 
+def test_max_kgon_column_blocks_keep_the_cycle(monkeypatch):
+    # Above _DP_BLOCK cells for one anchor a step is cut into blocks of
+    # successor columns: of one column at h = 300 with a block of 300.
+    # Regular polygons tie in floats, so a block that changed a
+    # predecessor's first-maximum rule would change their cycle.
+    clouds = [_regular(h) for h in (37, 120, 300)]
+    clouds.append(sample_batch(BetaParams(0.0), 20_000, SeedPolicy(53), 0))
+    cases = [
+        (convex_hull(pts), pts, k, objective)
+        for pts in clouds
+        for k in (3, 5, 8)
+        for objective in Objective
+    ]
+    assert max(len(hull.vertex_indices) for hull, *_ in cases) == 300
+    whole = [max_kgon(*case) for case in cases]  # unsplit: 299^2 < _DP_BLOCK
+    for block in (300, 4_000):
+        monkeypatch.setattr(geometry, "_DP_BLOCK", block)
+        assert [max_kgon(*case) for case in cases] == whole
+
+
+@pytest.mark.parametrize("objective", list(Objective))
+def test_max_kgon_memory_stays_near_its_weight_table(objective):
+    # At h = 2000 one anchor's step has 4e6 cells: a whole step, or a table
+    # built whole, would hold several tables' worth at once.
+    h = 2000
+    hull = PolygonChain(tuple(range(h)))
+    tracemalloc.start()
+    try:
+        result = max_kgon(hull, _regular(h), 12, objective)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.vertex_count == 12
+    assert peak < 1.6 * h * h * 8
+
+
 def test_umax_rejects_a_hull_too_large_for_max_kgon():
     # Before its h x h tables: a 5000-gon would need 400 MB and minutes.
     start = time.perf_counter()
@@ -676,3 +716,80 @@ def test_umax_pairs():
     assert per.value == pytest.approx(2.0 * diam, rel=1e-12)
     assert per.vertex_count == 2
     assert umax(pts, 2, Objective.AREA).value == 0.0
+
+
+_BELOW_ONE = np.nextafter(1.0, 0.0)
+
+
+def _triangle_scores(beta, angle_u, radius_u, objective):
+    """hull_functional of the triangles points_from_uniforms makes of the uniforms."""
+    pts = points_from_uniforms(BetaParams(beta), np.array(angle_u), np.array(radius_u))
+    return hull_functional(pts.reshape(-1, 3, 2), objective)
+
+
+@pytest.mark.parametrize("beta", [-0.9, 0.0, 2.0])
+@pytest.mark.parametrize(
+    "objective, grid", [(Objective.PERIMETER, (0.05, 0.2, 0.5, 1.0)), (Objective.AREA, (0.05, 0.25, 0.5))]
+)
+def test_threshold_radius_drops_only_tuples_below_the_threshold(objective, grid, beta):
+    # A tuple with a radius uniform one ulp below the floor, the largest the
+    # tail probe's prefilter drops, scores below M - eps: with the others on
+    # the circle, opposite it and symmetric about its ray (the worst case of
+    # the bound) at every half-angle of a fine grid, and with random others.
+    rng = np.random.default_rng(29)
+    half = np.linspace(0.0, 0.5 * math.pi, 4_001)
+    for eps in grid:
+        threshold = extremal_value(objective, 3) - eps
+        r0 = threshold_radius(objective, 3, threshold)
+        floor = radius_uniform_floor(BetaParams(beta), r0)
+        assert 0.0 < floor < 1.0
+        below = np.nextafter(floor, 0.0)
+        turn = rng.random()  # the inner point's angle, as a uniform
+        angle_u = np.column_stack(
+            [np.full_like(half, turn)]
+            + [(turn + 0.5 + sign * half / (2.0 * math.pi)) % 1.0 for sign in (1.0, -1.0)]
+        )
+        radius_u = np.column_stack([np.full_like(half, below)] + [np.full_like(half, _BELOW_ONE)] * 2)
+        worst = _triangle_scores(beta, angle_u.ravel(), radius_u.ravel(), objective)
+        m = 20_000
+        radius_u = floor + (1.0 - floor) * rng.random((m, 3))
+        radius_u[np.arange(m), rng.integers(0, 3, m)] = below
+        radius_u[: m // 10] = below  # all three just below the floor
+        others = _triangle_scores(beta, rng.random(3 * m), radius_u.ravel(), objective)
+        assert max(worst.max(), others.max()) < threshold, (eps, worst.max(), others.max())
+
+
+@pytest.mark.parametrize("objective", list(Objective))
+def test_threshold_radius_is_tight(objective):
+    # The bound is the exact g^-1(threshold) up to rounding margins: an
+    # explicit triangle with a vertex at r0 + 1e-3 reaches the threshold.
+    # It has the vertex at (-r, 0) and the others at (cos x, +-sin x): the
+    # symmetric perimeter case, and for area the chord at distance cos x.
+    half = np.linspace(0.0, 0.5 * math.pi, 20_001)
+    for eps in (0.05, 0.2, 0.3, 0.5):
+        threshold = extremal_value(objective, 3) - eps
+        r = threshold_radius(objective, 3, threshold) + 1e-3
+        tuples = np.stack(
+            [
+                np.column_stack([np.full_like(half, -r), np.zeros_like(half)]),
+                np.column_stack([np.cos(half), np.sin(half)]),
+                np.column_stack([np.cos(half), -np.sin(half)]),
+            ],
+            axis=1,
+        )
+        assert hull_functional(tuples, objective).max() >= threshold, eps
+
+
+def test_threshold_radius_is_zero_without_a_bound():
+    # Only n = 3 is bounded, and no radius excludes a tuple when even a
+    # vertex at the centre leaves room to reach the threshold: g(0) is 4
+    # (perimeter) and 1/2 (area).
+    for objective in Objective:
+        M4 = extremal_value(objective, 4)
+        assert threshold_radius(objective, 4, M4 - 0.01) == 0.0
+    assert threshold_radius(Objective.PERIMETER, 2, 3.9) == 0.0
+    for objective, g0 in ((Objective.PERIMETER, 4.0), (Objective.AREA, 0.5)):
+        for threshold in (g0, 0.5 * g0, 1e-9):
+            r0 = threshold_radius(objective, 3, threshold)
+            assert r0 == 0.0 and radius_uniform_floor(BetaParams(0.0), r0) == 0.0
+        assert threshold_radius(objective, 3, 1.001 * g0) > 0.0

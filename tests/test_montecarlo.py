@@ -376,21 +376,26 @@ def _sequential_hits(objective, n, beta, eps, draws, seed):
 
 def test_tail_probe_ragged_draws_reproduce_the_sequential_stream(monkeypatch):
     # Two chunks, the second cut into three whole blocks and a ragged tail.
+    # The probe scores only the tuples its radius prefilter keeps; the
+    # reference scores every tuple.
     draws = montecarlo._TAIL_CHUNK + 3 * montecarlo._TAIL_BLOCK + 7
-    expected = _sequential_hits(Objective.PERIMETER, 3, 0.0, (0.4, 0.5), draws, 99)
-    # Nearly every triangle has perimeter above 1e-9, so a tuple scored twice
-    # or not at all shows in the count.
-    M = extremal_value(Objective.PERIMETER, 3)
-    every = (M - 1e-9, M - 2e-9)
-    # The chunks' blocks as streams (the default), the ragged one alone as
-    # arrays, and both as arrays.
-    for chunk in (sampler._CHUNK, 3 * (draws - montecarlo._TAIL_CHUNK), 3 * draws):
-        monkeypatch.setattr(sampler, "_CHUNK", chunk)
-        for threads in (1, 2, 3):
-            res = tail_probe(Objective.PERIMETER, 3, 0.0, (0.4, 0.5), draws, 99, threads)
-            assert res.hits == expected
-            res = tail_probe(Objective.PERIMETER, 3, 0.0, every, draws, 99, threads)
-            assert res.hits == (draws, draws)
+    cases = [(Objective.PERIMETER, 0.0, (0.4, 0.5)), (Objective.AREA, -0.5, (0.25, 0.3))]
+    for objective, beta, eps in cases:
+        expected = _sequential_hits(objective, 3, beta, eps, draws, 99)
+        # Nearly every triangle has perimeter and area above 1e-9, so a
+        # tuple scored twice or not at all shows in the count.
+        M = extremal_value(objective, 3)
+        every = (M - 1e-9, M - 2e-9)
+        # The chunks' blocks as streams (the default), the ragged one alone
+        # as arrays, and both as arrays.
+        for chunk in (sampler._CHUNK, 3 * (draws - montecarlo._TAIL_CHUNK), 3 * draws):
+            monkeypatch.setattr(sampler, "_CHUNK", chunk)
+            for threads in (1, 2, 3):
+                res = tail_probe(objective, 3, beta, eps, draws, 99, threads)
+                assert res.hits == expected
+                assert all(h <= s < draws // 2 for h, s in zip(res.hits, res.scored))
+                res = tail_probe(objective, 3, beta, every, draws, 99, threads)
+                assert res.hits == res.scored == (draws, draws)
 
 
 def test_tail_probe_guard_rejects_undersampled_epsilon():
