@@ -104,8 +104,8 @@ class MaximizerAnalysis:
 
 
 def _base_point(spec: KernelSpec, point: Point | None, step: float) -> Point:
-    if step <= 0.0:
-        raise ValueError(f"step must be positive, got {step}")
+    if not 0.0 < step < math.inf:
+        raise ValueError(f"step must be positive and finite, got {step}")
     angles, radii = spec.maximizer if point is None else point
     return np.asarray(angles, dtype=float), np.asarray(radii, dtype=float)
 

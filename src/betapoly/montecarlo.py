@@ -10,9 +10,9 @@ Four probes, all pure functions of their configuration (seeds included):
   the fully specified Weibull limit, and recover its shape/rate from the
   lower quantiles via a log-log regression of ``ln(-ln(1 - F))`` on ``ln t``.
 * ``tail_probe``: estimate ``P[f >= M - eps]`` by direct n-point sampling on
-  an epsilon grid and fit the log-log slope and prefactor; slices of each
-  epsilon's stream are scored on a thread pool by jumping ahead in it, so
-  the hits are identical under any thread count.  At ``n = 3`` only the
+  an epsilon grid and fit the log-log slope and prefactor; each chunk of an
+  epsilon's stream is one job on a thread pool, drawn once, so the hits
+  are identical under any thread count.  At ``n = 3`` only the
   tuples whose radius uniforms can reach ``M - eps``
   (``geometry.threshold_radius``) get coordinates and a score, 1-14% of
   them at ``beta = 0`` and eps from 0.2 to 0.5, with the same hits.
@@ -281,22 +281,22 @@ def tail_prefactor(objective: Objective, n: int, beta: float) -> float:
     return math.factorial(n) * compute_K(n, beta) * analytic_I(objective, n, beta)
 
 
-def _tail_hits(params, objective, n, policy, k, threshold, floor, start, m, lo, hi):
-    """Hits and scored tuples among tuples ``[lo, hi)`` of the chunk of ``m`` at tuple ``start``.
+def _tail_hits(params, objective, n, policy, k, threshold, floor, start, m):
+    """Hits and scored tuples in the chunk of ``m`` tuples at tuple ``start``.
 
     The chunk's points are the ``n m`` points of ``uniform_blocks`` at draw
     ``2 n start`` of stream ``k``, so tuple ``j`` of the chunk is its points
-    ``[n j, n j + n)``, and a job reads only its slice of them.  Only the
-    tuples whose ``n`` radius uniforms all reach ``floor`` get coordinates
-    and a score: the others cannot reach ``threshold``
-    (``geometry.threshold_radius``).  ``points_from_uniforms`` is
-    elementwise, so a scored tuple's points are the same doubles as
+    ``[n j, n j + n)``.  They are read once, first to last, ``_TAIL_BLOCK``
+    tuples at a time.  Only the tuples whose ``n`` radius uniforms all
+    reach ``floor`` get coordinates and a score: the others cannot reach
+    ``threshold`` (``geometry.threshold_radius``).  ``points_from_uniforms``
+    is elementwise, so a scored tuple's points are the same doubles as
     without the filter.
     """
     angle_u, radius_u = uniform_blocks(policy, k, n * m, skip=2 * n * start)
     hits = scored = 0
-    for b in range(n * lo, n * hi, n * _TAIL_BLOCK):
-        part = slice(b, min(b + n * _TAIL_BLOCK, n * hi))
+    for b in range(0, n * m, n * _TAIL_BLOCK):
+        part = slice(b, b + n * _TAIL_BLOCK)
         a, r = angle_u[part], radius_u[part]
         if floor > 0.0:
             # A strided minimum and row takes: several times faster than a
@@ -335,25 +335,27 @@ def tail_probe(
     are scored, and ``scored`` counts them; the others cannot reach
     ``M - eps``, so the hits are those of scoring every tuple.  The floor
     is 0, and every tuple scored, for ``n != 3`` and wherever ``M - eps``
-    is at most the bound at the centre.  Each chunk is split into up to
-    ``threads`` jobs (``None`` means ``os.cpu_count()``) that read their
-    slice of its blocks (a streamed block jumps ahead to it), run on a
-    thread pool and take at most ``_TAIL_BLOCK`` tuples at a time, which
-    bounds memory only.  The pool gets no more threads than the probe
-    has full chunks of tuples, so a small probe runs in the calling thread.
-    Hits are integer sums over the jobs, so the result is identical for
-    every thread count.  Guards each epsilon by requiring >= 100 expected
-    hits under the analytic prediction; zero-hit grid points are dropped
-    from the fit with a warning.
+    is at most the bound at the centre.  Each chunk is one job, run on a
+    pool of ``threads`` threads (``None`` means ``os.cpu_count()``); it
+    draws its blocks once and scores at most ``_TAIL_BLOCK`` tuples at a
+    time, which bounds memory only.  The pool gets no more threads than the
+    probe has full chunks of tuples, so a small probe runs in the calling
+    thread.  Hits are integer sums over the jobs, so the result is
+    identical for every thread count.  Guards each epsilon by requiring
+    >= 100 expected hits under the analytic prediction; zero-hit grid
+    points are dropped from the fit with a warning.
 
     Raises:
-        ValueError: on a bad grid, a guard violation, ``threads < 1``, a
-        ``draws_per_epsilon`` or ``seed`` that is not an integer, or < 2
-        nonzero probabilities to fit.
+        ValueError: on a bad grid (a non-finite epsilon included), a guard
+        violation, ``threads < 1``, a ``draws_per_epsilon`` or ``seed`` that
+        is not an integer, or < 2 nonzero probabilities to fit.
     """
     workers = _workers(threads)
     policy = SeedPolicy(seed)
     eps = tuple(sorted({float(e) for e in epsilon_grid}, reverse=True))
+    for e in eps:
+        if not math.isfinite(e):
+            raise ValueError(f"epsilons must be finite, got {e}")
     if len(eps) < 2:
         raise ValueError("epsilon grid must contain at least 2 distinct values")
     M = extremal_value(objective, n)
@@ -386,19 +388,13 @@ def tail_probe(
     floors = [radius_uniform_floor(params, threshold_radius(objective, n, t)) for t in thresholds]
 
     def score(job) -> tuple[int, int]:
-        k, start, m, lo, hi = job
-        return _tail_hits(
-            params, objective, n, policy, k, thresholds[k], floors[k], start, m, lo, hi
-        )
+        k, start = job
+        m = min(_TAIL_CHUNK, draws_per_epsilon - start)
+        return _tail_hits(params, objective, n, policy, k, thresholds[k], floors[k], start, m)
 
-    # (epsilon index, chunk start, chunk size, lo, hi): each chunk is cut into
-    # at most one job per worker and no more jobs than it has blocks.
-    jobs = []
-    for k in range(len(eps)):
-        for start in range(0, draws_per_epsilon, _TAIL_CHUNK):
-            m = min(_TAIL_CHUNK, draws_per_epsilon - start)
-            parts = min(workers, -(-m // _TAIL_BLOCK))
-            jobs += [(k, start, m, i * m // parts, (i + 1) * m // parts) for i in range(parts)]
+    # (epsilon index, chunk start): one job per chunk.
+    starts = range(0, draws_per_epsilon, _TAIL_CHUNK)
+    jobs = [(k, start) for k in range(len(eps)) for start in starts]
     if workers == 1:
         counts = [score(job) for job in jobs]
     else:

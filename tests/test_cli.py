@@ -134,6 +134,13 @@ def test_verify_step_override(capsys):
     assert payload["det_negG"] == pytest.approx(payload["analytic_det"], rel=1e-3)
 
 
+def test_verify_rejects_a_step_that_is_not_finite(capsys):
+    for bad in ("nan", "inf"):
+        code, out, err = _run(capsys, ["verify", "--kernel", "perimeter", "--n", "3", "--step", bad])
+        assert code == 1 and out == ""
+        assert f"step must be positive and finite, got {bad}" in err
+
+
 def test_config_file_supplies_and_flags_override(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"constants": {"objective": "perimeter", "n": 3, "beta": 0.0, "as_json": True}}))
@@ -199,6 +206,19 @@ def test_tailprobe_cli(tmp_path, capsys):
     summary = json.loads((a / "tail_summary.json").read_text())
     assert {"fitted_slope", "predicted_slope", "hits", "epsilon_grid"} <= set(summary)
     assert summary["predicted_slope"] == pytest.approx(4.0)
+
+
+def test_tailprobe_cli_rejects_an_epsilon_that_is_not_finite(tmp_path, capsys):
+    argv = [
+        "--threads", "1",
+        "tailprobe", "--objective", "perimeter", "--n", "3", "--beta", "0",
+        "--eps", "0.4,nan,0.5", "--draws", "300000", "--seed", "1",
+        "--out-dir", str(tmp_path / "tail"),
+    ]
+    code, _, err = _run(capsys, argv)
+    assert code == 1
+    assert "epsilons must be finite, got nan" in err
+    assert not (tmp_path / "tail" / "tail.csv").exists()
 
 
 def test_tailprobe_cli_thread_determinism(tmp_path, capsys):

@@ -201,6 +201,17 @@ def test_angular_gradient_nonzero_off_maximizer():
     assert np.max(np.abs(g)) > 1e-3
 
 
+def test_finite_difference_probes_need_a_positive_finite_step():
+    # A NaN step passed the old "step <= 0" check and gave NaN results.
+    spec = KernelSpec(Objective.PERIMETER, 3)
+    for probe in (numeric_angular_gradient, numeric_sub_hessian, numeric_radial_partials):
+        for bad in (0.0, -1e-5, math.nan, math.inf):
+            with pytest.raises(ValueError, match="step must be positive and finite"):
+                probe(spec, step=bad)
+    with pytest.raises(ValueError, match="step must be positive and finite"):
+        analyze_maximizer(spec, math.nan)
+
+
 def test_gradient_second_order_convergence():
     # Halving the step cuts the central-difference error ~4x where truncation
     # dominates; measured at a non-critical point against a tiny-step reference.

@@ -249,9 +249,11 @@ def test_a_streamed_trial_replays_its_stream_when_the_far_set_falls_short(monkey
     assert (record.H, record.hull_size) == (expected.value, len(convex_hull(pts).vertex_indices))
 
 
-def test_run_trials_starts_no_more_workers_than_trials(monkeypatch):
-    # A fork-started pool starts every worker at once, so 16 threads on 8
-    # trials must ask for 8.  The pool is replaced by an in-process one.
+def _in_process_pool(monkeypatch, name):
+    """Replace the pool class ``montecarlo.<name>`` with one that runs in this process.
+
+    Returns the list of the ``max_workers`` each pool was asked for.
+    """
     started = []
 
     class InProcessPool:
@@ -267,7 +269,14 @@ def test_run_trials_starts_no_more_workers_than_trials(monkeypatch):
         def map(self, fn, jobs, chunksize=1):
             return map(fn, jobs)
 
-    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(montecarlo, name, InProcessPool)
+    return started
+
+
+def test_run_trials_starts_no_more_workers_than_trials(monkeypatch):
+    # A fork-started pool starts every worker at once, so 16 threads on 8
+    # trials must ask for 8.  The pool is replaced by an in-process one.
+    started = _in_process_pool(monkeypatch, "ProcessPoolExecutor")
     cfg = _small_config(N_list=(40,), trials=8)
     runs = [run_trials(cfg, threads=t) for t in (16, 1)]
     assert started == [8]
@@ -351,6 +360,35 @@ def test_tail_probe_blocks_do_not_change_the_hits(monkeypatch):
         monkeypatch.setattr(montecarlo, "_TAIL_BLOCK", block)
         assert tail_probe(*args, seed=6, threads=1).hits == whole
         assert tail_probe(*args, seed=6, threads=2).hits == whole
+
+
+def test_tail_probe_draws_each_uniform_once(monkeypatch):
+    # A job is a whole chunk.  The 10 000-tuple last chunk is 30 000 points,
+    # drawn as arrays from one generator: split across two threads, every
+    # part drew all of it.
+    args = (Objective.PERIMETER, 3, 0.0, (0.4, 0.5), 260_000, 99)
+    serial = tail_probe(*args, threads=1)
+    requests = {0: [], 1: []}
+    make = SeedPolicy.trial_generator
+
+    def counting(self, trial_index, skip=0):
+        return _CountingGenerator(make(self, trial_index, skip), requests[trial_index])
+
+    monkeypatch.setattr(SeedPolicy, "trial_generator", counting)
+    assert tail_probe(*args, threads=2) == serial
+    assert [sum(r) for r in requests.values()] == [2 * 3 * 260_000] * 2
+
+
+def test_tail_probe_starts_no_more_threads_than_full_chunks(monkeypatch):
+    # Below a full chunk of tuples per thread a pool costs more than it
+    # gives, so the tail-n4 workload's probe runs in the calling thread, and
+    # two full chunks get two threads however many are asked for.
+    started = _in_process_pool(monkeypatch, "ThreadPoolExecutor")
+    tail_probe(Objective.AREA, 4, 0.0, (0.9, 1.0, 1.1), 6_400, seed=42, threads=2)
+    assert started == []
+    args = (Objective.PERIMETER, 3, 0.0, (0.4, 0.5), 260_000, 99)
+    assert tail_probe(*args, threads=8) == tail_probe(*args, threads=1)
+    assert started == [2]
 
 
 def _sequential_hits(objective, n, beta, eps, draws, seed):
@@ -443,6 +481,11 @@ def test_tail_probe_grid_validation():
     for bad in (1.5, 1.0, True):
         with pytest.raises(ValueError, match="master_seed must be an integer"):
             tail_probe(Objective.PERIMETER, 3, 0.0, (0.5, 0.4), 1000, seed=bad)
+    # A NaN passed both range checks and sorted out of place, and the
+    # expected-hit guard read min(1, nan) as 1.
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match=f"epsilons must be finite, got {bad}"):
+            tail_probe(Objective.PERIMETER, 3, 0.0, (0.4, bad, 0.5), 300_000, seed=1)
 
 
 @pytest.mark.parametrize(
