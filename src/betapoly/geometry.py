@@ -32,9 +32,9 @@ from .sampler import radius_uniform_floor, select_uniforms
 # Below this size the circle test of _circle_hull costs more than it saves.
 _CIRCLE_MIN_POINTS = 128
 _CIRCLE_MARGIN = 1e-9  # relative slack on _inscribed_radius
-# Most hull vertices max_kgon takes: its edge-weight tables are h x h.
+# Most hull vertices max_kgon takes: its second pass costs O(h^3 / k^2) time.
 _MAX_HULL = 4096
-_DP_BLOCK = 1 << 18  # most (anchor, predecessor, successor) cells per step
+_DP_BLOCK = 1 << 18  # most (anchor, predecessor, successor) cells per DP tile
 _RADIUS_MARGIN = 2.0**-32  # relative slack of threshold_radius's certificate
 _BISECTIONS = 48  # halvings of each bisection in threshold_radius
 
@@ -479,80 +479,76 @@ def max_kgon(hull: PolygonChain, points, k: int, objective: Objective) -> UMaxRe
     if h > _MAX_HULL:
         raise ValueError(
             f"the hull has h = {h} vertices; max_kgon takes at most {_MAX_HULL} "
-            f"(its tables have h x h entries)"
+            f"(its second pass costs O(h^3 / k^2) time over DP layers of (h / k)^2 cells)"
         )
     idx = np.asarray(hull.vertex_indices, dtype=np.int64)
-    # Any origin gives a closed cycle the same shoelace sum; this one keeps
-    # the area's terms small.
-    rel = pts[idx] - pts[idx[0]]
-    # The weight table is the one h x h array: it is built a block of rows
-    # at a time.
-    weight = np.empty((h, h))
-    rows = max(1, _DP_BLOCK // h)
-    for lo in range(0, h, rows):
-        block = weight[lo : lo + rows]
-        if objective is Objective.PERIMETER:
-            diff = pts[idx[lo : lo + rows], None, :] - pts[None, idx, :]
-            np.hypot(diff[..., 0], diff[..., 1], out=block)
-        else:
-            np.multiply.outer(rel[lo : lo + rows, 0], rel[:, 1], out=block)
-            block -= np.multiply.outer(rel[lo : lo + rows, 1], rel[:, 0])
-            block *= 0.5
+    # Perimeter weights take raw coordinates, area ones coordinates relative
+    # to hull vertex 0 (any origin gives a closed cycle the same shoelace sum;
+    # this one keeps the terms small), held twice over for unwrapped positions.
+    origin = 0.0 if objective is Objective.PERIMETER else pts[idx[0]]
+    x, y = (pts[np.concatenate((idx, idx))] - origin).T
 
-    _, rooted = _max_plus(weight, np.zeros(1, dtype=np.int64), [np.arange(1, h)] * (k - 1))
+    def edge(p, q):
+        if objective is Objective.PERIMETER:
+            return np.hypot(x[p] - x[q], y[p] - y[q])
+        return 0.5 * (x[p] * y[q] - y[p] * x[q])
+
+    _, rooted = _max_plus(edge, h, np.zeros(1, dtype=np.int64), [np.arange(1, h)] * (k - 1))
     p = rooted(0)
     i = int(np.argmin(np.diff(p + [h])))
     arcs = [p[(i + j) % k] + h * ((i + j) // k) for j in range(k + 1)]
     layers = [np.arange(arcs[j], arcs[j + 1] + 1) for j in range(k)]
-    totals, trace = _max_plus(weight, layers[0], layers[1:])
+    totals, trace = _max_plus(edge, h, layers[0], layers[1:])
     cycle = _rotate_min_first(tuple(int(idx[q % h]) for q in trace(int(np.argmax(totals)))))
     return _chain_result(PolygonChain(cycle), pts, objective)
 
 
-def _max_plus(weight: np.ndarray, anchors: np.ndarray, layers: list[np.ndarray]):
+def _max_plus(edge, h: int, anchors: np.ndarray, layers: list[np.ndarray]):
     """Best closed chains ``anchor -> layers[0] -> ... -> layers[-1] -> anchor``.
 
-    Positions are unwrapped hull positions (``weight`` is read modulo ``h``),
-    strictly increasing along a chain and below ``anchor + h`` at its end.
-    Anchors go in blocks of at most ``_DP_BLOCK`` cells per step; where one
-    anchor's step has more, it is cut into blocks of successor columns, so
-    each predecessor ``argmax`` (first maximum on ties) is the same.
-    Returns each anchor's best total (``-inf`` without a chain) and
-    ``trace(t)``, the positions of anchor ``t``'s best chain.
+    Positions are unwrapped hull positions below ``2h``, strictly increasing
+    along a chain and below ``anchor + h`` at its end; ``edge(p, q)`` weighs
+    the edges ``p -> q``.  A step works all anchors in tiles of at most
+    ``_DP_BLOCK`` cells: blocks of successor columns, whose weights are
+    computed once (kept while the next step repeats the block), then rows of
+    anchors.  A block weighs only the predecessors below its last column;
+    the others would be ``-inf``, so each predecessor ``argmax`` (first
+    maximum on ties) is that of the whole step.  Returns each anchor's best
+    total (``-inf`` without a chain) and ``trace(t)``, the positions of
+    anchor ``t``'s best chain.
     """
-    h = len(weight)
-    pairs = list(zip(layers, layers[1:]))
-    block = max(1, _DP_BLOCK // max([len(u) * len(v) for u, v in pairs], default=1))
-    totals, tables = [], []
-    for start in range(0, len(anchors), block):
-        a = anchors[start : start + block, None]
-        dp = np.where(a < layers[0], weight[a % h, layers[0] % h], -np.inf)
-        args = []
-        for u, v in pairs:
-            cols = max(1, _DP_BLOCK // (len(a) * len(u)))
-            parts = []
-            for c in range(0, len(v), cols):
-                w = v[c : c + cols]
-                step = np.where(u[:, None] < w, weight[u[:, None] % h, w % h], -np.inf)
-                cand = dp[:, :, None] + step
-                parts.append((cand.argmax(axis=1), cand.max(axis=1)))
-            arg, dp = parts[0] if len(parts) == 1 else (np.hstack(p) for p in zip(*parts))
-            args.append(arg)
-        dp += np.where(layers[-1] < a + h, weight[layers[-1] % h, a % h], -np.inf)
-        args.append(dp.argmax(axis=1))
-        totals.append(dp.max(axis=1))
-        tables.append(args)
-    tables = [np.concatenate(t) for t in zip(*tables)]
+    a = anchors[:, None]
+    dp = np.where(a < layers[0], edge(a, layers[0]), -np.inf)
+    args, key = [], None
+    for u, v in zip(layers, layers[1:]):
+        best = np.empty((len(a), len(v)))
+        arg = np.empty((len(a), len(v)), dtype=np.intp)
+        cols = max(1, _DP_BLOCK // len(u))
+        for c in range(0, len(v), cols):
+            w = v[c : c + cols]
+            m = max(1, int(u.searchsorted(w[-1])))
+            if key != (id(u), id(v), c):  # the rooted pass repeats one layer
+                key = id(u), id(v), c
+                step = np.where(u[:m, None] < w, edge(u[:m, None], w), -np.inf)
+            rows = max(1, _DP_BLOCK // step.size)
+            for r in range(0, len(a), rows):
+                cand = dp[r : r + rows, :m, None] + step
+                cand.argmax(axis=1, out=arg[r : r + rows, c : c + cols])
+                cand.max(axis=1, out=best[r : r + rows, c : c + cols])
+        args.append(arg)
+        dp = best
+    dp += np.where(layers[-1] < a + h, edge(layers[-1], a), -np.inf)
+    args.append(dp.argmax(axis=1))
 
     def trace(t: int) -> list[int]:
-        v = tables[-1][t]
+        v = args[-1][t]
         positions = [int(anchors[t]), int(layers[-1][v])]
-        for j in range(len(pairs) - 1, -1, -1):
-            v = tables[j][t, v]
+        for j in range(len(layers) - 2, -1, -1):
+            v = args[j][t, v]
             positions.insert(1, int(layers[j][v]))
         return positions
 
-    return np.concatenate(totals), trace
+    return dp.max(axis=1), trace
 
 
 def umax(points, n: int, objective: Objective) -> UMaxResult:

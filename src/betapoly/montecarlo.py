@@ -78,12 +78,14 @@ class SimConfig:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if not self.N_list:
             raise ValueError("N_list must be nonempty")
-        for N in self.N_list:
+        for i, N in enumerate(self.N_list):
             check_integer(N, "every N")
+            if N in self.N_list[:i]:
+                raise ValueError(f"every N must be distinct, got N = {N} more than once")
         if any(N < self.n for N in self.N_list):
             raise ValueError(f"every N must be >= n={self.n}, got {self.N_list}")
-        if not (self.consistency_delta > 0.0):
-            raise ValueError("consistency_delta must be positive")
+        if not 0.0 < self.consistency_delta < math.inf:
+            raise ValueError(f"delta must be positive and finite, got {self.consistency_delta}")
 
 
 @dataclass(frozen=True)
@@ -434,8 +436,8 @@ def consistency_check(
     """Fraction of trials whose deficiency M - H stayed below ``delta``."""
     if not records:
         raise ValueError("no trial records")
-    if not (delta > 0.0):
-        raise ValueError("delta must be positive")
+    if not 0.0 < delta < math.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta}")
     Ns = {r.N for r in records}
     if len(Ns) != 1:
         raise ValueError(f"records mix several sample sizes: {sorted(Ns)}")

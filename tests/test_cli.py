@@ -300,6 +300,29 @@ def test_simulate_delta_flag_controls_consistency_cutoff(tmp_path, capsys):
     assert summary["consistency"]["delta"] == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize(
+    "N, delta, message",
+    [
+        ("250,250", "0.05", "every N must be distinct, got N = 250 more than once"),
+        ("30", "inf", "delta must be positive and finite, got inf"),
+        ("30", "nan", "delta must be positive and finite, got nan"),
+    ],
+    ids=["repeated-N", "delta-inf", "delta-nan"],
+)
+def test_simulate_rejects_a_repeated_N_or_a_delta_that_is_not_finite(
+    tmp_path, capsys, N, delta, message
+):
+    argv = [
+        "--threads", "1",
+        "simulate", "--objective", "perimeter", "--n", "3", "--beta", "0", "--N", N,
+        "--trials", "150", "--seed", "1", "--delta", delta, "--out-dir", str(tmp_path / "out"),
+    ]
+    code, _, err = _run(capsys, argv)
+    assert code == 1
+    assert message in err
+    assert not (tmp_path / "out").exists()
+
+
 def _all_flags(tmp_path):
     """Every subcommand flag with a valid value, and the config key it reads.
 

@@ -451,13 +451,14 @@ def test_max_kgon_anchor_blocks_do_not_change_the_result(monkeypatch):
     hull = convex_hull(pts)
     cases = [(objective, k) for objective in Objective for k in (2, 3, 5, 8)]
     whole = [max_kgon(hull, pts, k, objective) for objective, k in cases]
-    monkeypatch.setattr(geometry, "_DP_BLOCK", 1)  # one anchor per block
+    monkeypatch.setattr(geometry, "_DP_BLOCK", 1)  # tiles of one column and one anchor
     assert [max_kgon(hull, pts, k, objective) for objective, k in cases] == whole
 
 
 def test_max_kgon_column_blocks_keep_the_cycle(monkeypatch):
-    # Above _DP_BLOCK cells for one anchor a step is cut into blocks of
-    # successor columns: of one column at h = 300 with a block of 300.
+    # A step is cut into blocks of at most _DP_BLOCK // len(predecessors)
+    # successor columns, one column at h = 300 with a block of 300, and
+    # each block weighs only the predecessors below its last column.
     # Regular polygons tie in floats, so a block that changed a
     # predecessor's first-maximum rule would change their cycle.
     clouds = [_regular(h) for h in (37, 120, 300)]
@@ -469,30 +470,49 @@ def test_max_kgon_column_blocks_keep_the_cycle(monkeypatch):
         for objective in Objective
     ]
     assert max(len(hull.vertex_indices) for hull, *_ in cases) == 300
-    whole = [max_kgon(*case) for case in cases]  # unsplit: 299^2 < _DP_BLOCK
+    whole = [max_kgon(*case) for case in cases]  # columns unsplit: 299^2 < _DP_BLOCK
     for block in (300, 4_000):
         monkeypatch.setattr(geometry, "_DP_BLOCK", block)
         assert [max_kgon(*case) for case in cases] == whole
 
 
 @pytest.mark.parametrize("objective", list(Objective))
-def test_max_kgon_memory_stays_near_its_weight_table(objective):
-    # At h = 2000 one anchor's step has 4e6 cells: a whole step, or a table
-    # built whole, would hold several tables' worth at once.
+def test_max_kgon_memory_stays_below_a_weight_table(objective):
+    # Weights are computed from the coordinates a tile at a time, so no
+    # h x h array is held: at h = 2000 one anchor's step has 4e6 cells, and
+    # the second pass at k = 3 holds DP layers of (h / 3)^2 cells.
     h = 2000
     hull = PolygonChain(tuple(range(h)))
-    tracemalloc.start()
-    try:
-        result = max_kgon(hull, _regular(h), 12, objective)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert result.vertex_count == 12
-    assert peak < 1.6 * h * h * 8
+    for k in (3, 12):
+        tracemalloc.start()
+        try:
+            result = max_kgon(hull, _regular(h), k, objective)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.vertex_count == k
+        assert peak < 0.75 * h * h * 8, k
+
+
+def test_max_kgon_keeps_its_cycles_on_a_large_hull():
+    # h = 1250 at beta = -0.9: steps are cut into column blocks and the
+    # second pass runs hundreds of anchors.
+    pts = sample_batch(BetaParams(-0.9), 4000, SeedPolicy(11), 0)
+    assert len(convex_hull(pts).vertex_indices) == 1250
+    pins = [
+        (Objective.PERIMETER, 3, 5.196152338747057, (2183, 3434, 3048)),
+        (Objective.PERIMETER, 5, 5.877851988220887, (1292, 3583, 3364, 2588, 1729)),
+        (Objective.AREA, 3, 1.2990380217237538, (2183, 3434, 3048)),
+        (Objective.AREA, 5, 2.3776405503157316, (1810, 2460, 1864, 3137, 3012)),
+    ]
+    for objective, k, value, cycle in pins:
+        result = umax(pts, k, objective)
+        assert (result.value, result.vertex_indices) == (value, cycle), (objective, k)
 
 
 def test_umax_rejects_a_hull_too_large_for_max_kgon():
-    # Before its h x h tables: a 5000-gon would need 400 MB and minutes.
+    # Refused before any DP: at k = 3 the second pass of a 5000-gon would
+    # work ~(5000 / 3)^3 = 4.6e9 cells.
     start = time.perf_counter()
     with pytest.raises(ValueError, match=r"h = 5000 vertices; max_kgon takes at most 4096"):
         umax(_regular(5000), 3, Objective.PERIMETER)

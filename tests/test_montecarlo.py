@@ -58,8 +58,14 @@ def test_sim_config_validation():
         _small_config(N_list=())
     with pytest.raises(ValueError):
         _small_config(N_list=(2,))
-    with pytest.raises(ValueError):
-        _small_config(consistency_delta=0.0)
+    # An infinite cutoff would write "delta": Infinity, which is not JSON.
+    for bad in (0.0, -0.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match="delta must be positive and finite"):
+            _small_config(consistency_delta=bad)
+    # A repeated N would be listed twice in summary.json with doubled trials.
+    for bad in ((250, 250), (40, 90, 40)):
+        with pytest.raises(ValueError, match=f"got N = {bad[0]} more than once"):
+            _small_config(N_list=bad)
     # Rejected when built, not later in run_trials or numpy.
     for bad in (2.5, 25.0, True):
         with pytest.raises(ValueError, match="trials must be an integer"):
@@ -510,7 +516,7 @@ def test_tail_probe_n4_matches_prediction(objective, grid, draws):
 def test_consistency_check_basics():
     cfg = _small_config()
     recs = [r for r in run_trials(cfg, threads=1) if r.N == 90]
-    report = consistency_check(recs, PERIMETER_LAW, delta=math.inf)
+    report = consistency_check(recs, PERIMETER_LAW, delta=2.0 * PERIMETER_LAW.M)  # > M - H
     assert report.fraction_below == 1.0
     assert report.N == 90 and report.trials == len(recs)
     assert set(report.deficiency_quantiles) == {"q50", "q90", "q99", "max"}
@@ -518,6 +524,9 @@ def test_consistency_check_basics():
         consistency_check([], PERIMETER_LAW)
     with pytest.raises(ValueError):
         consistency_check(run_trials(cfg, threads=1), PERIMETER_LAW)  # mixed N
+    for bad in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="delta must be positive and finite"):
+            consistency_check(recs, PERIMETER_LAW, delta=bad)
 
 
 def test_summary_and_file_writers(tmp_path):
