@@ -155,8 +155,7 @@ def _build_parser() -> _Parser:
         "--threads",
         type=int,
         default=None,
-        help="workers for simulate (processes) and tailprobe (threads) "
-        "(default: available parallelism)",
+        help="worker processes for simulate and tailprobe (default: available parallelism)",
     )
     sub = parser.add_subparsers(dest="command")
     for command, (help_text, rows) in _COMMANDS.items():
@@ -281,7 +280,7 @@ def _cmd_simulate(objective, n, beta, N_list, trials, seed, delta, out_dir, thre
     compute = sum(r.wall_time for r in records)
     _log(
         f"simulated {len(records)} trials in {elapsed:.1f}s wall "
-        f"({compute:.1f}s of single-trial compute on {threads} worker(s))"
+        f"({compute:.1f}s of single-trial compute, --threads {threads})"
     )
 
     montecarlo.write_trials_csv(out_dir / "trials.csv", records)
@@ -300,7 +299,7 @@ def _cmd_tailprobe(objective, n, beta, eps, draws, seed, out_dir, threads) -> in
     out_dir.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
     result = montecarlo.tail_probe(objective, n, beta, eps, draws, seed, threads=threads)
-    _log(f"tail probe finished in {time.perf_counter() - start:.1f}s on {threads} thread(s)")
+    _log(f"tail probe finished in {time.perf_counter() - start:.1f}s (--threads {threads})")
     for e, scored in zip(result.epsilon_grid, result.scored):
         _log(f"eps={e:g}: {100.0 * scored / result.draws_per_epsilon:.1f}% of tuples scored")
 

@@ -3,16 +3,16 @@
 Four probes, all pure functions of their configuration (seeds included):
 
 * ``run_trials``: simulate the scaled deficiency ``T = N^A * (M - H_N)``
-  across sample sizes; trials are embarrassingly parallel with per-trial
-  derived seeds and are always aggregated in (N, trial) order, so the output
-  is byte-stable under any worker count.
+  across sample sizes; trials run on a process pool (``_map``) with
+  per-trial derived seeds and are always aggregated in (N, trial) order,
+  so the output is byte-stable under any worker count.
 * ``ks_distance`` / ``fit_shape``: compare the empirical law of ``T`` against
   the fully specified Weibull limit, and recover its shape/rate from the
   lower quantiles via a log-log regression of ``ln(-ln(1 - F))`` on ``ln t``.
 * ``tail_probe``: estimate ``P[f >= M - eps]`` by direct n-point sampling on
   an epsilon grid and fit the log-log slope and prefactor; each chunk of an
-  epsilon's stream is one job on a thread pool, drawn once, so the hits
-  are identical under any thread count.  At ``n = 3`` only the
+  epsilon's stream is one job on the same pool, drawn once, so the hits
+  are identical under any worker count.  At ``n = 3`` only the
   tuples whose radius uniforms can reach ``M - eps``
   (``geometry.threshold_radius``) get coordinates and a score, 1-14% of
   them at ``beta = 0`` and eps from 0.2 to 0.5, with the same hits.
@@ -25,7 +25,7 @@ import math
 import os
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -197,6 +197,18 @@ def _workers(threads: int | None) -> int:
     return workers
 
 
+def _map(fn, jobs: list, workers: int) -> list:
+    """``[fn(job) for job in jobs]``, on a pool of ``workers`` processes if more than 1.
+
+    A pool pickles ``fn`` and each job, so ``fn`` must be a module-level function.
+    """
+    if workers == 1:
+        return [fn(job) for job in jobs]
+    chunk = max(1, len(jobs) // (8 * workers))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, jobs, chunksize=chunk))
+
+
 def run_trials(config: SimConfig, threads: int | None = None) -> list[TrialRecord]:
     """Simulate all (N, trial) pairs; deterministic for a fixed master seed.
 
@@ -211,11 +223,7 @@ def run_trials(config: SimConfig, threads: int | None = None) -> list[TrialRecor
     ]
     # A fork-started pool starts all its workers at once: start no idle ones.
     workers = min(_workers(threads), len(jobs))
-    if workers == 1 or len(jobs) < 4:
-        return [_run_one(j) for j in jobs]
-    chunk = max(1, len(jobs) // (8 * workers))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_one, jobs, chunksize=chunk))
+    return _map(_run_one, jobs, workers if len(jobs) >= 4 else 1)
 
 
 def ks_distance(ecdf: EmpiricalCDF, law: LimitLaw) -> float:
@@ -283,18 +291,20 @@ def tail_prefactor(objective: Objective, n: int, beta: float) -> float:
     return math.factorial(n) * compute_K(n, beta) * analytic_I(objective, n, beta)
 
 
-def _tail_hits(params, objective, n, policy, k, threshold, floor, start, m):
+def _tail_hits(job) -> tuple[int, int]:
     """Hits and scored tuples in the chunk of ``m`` tuples at tuple ``start``.
 
-    The chunk's points are the ``n m`` points of ``uniform_blocks`` at draw
-    ``2 n start`` of stream ``k``, so tuple ``j`` of the chunk is its points
-    ``[n j, n j + n)``.  They are read once, first to last, ``_TAIL_BLOCK``
+    ``job`` is ``(params, objective, n, policy, k, threshold, floor, start,
+    m)``.  The chunk's points are the ``n m`` points of ``uniform_blocks``
+    at draw ``2 n start`` of stream ``k``, so tuple ``j`` of the chunk is its
+    points ``[n j, n j + n)``.  They are read once, first to last, ``_TAIL_BLOCK``
     tuples at a time.  Only the tuples whose ``n`` radius uniforms all
     reach ``floor`` get coordinates and a score: the others cannot reach
     ``threshold`` (``geometry.threshold_radius``).  ``points_from_uniforms``
     is elementwise, so a scored tuple's points are the same doubles as
     without the filter.
     """
+    params, objective, n, policy, k, threshold, floor, start, m = job
     angle_u, radius_u = uniform_blocks(policy, k, n * m, skip=2 * n * start)
     hits = scored = 0
     for b in range(0, n * m, n * _TAIL_BLOCK):
@@ -337,22 +347,20 @@ def tail_probe(
     are scored, and ``scored`` counts them; the others cannot reach
     ``M - eps``, so the hits are those of scoring every tuple.  The floor
     is 0, and every tuple scored, for ``n != 3`` and wherever ``M - eps``
-    is at most the bound at the centre.  Each chunk is one job, run on a
-    pool of ``threads`` threads (``None`` means ``os.cpu_count()``); it
-    draws its blocks once and scores at most ``_TAIL_BLOCK`` tuples at a
-    time, which bounds memory only.  The pool gets no more threads than the
-    probe has full chunks of tuples, so a small probe runs in the calling
-    thread.  Hits are integer sums over the jobs, so the result is
-    identical for every thread count.  Guards each epsilon by requiring
-    >= 100 expected hits under the analytic prediction; zero-hit grid
-    points are dropped from the fit with a warning.
+    is at most the bound at the centre.  Each chunk is one job
+    (``_tail_hits``), run on ``threads`` worker processes (``None`` means
+    ``os.cpu_count()``), but on no more than the probe has full chunks of
+    tuples, so a small probe runs in the calling process.  Hits are integer
+    sums over the jobs, so the result is identical for every worker count.
+    Guards each epsilon by requiring >= 100 expected hits under the
+    analytic prediction; zero-hit grid points are dropped from the fit
+    with a warning.
 
     Raises:
         ValueError: on a bad grid (a non-finite epsilon included), a guard
         violation, ``threads < 1``, a ``draws_per_epsilon`` or ``seed`` that
         is not an integer, or < 2 nonzero probabilities to fit.
     """
-    workers = _workers(threads)
     policy = SeedPolicy(seed)
     eps = tuple(sorted({float(e) for e in epsilon_grid}, reverse=True))
     for e in eps:
@@ -379,33 +387,22 @@ def tail_probe(
 
     params = BetaParams(beta)
 
-    # Below a chunk of tuples per thread, starting the pool and handing the
-    # interpreter lock back and forth cost more than the second core gives
-    # (2 threads on 2 cores: 0.85x at n = 4 and 12 800 tuples; at n = 3,
-    # where the radius prefilter leaves mostly the draws, 1.0-1.15x at
-    # 500 000 tuples and 1.2-1.45x at 2 000 000).
-    workers = max(1, min(workers, len(eps) * draws_per_epsilon // _TAIL_CHUNK))
+    # A pool takes ~10-15 ms to start: at n = 3, 2 workers on 2 full chunks
+    # only break even with 1, so each worker gets at least a full chunk.
+    workers = max(1, min(_workers(threads), len(eps) * draws_per_epsilon // _TAIL_CHUNK))
 
-    thresholds = [M - e for e in eps]
-    floors = [radius_uniform_floor(params, threshold_radius(objective, n, t)) for t in thresholds]
-
-    def score(job) -> tuple[int, int]:
-        k, start = job
-        m = min(_TAIL_CHUNK, draws_per_epsilon - start)
-        return _tail_hits(params, objective, n, policy, k, thresholds[k], floors[k], start, m)
-
-    # (epsilon index, chunk start): one job per chunk.
-    starts = range(0, draws_per_epsilon, _TAIL_CHUNK)
-    jobs = [(k, start) for k in range(len(eps)) for start in starts]
-    if workers == 1:
-        counts = [score(job) for job in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            counts = list(pool.map(score, jobs))
+    # One job per chunk of each epsilon's stream.
+    jobs = []
+    for k, e in enumerate(eps):
+        threshold = M - e
+        floor = radius_uniform_floor(params, threshold_radius(objective, n, threshold))
+        for start in range(0, draws_per_epsilon, _TAIL_CHUNK):
+            m = min(_TAIL_CHUNK, draws_per_epsilon - start)
+            jobs.append((params, objective, n, policy, k, threshold, floor, start, m))
     hits, scored = [0] * len(eps), [0] * len(eps)
-    for job, (count, seen) in zip(jobs, counts):
-        hits[job[0]] += count
-        scored[job[0]] += seen
+    for job, (count, seen) in zip(jobs, _map(_tail_hits, jobs, workers)):
+        hits[job[4]] += count
+        scored[job[4]] += seen
 
     probs = [h / draws_per_epsilon for h in hits]
     usable = [(e, p) for e, p in zip(eps, probs) if p > 0.0]

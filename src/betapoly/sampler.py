@@ -57,6 +57,8 @@ class BetaParams:
     beta: float
 
     def __post_init__(self) -> None:
+        if isinstance(self.beta, (bool, np.bool_)):
+            raise ValueError(f"beta must be a number, got {self.beta!r}")
         if not math.isfinite(self.beta) or self.beta <= -1.0:
             raise ValueError(f"beta must be finite and > -1, got {self.beta}")
 
@@ -86,7 +88,7 @@ class SeedPolicy:
     Trial ``t`` draws from ``PCG64(SeedSequence((master_seed, t)))``.  Within
     a trial the stream has a fixed layout (the whole angle block first, then
     the radius block), so every coordinate is a pure function of
-    ``(master_seed, trial_index, point_index)`` regardless of thread count,
+    ``(master_seed, trial_index, point_index)`` regardless of worker count,
     scheduling or the order the stream is read in (``uniform_blocks``).
     """
 
@@ -106,10 +108,10 @@ class SeedPolicy:
         consumes per float64, so ``trial_generator(t, skip=k).random(c)``
         equals ``trial_generator(t).random(k + c)[k:]`` bit for bit.
         """
-        if trial_index < 0:
-            raise ValueError(f"trial_index must be >= 0, got {trial_index}")
-        if skip < 0:
-            raise ValueError(f"skip must be >= 0, got {skip}")
+        for value, name in ((trial_index, "trial_index"), (skip, "skip")):
+            check_integer(value, name)
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
         seq = np.random.SeedSequence((int(self.master_seed), int(trial_index)))
         bits = np.random.PCG64(seq)
         if skip:
@@ -205,8 +207,9 @@ def sample_batch(
     ``uniform_blocks(seed_policy, trial_index, count)`` read whole.
 
     Raises:
-        ValueError: if ``count < 1``.
+        ValueError: if ``count`` is not an integer ``>= 1``.
     """
+    check_integer(count, "count")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     blocks = uniform_blocks(seed_policy, trial_index, count)

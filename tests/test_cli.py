@@ -171,9 +171,10 @@ def test_simulate_cli_files_and_thread_determinism(tmp_path, capsys):
             "simulate", "--objective", "perimeter", "--n", "3", "--beta", "0",
             "--N", "40,80", "--trials", "30", "--seed", "5", "--out-dir", str(out_dir),
         ]
-        assert dispatch(argv) == 0
+        code, _, err = _run(capsys, argv)
+        assert code == 0
+        assert f"compute, --threads {threads})" in err
         outs.append(out_dir)
-    capsys.readouterr()
     a, b = outs
     assert (a / "trials.csv").read_bytes() == (b / "trials.csv").read_bytes()
     assert (a / "summary.json").read_bytes() == (b / "summary.json").read_bytes()
@@ -232,7 +233,7 @@ def test_tailprobe_cli_thread_determinism(tmp_path, capsys):
         ]
         code, _, err = _run(capsys, argv)
         assert code == 0
-        assert f"on {threads} thread(s)" in err
+        assert f"s (--threads {threads})\n" in err
         outs.append(out_dir)
     a, b = outs
     assert (a / "tail.csv").read_bytes() == (b / "tail.csv").read_bytes()

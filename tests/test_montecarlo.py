@@ -1,5 +1,8 @@
 import dataclasses
+import functools
 import math
+from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import get_all_start_methods, get_context
 
 import numpy as np
 import pytest
@@ -76,6 +79,9 @@ def test_sim_config_validation():
     for bad in (float("nan"), float("inf"), -1.0):
         with pytest.raises(ValueError, match="beta must be finite"):
             _small_config(beta=bad)
+    # True would run as beta = 1 and write "beta": true into summary.json.
+    with pytest.raises(ValueError, match="beta must be a number"):
+        _small_config(beta=True)
     for bad in (1.5, 11.0, True, -1):
         with pytest.raises(ValueError, match="master_seed"):
             _small_config(master_seed=bad)
@@ -255,8 +261,8 @@ def test_a_streamed_trial_replays_its_stream_when_the_far_set_falls_short(monkey
     assert (record.H, record.hull_size) == (expected.value, len(convex_hull(pts).vertex_indices))
 
 
-def _in_process_pool(monkeypatch, name):
-    """Replace the pool class ``montecarlo.<name>`` with one that runs in this process.
+def _in_process_pool(monkeypatch):
+    """Replace ``montecarlo``'s pool class with one that runs in this process.
 
     Returns the list of the ``max_workers`` each pool was asked for.
     """
@@ -275,14 +281,14 @@ def _in_process_pool(monkeypatch, name):
         def map(self, fn, jobs, chunksize=1):
             return map(fn, jobs)
 
-    monkeypatch.setattr(montecarlo, name, InProcessPool)
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InProcessPool)
     return started
 
 
 def test_run_trials_starts_no_more_workers_than_trials(monkeypatch):
     # A fork-started pool starts every worker at once, so 16 threads on 8
     # trials must ask for 8.  The pool is replaced by an in-process one.
-    started = _in_process_pool(monkeypatch, "ProcessPoolExecutor")
+    started = _in_process_pool(monkeypatch)
     cfg = _small_config(N_list=(40,), trials=8)
     runs = [run_trials(cfg, threads=t) for t in (16, 1)]
     assert started == [8]
@@ -358,7 +364,7 @@ def test_tail_probe_hits_do_not_depend_on_threads():
 
 def test_tail_probe_blocks_do_not_change_the_hits(monkeypatch):
     # The chunk fixes the stream; the block only bounds memory.  A small
-    # chunk gives this small probe enough chunks to run on the thread pool.
+    # chunk gives this small probe enough chunks to run on the process pool.
     monkeypatch.setattr(montecarlo, "_TAIL_CHUNK", 2_000)
     args = (Objective.AREA, 4, 0.0, (0.9, 1.1), 6_400)
     whole = tail_probe(*args, seed=6, threads=1).hits
@@ -370,10 +376,12 @@ def test_tail_probe_blocks_do_not_change_the_hits(monkeypatch):
 
 def test_tail_probe_draws_each_uniform_once(monkeypatch):
     # A job is a whole chunk.  The 10 000-tuple last chunk is 30 000 points,
-    # drawn as arrays from one generator: split across two threads, every
-    # part drew all of it.
+    # drawn as arrays from one generator: split across two workers, every
+    # part drew all of it.  The 2-worker pool runs in this process, so the
+    # draws are counted here.
     args = (Objective.PERIMETER, 3, 0.0, (0.4, 0.5), 260_000, 99)
     serial = tail_probe(*args, threads=1)
+    started = _in_process_pool(monkeypatch)
     requests = {0: [], 1: []}
     make = SeedPolicy.trial_generator
 
@@ -382,19 +390,35 @@ def test_tail_probe_draws_each_uniform_once(monkeypatch):
 
     monkeypatch.setattr(SeedPolicy, "trial_generator", counting)
     assert tail_probe(*args, threads=2) == serial
+    assert started == [2]
     assert [sum(r) for r in requests.values()] == [2 * 3 * 260_000] * 2
 
 
-def test_tail_probe_starts_no_more_threads_than_full_chunks(monkeypatch):
-    # Below a full chunk of tuples per thread a pool costs more than it
-    # gives, so the tail-n4 workload's probe runs in the calling thread, and
-    # two full chunks get two threads however many are asked for.
-    started = _in_process_pool(monkeypatch, "ThreadPoolExecutor")
+def test_tail_probe_starts_no_more_workers_than_full_chunks(monkeypatch):
+    # Below a full chunk of tuples per worker a pool costs more than it
+    # gives, so the tail-n4 workload's probe runs in the calling process,
+    # and two full chunks get two workers however many are asked for.
+    started = _in_process_pool(monkeypatch)
     tail_probe(Objective.AREA, 4, 0.0, (0.9, 1.0, 1.1), 6_400, seed=42, threads=2)
     assert started == []
     args = (Objective.PERIMETER, 3, 0.0, (0.4, 0.5), 260_000, 99)
     assert tail_probe(*args, threads=8) == tail_probe(*args, threads=1)
     assert started == [2]
+
+
+@pytest.mark.skipif("forkserver" not in get_all_start_methods(), reason="no forkserver")
+def test_both_probes_run_on_a_forkserver_pool(monkeypatch):
+    # A forkserver worker (the default start method on Linux from Python
+    # 3.14) gets each job by pickling, so a job that is a closure fails
+    # here, and it sees none of the parent's monkeypatches.
+    forkserver = functools.partial(ProcessPoolExecutor, mp_context=get_context("forkserver"))
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", forkserver)
+    args = (Objective.AREA, 4, 0.0, (0.9, 1.1), 520_000, 5)
+    assert tail_probe(*args, threads=2) == tail_probe(*args, threads=1)
+    cfg = _small_config(N_list=(40,), trials=8)
+    runs = [run_trials(cfg, threads=t) for t in (2, 1)]
+    keys = [[(r.N, r.trial_index, r.H, r.T, r.hull_size) for r in recs] for recs in runs]
+    assert keys[0] == keys[1]
 
 
 def _sequential_hits(objective, n, beta, eps, draws, seed):

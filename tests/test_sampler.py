@@ -38,6 +38,10 @@ def test_beta_params_validation():
         BetaParams(-2.0)
     with pytest.raises(ValueError):
         BetaParams(float("nan"))
+    # math.isfinite(True) holds, so True would run as beta = 1.
+    for bad in (True, False, np.True_):
+        with pytest.raises(ValueError, match="beta must be a number"):
+            BetaParams(bad)
 
 
 def test_radius_cdf_examples():
@@ -327,6 +331,17 @@ def test_sample_batch_validation():
         SeedPolicy(5).trial_generator(-2)
     with pytest.raises(ValueError):
         SeedPolicy(5).trial_generator(0, skip=-1)
+    # int() would truncate 1.5 to trial 1's stream and take True for 1.
+    policy = SeedPolicy(7)
+    for bad in (1.5, 4.0, True, "1", None):
+        with pytest.raises(ValueError, match="trial_index must be an integer"):
+            sample_batch(BetaParams(0.0), 5, policy, trial_index=bad)
+        with pytest.raises(ValueError, match="skip must be an integer"):
+            policy.trial_generator(0, skip=bad)
+        with pytest.raises(ValueError, match="count must be an integer"):
+            sample_batch(BetaParams(0.0), bad, policy)
+    same = sample_batch(BetaParams(0.0), np.int64(5), policy, trial_index=np.uint32(1))
+    assert same.tobytes() == sample_batch(BetaParams(0.0), 5, policy, trial_index=1).tobytes()
 
 
 def test_sample_batch_radii_and_mean_against_quadrature():
