@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from pathlib import Path
@@ -280,7 +279,7 @@ def _cmd_simulate(objective, n, beta, N_list, trials, seed, delta, out_dir, thre
     compute = sum(r.wall_time for r in records)
     _log(
         f"simulated {len(records)} trials in {elapsed:.1f}s wall "
-        f"({compute:.1f}s of single-trial compute, --threads {threads})"
+        f"({compute:.1f}s of single-trial compute, --threads {threads or 'default'})"
     )
 
     montecarlo.write_trials_csv(out_dir / "trials.csv", records)
@@ -299,7 +298,8 @@ def _cmd_tailprobe(objective, n, beta, eps, draws, seed, out_dir, threads) -> in
     out_dir.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
     result = montecarlo.tail_probe(objective, n, beta, eps, draws, seed, threads=threads)
-    _log(f"tail probe finished in {time.perf_counter() - start:.1f}s (--threads {threads})")
+    elapsed = time.perf_counter() - start
+    _log(f"tail probe finished in {elapsed:.1f}s (--threads {threads or 'default'})")
     for e, scored in zip(result.epsilon_grid, result.scored):
         _log(f"eps={e:g}: {100.0 * scored / result.draws_per_epsilon:.1f}% of tuples scored")
 
@@ -344,11 +344,10 @@ def dispatch(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         cfg = _load_config(args.config)
         threads = args.threads if args.threads is not None else cfg.get("threads")
-        if threads is None:
-            threads = os.cpu_count() or 1
-        threads = _KINDS["int"][1](threads, "--threads")
-        if threads < 1:
-            raise CliError(f"--threads must be >= 1, got {threads}")
+        if threads is not None:
+            threads = _KINDS["int"][1](threads, "--threads")
+            if threads < 1:
+                raise CliError(f"--threads must be >= 1, got {threads}")
         if args.command is None:
             raise CliError("no subcommand given; expected one of " + ", ".join(_COMMANDS))
         rows = _COMMANDS[args.command][1]

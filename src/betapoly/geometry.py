@@ -294,10 +294,10 @@ def hull_functional(tuples, objective: Objective) -> np.ndarray:
         # Every pair of a triple is a hull edge, so the hull is closed form;
         # for degenerate triples the two collinear legs add up to twice the
         # span.
-        d01 = np.hypot(pts[:, 0, 0] - pts[:, 1, 0], pts[:, 0, 1] - pts[:, 1, 1])
-        d12 = np.hypot(pts[:, 1, 0] - pts[:, 2, 0], pts[:, 1, 1] - pts[:, 2, 1])
-        d20 = np.hypot(pts[:, 2, 0] - pts[:, 0, 0], pts[:, 2, 1] - pts[:, 0, 1])
         if objective is Objective.PERIMETER:
+            d01 = np.hypot(pts[:, 0, 0] - pts[:, 1, 0], pts[:, 0, 1] - pts[:, 1, 1])
+            d12 = np.hypot(pts[:, 1, 0] - pts[:, 2, 0], pts[:, 1, 1] - pts[:, 2, 1])
+            d20 = np.hypot(pts[:, 2, 0] - pts[:, 0, 0], pts[:, 2, 1] - pts[:, 0, 1])
             return d01 + d12 + d20
         ux = pts[:, 1, 0] - pts[:, 0, 0]
         uy = pts[:, 1, 1] - pts[:, 0, 1]
@@ -474,7 +474,7 @@ def max_kgon(hull: PolygonChain, points, k: int, objective: Objective) -> UMaxRe
     check_vertex_count(k)
     pts = as_points_array(points)
     h = len(hull.vertex_indices)
-    if hull.degenerate or k >= h:
+    if k >= h:
         return _chain_result(hull, pts, objective)
     if h > _MAX_HULL:
         raise ValueError(

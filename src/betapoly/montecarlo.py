@@ -190,19 +190,23 @@ def _run_one(args) -> TrialRecord:
     )
 
 
-def _workers(threads: int | None) -> int:
-    workers = threads if threads is not None else (os.cpu_count() or 1)
-    if workers < 1:
-        raise ValueError(f"threads must be >= 1, got {workers}")
-    return workers
+def _map(fn, jobs: list, threads: int | None, busy: int) -> list:
+    """``[fn(job) for job in jobs]``: the one rule for how many processes run.
 
-
-def _map(fn, jobs: list, workers: int) -> list:
-    """``[fn(job) for job in jobs]``, on a pool of ``workers`` processes if more than 1.
-
-    A pool pickles ``fn`` and each job, so ``fn`` must be a module-level function.
+    ``threads`` must be an integer ``>= 1``; ``None`` means one per core.
+    A pool starts all its workers at once, so the jobs run on
+    ``min(threads, busy)`` processes, ``busy`` being the most workers the
+    caller's jobs can keep busy, and in the calling process when that is at
+    most 1.  A pool pickles ``fn`` and each job, so ``fn`` must be a
+    module-level function.
     """
-    if workers == 1:
+    if threads is None:
+        threads = os.cpu_count() or 1
+    check_integer(threads, "threads")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    workers = min(threads, busy)
+    if workers <= 1:
         return [fn(job) for job in jobs]
     chunk = max(1, len(jobs) // (8 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -214,6 +218,7 @@ def run_trials(config: SimConfig, threads: int | None = None) -> list[TrialRecor
 
     ``threads`` only affects speed: each trial derives its own generator from
     (master_seed, trial_index), and records are returned in (N, trial) order.
+    Each trial is one job, so ``_map`` runs at most one worker per trial.
     """
     law = law_for(config.objective, config.n, config.beta)
     jobs = [
@@ -221,9 +226,7 @@ def run_trials(config: SimConfig, threads: int | None = None) -> list[TrialRecor
         for N in config.N_list
         for t in range(config.trials)
     ]
-    # A fork-started pool starts all its workers at once: start no idle ones.
-    workers = min(_workers(threads), len(jobs))
-    return _map(_run_one, jobs, workers if len(jobs) >= 4 else 1)
+    return _map(_run_one, jobs, threads, len(jobs))
 
 
 def ks_distance(ecdf: EmpiricalCDF, law: LimitLaw) -> float:
@@ -235,21 +238,17 @@ def ks_distance(ecdf: EmpiricalCDF, law: LimitLaw) -> float:
     return float(max(np.max(i / m - F), np.max(F - (i - 1) / m)))
 
 
-def fit_shape(
-    ecdf: EmpiricalCDF, quantile_window: tuple[float, float] = DEFAULT_SHAPE_WINDOW
-) -> ShapeFit:
+def fit_shape(ecdf: EmpiricalCDF) -> ShapeFit:
     """Least-squares Weibull plot: slope ~ C, intercept ~ ln B.
 
-    Uses plotting positions (i - 1/2)/m restricted to the quantile window;
-    below it the counts are noisy, above it 1 - exp(-B t^C) stops looking
-    like a pure power.
+    Uses plotting positions (i - 1/2)/m restricted to the quantile window
+    ``DEFAULT_SHAPE_WINDOW``; below it the counts are noisy, above it
+    1 - exp(-B t^C) stops looking like a pure power.
 
     Raises:
         ValueError: if fewer than 100 usable points fall in the window.
     """
-    lo, hi = quantile_window
-    if not (0.0 < lo < hi < 1.0):
-        raise ValueError(f"quantile window must satisfy 0 < lo < hi < 1, got {quantile_window}")
+    lo, hi = DEFAULT_SHAPE_WINDOW
     t = ecdf.sorted_values
     m = t.size
     p = (np.arange(1, m + 1) - 0.5) / m
@@ -348,18 +347,18 @@ def tail_probe(
     ``M - eps``, so the hits are those of scoring every tuple.  The floor
     is 0, and every tuple scored, for ``n != 3`` and wherever ``M - eps``
     is at most the bound at the centre.  Each chunk is one job
-    (``_tail_hits``), run on ``threads`` worker processes (``None`` means
-    ``os.cpu_count()``), but on no more than the probe has full chunks of
-    tuples, so a small probe runs in the calling process.  Hits are integer
-    sums over the jobs, so the result is identical for every worker count.
+    (``_tail_hits``), run by ``_map`` on at most one worker per full chunk
+    of tuples, so a small probe runs in the calling process.  Hits are
+    integer sums over the jobs, so the result is identical for every worker
+    count.
     Guards each epsilon by requiring >= 100 expected hits under the
     analytic prediction; zero-hit grid points are dropped from the fit
     with a warning.
 
     Raises:
         ValueError: on a bad grid (a non-finite epsilon included), a guard
-        violation, ``threads < 1``, a ``draws_per_epsilon`` or ``seed`` that
-        is not an integer, or < 2 nonzero probabilities to fit.
+        violation, a ``threads``, ``draws_per_epsilon`` or ``seed`` that
+        is not an integer, ``threads < 1``, or < 2 nonzero probabilities to fit.
     """
     policy = SeedPolicy(seed)
     eps = tuple(sorted({float(e) for e in epsilon_grid}, reverse=True))
@@ -389,7 +388,7 @@ def tail_probe(
 
     # A pool takes ~10-15 ms to start: at n = 3, 2 workers on 2 full chunks
     # only break even with 1, so each worker gets at least a full chunk.
-    workers = max(1, min(_workers(threads), len(eps) * draws_per_epsilon // _TAIL_CHUNK))
+    full = len(eps) * draws_per_epsilon // _TAIL_CHUNK
 
     # One job per chunk of each epsilon's stream.
     jobs = []
@@ -400,7 +399,7 @@ def tail_probe(
             m = min(_TAIL_CHUNK, draws_per_epsilon - start)
             jobs.append((params, objective, n, policy, k, threshold, floor, start, m))
     hits, scored = [0] * len(eps), [0] * len(eps)
-    for job, (count, seen) in zip(jobs, _map(_tail_hits, jobs, workers)):
+    for job, (count, seen) in zip(jobs, _map(_tail_hits, jobs, threads, full)):
         hits[job[4]] += count
         scored[job[4]] += seen
 

@@ -164,21 +164,22 @@ def test_bad_config_exits_1(tmp_path, capsys):
 
 def test_simulate_cli_files_and_thread_determinism(tmp_path, capsys):
     outs = []
-    for threads, sub in (("1", "a"), ("2", "b")):
+    # An unset --threads leaves the worker count to montecarlo's default.
+    for threads, sub in (("1", "a"), ("2", "b"), (None, "c")):
         out_dir = tmp_path / sub
-        argv = [
-            "--threads", threads,
+        argv = ["--threads", threads] if threads else []
+        argv += [
             "simulate", "--objective", "perimeter", "--n", "3", "--beta", "0",
             "--N", "40,80", "--trials", "30", "--seed", "5", "--out-dir", str(out_dir),
         ]
         code, _, err = _run(capsys, argv)
         assert code == 0
-        assert f"compute, --threads {threads})" in err
+        assert f"compute, --threads {threads or 'default'})" in err
         outs.append(out_dir)
-    a, b = outs
-    assert (a / "trials.csv").read_bytes() == (b / "trials.csv").read_bytes()
-    assert (a / "summary.json").read_bytes() == (b / "summary.json").read_bytes()
-    assert (a / "ecdf.csv").read_bytes() == (b / "ecdf.csv").read_bytes()
+    a = outs[0]
+    for b in outs[1:]:
+        for name in ("trials.csv", "summary.json", "ecdf.csv"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
     lines = (a / "trials.csv").read_text().splitlines()
     assert lines[0] == "N,trial,H,T,hull_size,micros"
     assert len(lines) == 1 + 2 * 30
@@ -224,20 +225,21 @@ def test_tailprobe_cli_rejects_an_epsilon_that_is_not_finite(tmp_path, capsys):
 
 def test_tailprobe_cli_thread_determinism(tmp_path, capsys):
     outs = []
-    for threads, sub in (("1", "a"), ("2", "b")):
+    for threads, sub in (("1", "a"), ("2", "b"), (None, "c")):
         out_dir = tmp_path / sub
-        argv = [
-            "--threads", threads,
+        argv = ["--threads", threads] if threads else []
+        argv += [
             "tailprobe", "--objective", "perimeter", "--n", "3", "--beta", "0",
             "--eps", "0.4,0.5", "--draws", "300007", "--seed", "9", "--out-dir", str(out_dir),
         ]
         code, _, err = _run(capsys, argv)
         assert code == 0
-        assert f"s (--threads {threads})\n" in err
+        assert f"s (--threads {threads or 'default'})\n" in err
         outs.append(out_dir)
-    a, b = outs
-    assert (a / "tail.csv").read_bytes() == (b / "tail.csv").read_bytes()
-    assert (a / "tail_summary.json").read_bytes() == (b / "tail_summary.json").read_bytes()
+    a = outs[0]
+    for b in outs[1:]:
+        assert (a / "tail.csv").read_bytes() == (b / "tail.csv").read_bytes()
+        assert (a / "tail_summary.json").read_bytes() == (b / "tail_summary.json").read_bytes()
     assert json.loads((a / "tail_summary.json").read_text())["draws_per_epsilon"] == 300007
 
 

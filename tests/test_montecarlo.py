@@ -287,13 +287,25 @@ def _in_process_pool(monkeypatch):
 
 def test_run_trials_starts_no_more_workers_than_trials(monkeypatch):
     # A fork-started pool starts every worker at once, so 16 threads on 8
-    # trials must ask for 8.  The pool is replaced by an in-process one.
+    # trials must ask for 8, and 8 threads on 3 trials for 3.  The pool is
+    # replaced by an in-process one.
     started = _in_process_pool(monkeypatch)
-    cfg = _small_config(N_list=(40,), trials=8)
-    runs = [run_trials(cfg, threads=t) for t in (16, 1)]
-    assert started == [8]
-    keys = [[(r.N, r.trial_index, r.H, r.hull_size) for r in recs] for recs in runs]
-    assert keys[0] == keys[1]
+    for trials, threads in ((8, 16), (3, 8)):
+        cfg = _small_config(N_list=(40,), trials=trials)
+        runs = [run_trials(cfg, threads=t) for t in (threads, 1)]
+        keys = [[(r.N, r.trial_index, r.H, r.hull_size) for r in recs] for recs in runs]
+        assert keys[0] == keys[1]
+    assert started == [8, 3]
+
+
+@pytest.mark.parametrize("threads", [2.5, True, 1.0])
+def test_both_probes_reject_a_thread_count_that_is_not_an_integer(monkeypatch, threads):
+    started = _in_process_pool(monkeypatch)
+    with pytest.raises(ValueError, match="threads"):
+        run_trials(_small_config(N_list=(40,), trials=8), threads=threads)
+    with pytest.raises(ValueError, match="threads"):
+        tail_probe(Objective.PERIMETER, 3, 0.0, (0.4, 0.5), 600_000, seed=99, threads=threads)
+    assert started == []
 
 
 def test_empirical_cdf_evaluate():
@@ -336,9 +348,6 @@ def test_fit_shape_validation():
     small = EmpiricalCDF.from_samples(np.linspace(0.1, 1.0, 50))
     with pytest.raises(ValueError):
         fit_shape(small)
-    ok = EmpiricalCDF.from_samples(np.linspace(0.1, 1.0, 1000))
-    with pytest.raises(ValueError):
-        fit_shape(ok, quantile_window=(0.6, 0.05))
 
 
 def test_tail_probe_small_run_matches_prediction():
@@ -362,16 +371,32 @@ def test_tail_probe_hits_do_not_depend_on_threads():
         tail_probe(Objective.PERIMETER, 3, 0.0, (0.4, 0.5), 300_000, seed=99, threads=0)
 
 
+_HAS_FORK = "fork" in get_all_start_methods()
+
+
+def _pool_started_by(monkeypatch, method):
+    """Start ``montecarlo``'s pools by the start ``method``.
+
+    Only ``fork`` workers see this process's monkeypatched constants: under
+    ``forkserver`` or ``spawn`` a worker imports the package afresh.
+    """
+    pool = functools.partial(ProcessPoolExecutor, mp_context=get_context(method))
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", pool)
+
+
 def test_tail_probe_blocks_do_not_change_the_hits(monkeypatch):
     # The chunk fixes the stream; the block only bounds memory.  A small
     # chunk gives this small probe enough chunks to run on the process pool.
     monkeypatch.setattr(montecarlo, "_TAIL_CHUNK", 2_000)
+    if _HAS_FORK:
+        _pool_started_by(monkeypatch, "fork")
     args = (Objective.AREA, 4, 0.0, (0.9, 1.1), 6_400)
     whole = tail_probe(*args, seed=6, threads=1).hits
     for block in (7, 1_000):
         monkeypatch.setattr(montecarlo, "_TAIL_BLOCK", block)
         assert tail_probe(*args, seed=6, threads=1).hits == whole
-        assert tail_probe(*args, seed=6, threads=2).hits == whole
+        if _HAS_FORK:
+            assert tail_probe(*args, seed=6, threads=2).hits == whole
 
 
 def test_tail_probe_draws_each_uniform_once(monkeypatch):
@@ -411,8 +436,7 @@ def test_both_probes_run_on_a_forkserver_pool(monkeypatch):
     # A forkserver worker (the default start method on Linux from Python
     # 3.14) gets each job by pickling, so a job that is a closure fails
     # here, and it sees none of the parent's monkeypatches.
-    forkserver = functools.partial(ProcessPoolExecutor, mp_context=get_context("forkserver"))
-    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", forkserver)
+    _pool_started_by(monkeypatch, "forkserver")
     args = (Objective.AREA, 4, 0.0, (0.9, 1.1), 520_000, 5)
     assert tail_probe(*args, threads=2) == tail_probe(*args, threads=1)
     cfg = _small_config(N_list=(40,), trials=8)
@@ -447,6 +471,8 @@ def test_tail_probe_ragged_draws_reproduce_the_sequential_stream(monkeypatch):
     # The probe scores only the tuples its radius prefilter keeps; the
     # reference scores every tuple.
     draws = montecarlo._TAIL_CHUNK + 3 * montecarlo._TAIL_BLOCK + 7
+    if _HAS_FORK:
+        _pool_started_by(monkeypatch, "fork")
     cases = [(Objective.PERIMETER, 0.0, (0.4, 0.5)), (Objective.AREA, -0.5, (0.25, 0.3))]
     for objective, beta, eps in cases:
         expected = _sequential_hits(objective, 3, beta, eps, draws, 99)
@@ -458,7 +484,7 @@ def test_tail_probe_ragged_draws_reproduce_the_sequential_stream(monkeypatch):
         # as arrays, and both as arrays.
         for chunk in (sampler._CHUNK, 3 * (draws - montecarlo._TAIL_CHUNK), 3 * draws):
             monkeypatch.setattr(sampler, "_CHUNK", chunk)
-            for threads in (1, 2, 3):
+            for threads in (1, 2, 3) if _HAS_FORK else (1,):
                 res = tail_probe(objective, 3, beta, eps, draws, 99, threads)
                 assert res.hits == expected
                 assert all(h <= s < draws // 2 for h, s in zip(res.hits, res.scored))
