@@ -279,7 +279,7 @@ def _cmd_simulate(objective, n, beta, N_list, trials, seed, delta, out_dir, thre
     compute = sum(r.wall_time for r in records)
     _log(
         f"simulated {len(records)} trials in {elapsed:.1f}s wall "
-        f"({compute:.1f}s of single-trial compute, --threads {threads or 'default'})"
+        f"({compute:.1f}s of summed trial compute, --threads {threads or 'default'})"
     )
 
     montecarlo.write_trials_csv(out_dir / "trials.csv", records)

@@ -6,12 +6,15 @@ vertices fixed, the perimeter is convex and the area is affine in a single
 vertex, so no interior point can beat a hull point, and enlarging a subset
 never decreases either objective.  So ``convex_hull`` and ``uniform_hull``
 (for points given by their sampling uniforms) drop provably interior points
-with one circle test, ``_circle_hull``, whose far points' hull is at large
-``N`` the hull itself, and ``max_kgon`` runs a max-plus program over the
-``h`` hull vertices in ``O(h^2 k + h^3 / k^2)``.  The exhaustive subset
-oracle below validates both.  ``threshold_radius`` bounds how far in a
-vertex of a triangle scoring a given value can lie, so the tail probe
-scores only the triples that can reach it.
+with one circle test, ``_circle_hull``, whose far points' hull is most often
+the hull itself (``_far_count``: ``3 sqrt(N)`` far points below 10 000,
+``2 sqrt(N)`` from there), and ``max_kgon`` runs a max-plus program over the
+``h`` hull vertices in ``O(h^2 k + h^3 / k^2)``.  ``max_kgons`` runs that
+program for many hulls at once, stacked into one array per DP layer, with
+the cycles of one hull at a time; ``max_kgon`` is its one-hull call.  The
+exhaustive subset oracle below validates both.  ``threshold_radius``
+bounds how far in a vertex of a triangle scoring a given value can lie, so
+the tail probe scores only the triples that can reach it.
 
 Degenerate hulls follow the convex-body convention: a segment has perimeter
 twice its length and zero area; a single point has both objectives zero.
@@ -94,8 +97,14 @@ def as_points_array(points) -> np.ndarray:
 
 
 def _far_count(N: int) -> int:
-    """How many far points a circle test of ``N`` points builds its hull from."""
-    return max(32, int(2.0 * math.sqrt(N)))
+    """How many far points a circle test of ``N`` points builds its hull from.
+
+    Any count gives the same hull; it only decides how often a second chain
+    runs.  Below 10 000 points ``2 sqrt(N)`` far points miss the hull in most
+    trials at ``beta = 0`` (96% at 250, 69% at 4 000), and ``3 sqrt(N)`` in
+    37% and 3%; from 10 000 on the smaller set is as fast or faster.
+    """
+    return max(32, int((3.0 if N < 10_000 else 2.0) * math.sqrt(N)))
 
 
 def _circle_hull(select, far_floor: float, centre: np.ndarray, key_floor):
@@ -450,7 +459,7 @@ def _chain_result(chain: PolygonChain, pts: np.ndarray, objective: Objective) ->
 
 
 def max_kgon(hull: PolygonChain, points, k: int, objective: Objective) -> UMaxResult:
-    """Best polygon using at most ``k`` hull vertices.
+    """Best polygon using at most ``k`` hull vertices: ``max_kgons`` of one hull.
 
     For ``k >= h`` that is the hull itself.  Otherwise, on a strictly convex
     hull, the best polygon uses exactly ``k`` vertices, and its value sums
@@ -471,84 +480,169 @@ def max_kgon(hull: PolygonChain, points, k: int, objective: Objective) -> UMaxRe
         ValueError: if ``k`` is not an integer ``>= 2``, or if ``k < h`` and
         ``h > _MAX_HULL``.
     """
+    return max_kgons([(hull, points)], k, objective)[0]
+
+
+def max_kgons(cases, k: int, objective: Objective) -> list[UMaxResult]:
+    """``max_kgon`` of each ``(hull, points)`` case, the DP passes stacked across hulls.
+
+    Consecutive hulls with ``k < h`` are stacked while the stack's size
+    times ``(max h / k)^2``, about the cells of a padded second-pass layer,
+    stays within ``_DP_BLOCK``; a larger hull stands alone.  A stack makes
+    one rooted ``_max_plus`` pass and one second pass for all its hulls, so
+    small hulls share the fixed cost of each numpy call, and large ones add
+    no DP state to each other's.  Hull ``b``'s position ``p`` is ``p + b w`` in
+    one coordinate row per hull, ``w = 2 max(h) + 1``; each layer is padded
+    after its hull's last position with ``b w + w - 1``, above every real
+    position, whose edges are all ``-inf``.  So every real cell sums the
+    same doubles as for the hull alone, and each first maximum, and so each
+    cycle, is that of the hull alone.
+
+    Raises:
+        ValueError: as ``max_kgon``, for any case, before any DP runs.
+    """
     check_vertex_count(k)
-    pts = as_points_array(points)
-    h = len(hull.vertex_indices)
-    if k >= h:
-        return _chain_result(hull, pts, objective)
-    if h > _MAX_HULL:
-        raise ValueError(
-            f"the hull has h = {h} vertices; max_kgon takes at most {_MAX_HULL} "
-            f"(its second pass costs O(h^3 / k^2) time over DP layers of (h / k)^2 cells)"
-        )
-    idx = np.asarray(hull.vertex_indices, dtype=np.int64)
+    cases = [(hull, as_points_array(points)) for hull, points in cases]
+    results: list[UMaxResult | None] = [None] * len(cases)
+    stacks: list[list[int]] = []
+    top = 0
+    for i, (hull, pts) in enumerate(cases):
+        h = len(hull.vertex_indices)
+        if k >= h:
+            results[i] = _chain_result(hull, pts, objective)
+            continue
+        if h > _MAX_HULL:
+            raise ValueError(
+                f"the hull has h = {h} vertices; max_kgon takes at most {_MAX_HULL} "
+                f"(its second pass costs O(h^3 / k^2) time over DP layers of (h / k)^2 cells)"
+            )
+        if not stacks or (len(stacks[-1]) + 1) * max(top, h) ** 2 > k * k * _DP_BLOCK:
+            stacks.append([])
+            top = 0
+        top = max(top, h)
+        stacks[-1].append(i)
+    for stack in stacks:
+        for i, cycle in zip(stack, _best_cycles([cases[i] for i in stack], k, objective)):
+            results[i] = _chain_result(PolygonChain(cycle), cases[i][1], objective)
+    return results
+
+
+def _best_cycles(cases, k: int, objective: Objective) -> list[tuple[int, ...]]:
+    """The ``max_kgon`` cycle of each ``(hull, points)`` case, all with ``k < h``."""
+    hs = np.array([len(hull.vertex_indices) for hull, _ in cases])
+    width = 2 * int(hs.max()) + 1
     # Perimeter weights take raw coordinates, area ones coordinates relative
     # to hull vertex 0 (any origin gives a closed cycle the same shoelace sum;
     # this one keeps the terms small), held twice over for unwrapped positions.
-    origin = 0.0 if objective is Objective.PERIMETER else pts[idx[0]]
-    x, y = (pts[np.concatenate((idx, idx))] - origin).T
+    x = np.zeros((len(cases), width))
+    y = np.zeros((len(cases), width))
+    for b, (hull, pts) in enumerate(cases):
+        idx = np.asarray(hull.vertex_indices, dtype=np.int64)
+        origin = 0.0 if objective is Objective.PERIMETER else pts[idx[0]]
+        twice = pts[np.concatenate((idx, idx))] - origin
+        x[b, : len(twice)], y[b, : len(twice)] = twice.T
+    x, y = x.ravel(), y.ravel()
 
     def edge(p, q):
         if objective is Objective.PERIMETER:
             return np.hypot(x[p] - x[q], y[p] - y[q])
         return 0.5 * (x[p] * y[q] - y[p] * x[q])
 
-    _, rooted = _max_plus(edge, h, np.zeros(1, dtype=np.int64), [np.arange(1, h)] * (k - 1))
-    p = rooted(0)
-    i = int(np.argmin(np.diff(p + [h])))
-    arcs = [p[(i + j) % k] + h * ((i + j) // k) for j in range(k + 1)]
-    layers = [np.arange(arcs[j], arcs[j + 1] + 1) for j in range(k)]
-    totals, trace = _max_plus(edge, h, layers[0], layers[1:])
-    cycle = _rotate_min_first(tuple(int(idx[q % h]) for q in trace(int(np.argmax(totals)))))
-    return _chain_result(PolygonChain(cycle), pts, objective)
+    base = np.arange(0, x.size, width)[:, None]  # position 0 of each hull
+    h = hs[:, None]
+
+    def layer(lo, hi):  # positions lo..hi of each hull, padded
+        last = hi - lo
+        span = np.arange(int(last.max()) + 1)
+        return np.where(span <= last, base + lo + span, base + width - 1)
+
+    _, rooted = _max_plus(edge, hs, base, [layer(1, h - 1)] * (k - 1))
+    p = rooted(np.zeros(len(cases), dtype=np.intp)) - base
+    ring = np.hstack((p, p + h))  # the rooted k-gon's positions, unwrapped twice
+    i = np.diff(ring[:, : k + 1], axis=1).argmin(axis=1)
+    arcs = ring[np.arange(len(cases))[:, None], i[:, None] + np.arange(k + 1)]
+    layers = [layer(arcs[:, j : j + 1], arcs[:, j + 1 : j + 2]) for j in range(k)]
+    totals, trace = _max_plus(edge, hs, layers[0], layers[1:])
+    cycles = (trace(totals.argmax(axis=1)) - base) % h
+    return [
+        _rotate_min_first(tuple(hull.vertex_indices[q] for q in cycle))
+        for (hull, _), cycle in zip(cases, cycles.tolist())
+    ]
 
 
-def _max_plus(edge, h: int, anchors: np.ndarray, layers: list[np.ndarray]):
-    """Best closed chains ``anchor -> layers[0] -> ... -> layers[-1] -> anchor``.
+def _tiles(hulls: int, rows: int, cells: int):
+    """``(hull, row)`` slices covering ``hulls x rows`` rows of ``cells`` cells each.
 
-    Positions are unwrapped hull positions below ``2h``, strictly increasing
-    along a chain and below ``anchor + h`` at its end; ``edge(p, q)`` weighs
-    the edges ``p -> q``.  A step works all anchors in tiles of at most
-    ``_DP_BLOCK`` cells: blocks of successor columns, whose weights are
-    computed once (kept while the next step repeats the block), then rows of
-    anchors.  A block weighs only the predecessors below its last column;
-    the others would be ``-inf``, so each predecessor ``argmax`` (first
-    maximum on ties) is that of the whole step.  Returns each anchor's best
-    total (``-inf`` without a chain) and ``trace(t)``, the positions of
-    anchor ``t``'s best chain.
+    A tile holds at most ``_DP_BLOCK`` cells, or one row: the rows of whole
+    hulls when one hull's rows fit, else some rows of one hull.
     """
-    a = anchors[:, None]
-    dp = np.where(a < layers[0], edge(a, layers[0]), -np.inf)
+    fit = max(1, _DP_BLOCK // cells)
+    per, part = max(1, fit // rows), min(fit, rows)
+    for s in range(0, hulls, per):
+        for r in range(0, rows, part):
+            yield slice(s, s + per), slice(r, r + part)
+
+
+def _max_plus(edge, h: np.ndarray, anchors: np.ndarray, layers: list[np.ndarray]):
+    """Best closed chains ``anchor -> layers[0] -> ... -> layers[-1] -> anchor`` of each hull.
+
+    Row ``b`` of ``anchors`` and of each layer holds hull ``b``'s positions,
+    in ``max_kgons``' stacked coordinates: unwrapped hull positions below
+    ``2 h[b]``, strictly increasing along a chain and below ``anchor +
+    h[b]`` at its end, or padding above them all; ``edge(p, q)`` weighs the
+    edges ``p -> q``.  A step works all anchors of all hulls in tiles of at
+    most ``_DP_BLOCK`` cells: blocks of successor columns, whose weights are
+    computed once for all hulls (kept while the next step repeats the
+    block), then ``_tiles`` of anchor rows.  A block weighs only the
+    predecessors below its last column in some hull; the others would be
+    ``-inf``, so each predecessor ``argmax`` (first maximum on ties) is
+    that of the whole step.  Weights are laid out successor-major, so that
+    ``argmax`` runs along a tile's last axis, and the best total is the cell
+    it picks.  The closing edges are added in ``_tiles`` of anchor rows
+    too.  Returns each anchor's best total, shape ``anchors``
+    (``-inf`` without a chain), and ``trace(t)``, the positions of the best
+    chain of anchor ``t[b]`` of each hull ``b``, one row per hull.
+    """
+    hulls, rows = anchors.shape
+    a = anchors[:, :, None]
+    dp = np.where(a < layers[0][:, None], edge(a, layers[0][:, None]), -np.inf)
     args, key = [], None
     for u, v in zip(layers, layers[1:]):
-        best = np.empty((len(a), len(v)))
-        arg = np.empty((len(a), len(v)), dtype=np.intp)
-        cols = max(1, _DP_BLOCK // len(u))
-        for c in range(0, len(v), cols):
-            w = v[c : c + cols]
-            m = max(1, int(u.searchsorted(w[-1])))
+        best = np.empty((hulls, rows, v.shape[1]))
+        arg = np.empty((hulls, rows, v.shape[1]), dtype=np.intp)
+        cols = max(1, _DP_BLOCK // u.size)
+        for c in range(0, v.shape[1], cols):
+            w = v[:, c : c + cols, None]
             if key != (id(u), id(v), c):  # the rooted pass repeats one layer
                 key = id(u), id(v), c
-                step = np.where(u[:m, None] < w, edge(u[:m, None], w), -np.inf)
-            rows = max(1, _DP_BLOCK // step.size)
-            for r in range(0, len(a), rows):
-                cand = dp[r : r + rows, :m, None] + step
-                cand.argmax(axis=1, out=arg[r : r + rows, c : c + cols])
-                cand.max(axis=1, out=best[r : r + rows, c : c + cols])
+                m = max(1, int(np.count_nonzero(u < w[:, -1], axis=1).max()))
+                pred = u[:, None, :m]
+                step = np.where(pred < w, edge(pred, w), -np.inf)  # (hull, successor, predecessor)
+            for s, r in _tiles(hulls, rows, step[0].size):
+                cand = dp[s, r, None, :m] + step[s, None]
+                at = arg[s, r, c : c + cols]
+                cand.argmax(axis=3, out=at)
+                picked = cand.reshape(-1, m)[np.arange(at.size), at.ravel()]
+                best[s, r, c : c + cols] = picked.reshape(at.shape)
         args.append(arg)
         dp = best
-    dp += np.where(layers[-1] < a + h, edge(layers[-1], a), -np.inf)
-    args.append(dp.argmax(axis=1))
+    last = layers[-1][:, None]
+    for s, r in _tiles(hulls, rows, last.shape[2]):
+        end = a[s, r] + h[s, None, None]
+        dp[s, r] += np.where(last[s] < end, edge(last[s], a[s, r]), -np.inf)
+    args.append(dp.argmax(axis=2))
 
-    def trace(t: int) -> list[int]:
-        v = args[-1][t]
-        positions = [int(anchors[t]), int(layers[-1][v])]
+    def trace(t: np.ndarray) -> np.ndarray:
+        each = np.arange(hulls)
+        v = args[-1][each, t]
+        positions = [layers[-1][each, v]]
         for j in range(len(layers) - 2, -1, -1):
-            v = args[j][t, v]
-            positions.insert(1, int(layers[j][v]))
-        return positions
+            v = args[j][each, t, v]
+            positions.append(layers[j][each, v])
+        positions.append(anchors[each, t])
+        return np.stack(positions[::-1], axis=1)
 
-    return dp.max(axis=1), trace
+    return dp.max(axis=2), trace
 
 
 def umax(points, n: int, objective: Objective) -> UMaxResult:

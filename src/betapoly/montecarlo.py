@@ -3,9 +3,12 @@
 Four probes, all pure functions of their configuration (seeds included):
 
 * ``run_trials``: simulate the scaled deficiency ``T = N^A * (M - H_N)``
-  across sample sizes; trials run on a process pool (``_map``) with
-  per-trial derived seeds and are always aggregated in (N, trial) order,
-  so the output is byte-stable under any worker count.
+  across sample sizes; each trial draws from its own derived seed and runs
+  its own ``uniform_hull``, and a job is a batch of consecutive trials of
+  one ``N`` (``_BATCH_POINTS`` points in all, or one trial above that)
+  whose hulls share one stacked ``max_kgons`` call.  Jobs run on a process
+  pool (``_map``) and records are always aggregated in (N, trial) order, so
+  the output is byte-stable under any worker count and batch size.
 * ``ks_distance`` / ``fit_shape``: compare the empirical law of ``T`` against
   the fully specified Weibull limit, and recover its shape/rate from the
   lower quantiles via a log-log regression of ``ln(-ln(1 - F))`` on ``ln t``.
@@ -31,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import Objective, hull_functional, max_kgon, threshold_radius, uniform_hull
+from .geometry import Objective, hull_functional, max_kgons, threshold_radius, uniform_hull
 from .kernels import analytic_I
 from .limits import LimitLaw, compute_K, extremal_value, law_for, shape_C, weibull_cdf
 from .sampler import (
@@ -52,6 +55,10 @@ CONSISTENCY_DELTA = 0.01
 # epsilon's stream, so this fixes which uniforms make up which tuple:
 # changing it changes the hits.
 _TAIL_CHUNK = 250_000
+# Most points a run_trials job draws in all: a job is a batch of
+# max(1, _BATCH_POINTS // N) trials, whose hulls share one max_kgons call.
+# Any value gives the same records.
+_BATCH_POINTS = 1 << 16
 # Most tuples a tail_probe job scores at once.  Bounds memory (and keeps the
 # working set in cache) only: any value gives the same hits.
 _TAIL_BLOCK = 1 << 13
@@ -90,7 +97,12 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """One trial: sample size, index, raw maximum H, scaled deficiency T."""
+    """One trial: sample size, index, raw maximum H, scaled deficiency T.
+
+    ``wall_time`` is the trial's own draw and hull time plus an equal share
+    of its batch's ``max_kgons`` time, so the records of a run sum to its
+    compute time.  It is the only field that varies between runs.
+    """
 
     N: int
     trial_index: int
@@ -162,32 +174,43 @@ class ConsistencyReport:
     deficiency_quantiles: dict[str, float]
 
 
-def _run_one(args) -> TrialRecord:
-    """One trial: ``uniform_blocks -> uniform_hull -> max_kgon``.
+def _run_batch(job) -> list[TrialRecord]:
+    """Trials ``first`` to ``first + count - 1`` of one ``N``, their DP in one ``max_kgons``.
 
-    The trial's points are ``sample_batch(params, N, policy, trial_index)``,
-    its stream's blocks at draw 0, left as uniforms and, above
+    ``job`` is ``(objective, n, beta, master_seed, N, first, count, M, A)``.
+    Each trial runs ``uniform_blocks -> uniform_hull`` alone.  Trial ``t``'s
+    points are ``sample_batch(params, N, policy, t)``, its
+    stream's blocks at draw 0, left as uniforms and, above
     ``sampler._CHUNK`` points, drawn a chunk at a time, so a trial holds
     ``O(_CHUNK)`` uniforms and the ``O(sqrt N)`` points its circle test
-    keeps (more where ``beta`` nears -1), not ``N``.
-    ``uniform_hull`` gives coordinates only to those points, which are that
-    array's rows bit for bit, so ``H`` and ``hull_size`` equal those of
-    ``sample_batch -> convex_hull -> max_kgon`` bit for bit.
+    keeps (more where ``beta`` nears -1), not ``N``.  ``uniform_hull`` gives
+    coordinates only to those points, which are that array's rows bit for
+    bit, and ``max_kgons`` finds each hull's cycle as ``max_kgon`` does, so
+    ``H`` and ``hull_size`` equal those of ``sample_batch -> convex_hull ->
+    max_kgon`` bit for bit, whatever the batch.
     """
-    objective, n, beta, master_seed, N, trial_index, M, A = args
+    objective, n, beta, master_seed, N, first, count, M, A = job
+    policy, params = SeedPolicy(master_seed), BetaParams(beta)
+    cases, own = [], []
+    for t in range(first, first + count):
+        start = time.perf_counter()
+        _, points, hull = uniform_hull(params, *uniform_blocks(policy, t, N))
+        cases.append((hull, points))
+        own.append(time.perf_counter() - start)
     start = time.perf_counter()
-    blocks = uniform_blocks(SeedPolicy(master_seed), trial_index, N)
-    _, points, hull = uniform_hull(BetaParams(beta), *blocks)
-    result = max_kgon(hull, points, n, objective)
-    elapsed = time.perf_counter() - start
-    return TrialRecord(
-        N=N,
-        trial_index=trial_index,
-        H=result.value,
-        T=N**A * (M - result.value),
-        hull_size=len(hull.vertex_indices),
-        wall_time=elapsed,
-    )
+    results = max_kgons(cases, n, objective)
+    shared = (time.perf_counter() - start) / count
+    return [
+        TrialRecord(
+            N=N,
+            trial_index=first + b,
+            H=result.value,
+            T=N**A * (M - result.value),
+            hull_size=len(hull.vertex_indices),
+            wall_time=own[b] + shared,
+        )
+        for b, (result, (hull, _)) in enumerate(zip(results, cases))
+    ]
 
 
 def _map(fn, jobs: list, threads: int | None, busy: int) -> list:
@@ -218,15 +241,21 @@ def run_trials(config: SimConfig, threads: int | None = None) -> list[TrialRecor
 
     ``threads`` only affects speed: each trial derives its own generator from
     (master_seed, trial_index), and records are returned in (N, trial) order.
-    Each trial is one job, so ``_map`` runs at most one worker per trial.
+    A job (``_run_batch``) is a batch of ``max(1, _BATCH_POINTS // N)``
+    consecutive trials of one ``N``, so ``_map`` runs at most one worker per
+    batch; at ``N`` above ``_BATCH_POINTS`` each trial is its own job.
     """
     law = law_for(config.objective, config.n, config.beta)
-    jobs = [
-        (config.objective, config.n, config.beta, config.master_seed, N, t, law.M, law.A)
-        for N in config.N_list
-        for t in range(config.trials)
-    ]
-    return _map(_run_one, jobs, threads, len(jobs))
+    jobs = []
+    for N in config.N_list:
+        size = max(1, _BATCH_POINTS // N)
+        for first in range(0, config.trials, size):
+            count = min(size, config.trials - first)
+            jobs.append(
+                (config.objective, config.n, config.beta, config.master_seed, N, first, count,
+                 law.M, law.A)
+            )
+    return [record for batch in _map(_run_batch, jobs, threads, len(jobs)) for record in batch]
 
 
 def ks_distance(ecdf: EmpiricalCDF, law: LimitLaw) -> float:

@@ -162,19 +162,25 @@ def test_bad_config_exits_1(tmp_path, capsys):
     assert "config" in err
 
 
-def test_simulate_cli_files_and_thread_determinism(tmp_path, capsys):
+def test_simulate_cli_files_and_thread_determinism(tmp_path, capsys, monkeypatch):
     outs = []
     # An unset --threads leaves the worker count to montecarlo's default.
-    for threads, sub in (("1", "a"), ("2", "b"), (None, "c")):
-        out_dir = tmp_path / sub
+    # Batches of all 30 trials of an N (the default), of one trial, and of
+    # 12 / 6 trials at N = 40 / 80 (a ragged last batch) write the same bytes.
+    runs = [(threads, None) for threads in ("1", "2", "3", None)]
+    runs += [(threads, points) for points in (1, 500) for threads in ("1", "2", "3")]
+    for i, (threads, points) in enumerate(runs):
+        out_dir = tmp_path / str(i)
         argv = ["--threads", threads] if threads else []
         argv += [
             "simulate", "--objective", "perimeter", "--n", "3", "--beta", "0",
             "--N", "40,80", "--trials", "30", "--seed", "5", "--out-dir", str(out_dir),
         ]
-        code, _, err = _run(capsys, argv)
+        with monkeypatch.context() as m:
+            m.setattr(montecarlo, "_BATCH_POINTS", points or montecarlo._BATCH_POINTS)
+            code, _, err = _run(capsys, argv)
         assert code == 0
-        assert f"compute, --threads {threads or 'default'})" in err
+        assert f"s of summed trial compute, --threads {threads or 'default'})" in err
         outs.append(out_dir)
     a = outs[0]
     for b in outs[1:]:

@@ -133,7 +133,7 @@ def _assert_trial_touches_few_points(monkeypatch, N):
     monkeypatch.setattr(sampler, "cartesian", counted(sampler.cartesian, "coordinates"))
     draws = _count_draws(monkeypatch)
     law = law_for(Objective.PERIMETER, 3, 0.0)
-    record = montecarlo._run_one((Objective.PERIMETER, 3, 0.0, 42, N, 0, law.M, law.A))
+    (record,) = montecarlo._run_batch((Objective.PERIMETER, 3, 0.0, 42, N, 0, 1, law.M, law.A))
     bound = min(N // 20, sampler._CHUNK + 8 * math.isqrt(N))
     assert 0 < counts["radii"] < bound
     assert 0 < counts["coordinates"] < bound
@@ -247,16 +247,16 @@ def test_chunked_trials_equal_the_full_sample_path(monkeypatch, chunk):
 
 
 def test_a_streamed_trial_replays_its_stream_when_the_far_set_falls_short(monkeypatch):
-    # At seed 42, beta = 0, N = 1 000 the far set's disk floor falls below
+    # At seed 5, beta = 0, N = 1 000 the far set's disk floor falls below
     # the far set's own floor, so a streamed trial draws its stream twice,
     # a chunk at a time.
     N = 1_000
-    pts = sample_batch(BetaParams(0.0), N, SeedPolicy(42), 0)
+    pts = sample_batch(BetaParams(0.0), N, SeedPolicy(5), 0)
     expected = max_kgon(convex_hull(pts), pts, 3, Objective.AREA)
     monkeypatch.setattr(sampler, "_CHUNK", 97)
     draws = _count_draws(monkeypatch)
     law = law_for(Objective.AREA, 3, 0.0)
-    record = montecarlo._run_one((Objective.AREA, 3, 0.0, 42, N, 0, law.M, law.A))
+    (record,) = montecarlo._run_batch((Objective.AREA, 3, 0.0, 5, N, 0, 1, law.M, law.A))
     assert sum(draws) == 4 * N and max(draws) == 97
     assert (record.H, record.hull_size) == (expected.value, len(convex_hull(pts).vertex_indices))
 
@@ -287,10 +287,12 @@ def _in_process_pool(monkeypatch):
 
 def test_run_trials_starts_no_more_workers_than_trials(monkeypatch):
     # A fork-started pool starts every worker at once, so 16 threads on 8
-    # trials must ask for 8, and 8 threads on 3 trials for 3.  The pool is
+    # batches must ask for 8, 8 threads on 3 batches for 3, and any threads
+    # on one batch for none.  Batches of 2 trials at N = 40; the pool is
     # replaced by an in-process one.
     started = _in_process_pool(monkeypatch)
-    for trials, threads in ((8, 16), (3, 8)):
+    monkeypatch.setattr(montecarlo, "_BATCH_POINTS", 80)
+    for trials, threads in ((16, 16), (5, 8), (2, 8)):
         cfg = _small_config(N_list=(40,), trials=trials)
         runs = [run_trials(cfg, threads=t) for t in (threads, 1)]
         keys = [[(r.N, r.trial_index, r.H, r.hull_size) for r in recs] for recs in runs]
