@@ -119,10 +119,13 @@ def _exactly(cls):
     return check
 
 
-def _num_list(item):
+def _num_list(item, text):
+    """A list cast: a JSON list's items by ``item``, a comma-separated string's by ``text``."""
+
     def parse(raw) -> tuple:
-        items = raw if isinstance(raw, (list, tuple)) else str(raw).split(",")
-        return tuple(item(str(x).strip()) for x in items if str(x).strip())
+        if isinstance(raw, (list, tuple)):
+            return tuple(item(x) for x in raw)
+        return tuple(text(x.strip()) for x in str(raw).split(",") if x.strip())
 
     return _checked(parse)
 
@@ -142,8 +145,8 @@ _KINDS = {
         {"type": str, "choices": [o.value for o in geometry.Objective]},
         lambda raw, flag: geometry.Objective.parse(_text(raw, flag)),
     ),
-    "ints": ({"type": str}, _num_list(int)),
-    "floats": ({"type": str}, _num_list(float)),
+    "ints": ({"type": str}, _num_list(_int, int)),
+    "floats": ({"type": str}, _num_list(_float, float)),
 }
 
 

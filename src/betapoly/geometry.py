@@ -216,33 +216,32 @@ def convex_hull(points) -> PolygonChain:
 
 
 def uniform_hull(
-    params: BetaParams, angle_u, radius_u
+    params: BetaParams, N: int, chunks
 ) -> tuple[np.ndarray, np.ndarray, PolygonChain]:
-    """Hull of the points that ``points_from_uniforms`` makes of two uniform blocks.
+    """Hull of the ``N`` points that ``points_from_uniforms`` makes of a stream's uniforms.
 
-    The blocks are arrays or, as ``sampler.uniform_blocks`` gives them
-    for large trials, ``sampler.UniformStream``s; ``select_uniforms`` reads
-    either a chunk at a time.  A radius increases with its uniform, so
-    ``_circle_hull`` runs about the origin on ``radius_u``: the far set is
-    ``u >= 1 - _far_count(N) / N`` (every point below
-    ``_CIRCLE_MIN_POINTS``), a threshold known before any chunk is read,
-    and a radius's key floor is ``sampler.radius_uniform_floor``.  The
-    blocks are read a second time, which replays a stream, only when the far
-    set falls short.  Only the points a read selects get a radius, an angle
-    and coordinates: every point when the origin is not strictly inside the
-    far set's hull.  Array blocks are left as they are.
+    ``chunks()`` returns a fresh iterable of ``(angle, radius)`` uniform
+    pairs of ``N`` points in all, such as ``sampler.uniform_chunks`` yields,
+    and ``select_uniforms`` reads it a chunk at a time.  A radius increases
+    with its uniform, so ``_circle_hull`` runs about the origin on the
+    radius uniforms: the far set is ``u >= 1 - _far_count(N) / N`` (every
+    point below ``_CIRCLE_MIN_POINTS``), a threshold known before any chunk
+    is read, and a radius's key floor is ``sampler.radius_uniform_floor``.
+    ``chunks`` is called a second time, which replays the stream, only when
+    the far set falls short.  Only the points a read selects get a radius,
+    an angle and coordinates: every point when the origin is not strictly
+    inside the far set's hull.  The chunks are left as they are.
 
     Returns the kept indices (sorted), their coordinates, which are the rows
-    of ``points_from_uniforms(params, angle_u, radius_u)`` at those
-    indices bit for bit (the map is elementwise), and their hull as
-    positions into the kept points.  Mapped through the kept indices, that
-    hull is ``convex_hull`` of the whole sample.
+    of ``points_from_uniforms`` of the whole blocks at those indices bit for
+    bit (the map is elementwise), and their hull as positions into the kept
+    points.  Mapped through the kept indices, that hull is ``convex_hull``
+    of the whole sample.
     """
-    N = len(radius_u)
     far_floor = 1.0 - _far_count(N) / N if N >= _CIRCLE_MIN_POINTS else -math.inf
 
     def select(floor):
-        keep, a, r = select_uniforms(angle_u, radius_u, floor)
+        keep, a, r = select_uniforms(chunks(), floor)
         return keep, points_from_uniforms(params, a, r)
 
     floor = partial(radius_uniform_floor, params)

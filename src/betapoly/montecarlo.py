@@ -30,28 +30,28 @@ import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .geometry import Objective, hull_functional, max_kgons, threshold_radius, uniform_hull
-from .kernels import analytic_I
+from .kernels import KernelSpec, analytic_I
 from .limits import LimitLaw, compute_K, extremal_value, law_for, shape_C, weibull_cdf
 from .sampler import (
     BetaParams,
     SeedPolicy,
     check_integer,
-    check_vertex_count,
     points_from_uniforms,
     radius_uniform_floor,
-    uniform_blocks,
+    uniform_chunks,
 )
 
 DEFAULT_SHAPE_WINDOW = (0.05, 0.6)
 MIN_FIT_POINTS = 100
 MIN_EXPECTED_HITS = 100.0
 CONSISTENCY_DELTA = 0.01
-# Tuples per tail_probe chunk.  Each chunk takes its uniform_blocks from the
+# Tuples per tail_probe chunk.  Each chunk takes its uniform_chunks from the
 # epsilon's stream, so this fixes which uniforms make up which tuple:
 # changing it changes the hits.
 _TAIL_CHUNK = 250_000
@@ -77,7 +77,7 @@ class SimConfig:
     consistency_delta: float = CONSISTENCY_DELTA
 
     def __post_init__(self) -> None:
-        check_vertex_count(self.n)
+        KernelSpec(self.objective, self.n)
         BetaParams(self.beta)
         SeedPolicy(self.master_seed)
         check_integer(self.trials, "trials")
@@ -93,6 +93,10 @@ class SimConfig:
             raise ValueError(f"every N must be >= n={self.n}, got {self.N_list}")
         if not 0.0 < self.consistency_delta < math.inf:
             raise ValueError(f"delta must be positive and finite, got {self.consistency_delta}")
+        # Numpy integers pass the checks; stored as ints, they write to JSON.
+        for name in ("n", "trials", "master_seed"):
+            object.__setattr__(self, name, int(getattr(self, name)))
+        object.__setattr__(self, "N_list", tuple(int(N) for N in self.N_list))
 
 
 @dataclass(frozen=True)
@@ -178,12 +182,12 @@ def _run_batch(job) -> list[TrialRecord]:
     """Trials ``first`` to ``first + count - 1`` of one ``N``, their DP in one ``max_kgons``.
 
     ``job`` is ``(objective, n, beta, master_seed, N, first, count, M, A)``.
-    Each trial runs ``uniform_blocks -> uniform_hull`` alone.  Trial ``t``'s
-    points are ``sample_batch(params, N, policy, t)``, its
-    stream's blocks at draw 0, left as uniforms and, above
-    ``sampler._CHUNK`` points, drawn a chunk at a time, so a trial holds
-    ``O(_CHUNK)`` uniforms and the ``O(sqrt N)`` points its circle test
-    keeps (more where ``beta`` nears -1), not ``N``.  ``uniform_hull`` gives
+    Each trial runs ``uniform_hull`` alone on its stream's
+    ``uniform_chunks`` at draw 0.  Trial ``t``'s points are
+    ``sample_batch(params, N, policy, t)``, left as uniforms and drawn
+    ``sampler._CHUNK`` points at a time, so a trial holds ``O(_CHUNK)``
+    uniforms and the ``O(sqrt N)`` points its circle test keeps (more where
+    ``beta`` nears -1), not ``N``.  ``uniform_hull`` gives
     coordinates only to those points, which are that array's rows bit for
     bit, and ``max_kgons`` finds each hull's cycle as ``max_kgon`` does, so
     ``H`` and ``hull_size`` equal those of ``sample_batch -> convex_hull ->
@@ -194,7 +198,7 @@ def _run_batch(job) -> list[TrialRecord]:
     cases, own = [], []
     for t in range(first, first + count):
         start = time.perf_counter()
-        _, points, hull = uniform_hull(params, *uniform_blocks(policy, t, N))
+        _, points, hull = uniform_hull(params, N, partial(uniform_chunks, policy, t, N))
         cases.append((hull, points))
         own.append(time.perf_counter() - start)
     start = time.perf_counter()
@@ -323,21 +327,18 @@ def _tail_hits(job) -> tuple[int, int]:
     """Hits and scored tuples in the chunk of ``m`` tuples at tuple ``start``.
 
     ``job`` is ``(params, objective, n, policy, k, threshold, floor, start,
-    m)``.  The chunk's points are the ``n m`` points of ``uniform_blocks``
+    m)``.  The chunk's points are the ``n m`` points of ``uniform_chunks``
     at draw ``2 n start`` of stream ``k``, so tuple ``j`` of the chunk is its
-    points ``[n j, n j + n)``.  They are read once, first to last, ``_TAIL_BLOCK``
-    tuples at a time.  Only the tuples whose ``n`` radius uniforms all
-    reach ``floor`` get coordinates and a score: the others cannot reach
-    ``threshold`` (``geometry.threshold_radius``).  ``points_from_uniforms``
-    is elementwise, so a scored tuple's points are the same doubles as
-    without the filter.
+    points ``[n j, n j + n)``.  They are drawn once, first to last,
+    ``_TAIL_BLOCK`` tuples at a time.  Only the tuples whose ``n`` radius
+    uniforms all reach ``floor`` get coordinates and a score: the others
+    cannot reach ``threshold`` (``geometry.threshold_radius``).
+    ``points_from_uniforms`` is elementwise, so a scored tuple's points are
+    the same doubles as without the filter.
     """
     params, objective, n, policy, k, threshold, floor, start, m = job
-    angle_u, radius_u = uniform_blocks(policy, k, n * m, skip=2 * n * start)
     hits = scored = 0
-    for b in range(0, n * m, n * _TAIL_BLOCK):
-        part = slice(b, b + n * _TAIL_BLOCK)
-        a, r = angle_u[part], radius_u[part]
+    for a, r in uniform_chunks(policy, k, n * m, skip=2 * n * start, size=n * _TAIL_BLOCK):
         if floor > 0.0:
             # A strided minimum and row takes: several times faster than a
             # reshape(-1, n) reduction, and-ed compares or a boolean mask.
@@ -368,7 +369,7 @@ def tail_probe(
     The grid is sorted descending and each epsilon gets its own derived
     stream, so the result depends only on the grid as a set.  The stream is
     consumed in chunks of ``_TAIL_CHUNK`` tuples, each the
-    ``sampler.uniform_blocks`` of its points; the chunk size fixes which
+    ``sampler.uniform_chunks`` of its points; the chunk size fixes which
     uniforms make up which tuple.  Only the tuples whose ``n`` radius
     uniforms all reach the epsilon's floor,
     ``radius_uniform_floor(params, threshold_radius(objective, n, M - eps))``,

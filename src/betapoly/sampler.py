@@ -28,10 +28,11 @@ toward 0 (below 0.035 at ``beta = -0.999``), so nearly every point is
 kept.  It is exactly 0, keeping every point, for radii below ~1e-6 or not
 positive.
 
-``uniform_blocks`` lays out a stream's uniforms and ``points_from_uniforms``
+``uniform_chunks`` lays out a stream's uniforms and ``points_from_uniforms``
 maps them to points, for ``sample_batch``, trials and tail chunks alike.
-Above ``_CHUNK`` points the blocks are ``UniformStream``s, which draw any
-slice on demand; ``select_uniforms`` reads both kinds ``_CHUNK`` at a time.
+It yields the two blocks in lockstep, a chunk of points at a time, so a
+stream above ``_CHUNK`` points is never held whole; ``select_uniforms``
+reads any such chunks.
 """
 
 from __future__ import annotations
@@ -39,14 +40,15 @@ from __future__ import annotations
 import csv
 import math
 import numbers
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-# Most points select_uniforms reads at once, and the most uniform_blocks
-# draws whole.  Bounds memory (and keeps the working set in cache) only: any
-# value gives the same doubles and the same points.
+# Points per chunk of uniform_chunks when its caller names no size.  Bounds
+# memory (and keeps the working set in cache) only: any value gives the same
+# doubles and the same points.
 _CHUNK = 1 << 16
 
 
@@ -89,7 +91,7 @@ class SeedPolicy:
     a trial the stream has a fixed layout (the whole angle block first, then
     the radius block), so every coordinate is a pure function of
     ``(master_seed, trial_index, point_index)`` regardless of worker count,
-    scheduling or the order the stream is read in (``uniform_blocks``).
+    scheduling or the size of the chunks it is read in (``uniform_chunks``).
     """
 
     master_seed: int
@@ -204,7 +206,7 @@ def sample_batch(
     """Draw ``count`` independent points as a float64 array of shape (count, 2).
 
     Deterministic for fixed ``(master_seed, trial_index)``: the points are
-    ``uniform_blocks(seed_policy, trial_index, count)`` read whole.
+    ``uniform_chunks(seed_policy, trial_index, count)`` read as one chunk.
 
     Raises:
         ValueError: if ``count`` is not an integer ``>= 1``.
@@ -212,73 +214,50 @@ def sample_batch(
     check_integer(count, "count")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    blocks = uniform_blocks(seed_policy, trial_index, count)
-    return points_from_uniforms(params, *(block[:] for block in blocks))
+    ((angle_u, radius_u),) = uniform_chunks(seed_policy, trial_index, count, size=count)
+    return points_from_uniforms(params, angle_u, radius_u)
 
 
-class UniformStream:
-    """Draws ``[skip, skip + count)`` of trial ``trial_index``'s stream, as a block read by slices.
-
-    ``stream[lo:hi]`` is ``policy.trial_generator(trial_index).random(skip +
-    hi)[skip + lo:]`` bit for bit, drawn when asked for.  A slice that starts
-    where the last one ended continues that slice's generator; any other
-    slice, such as a second pass from 0, jumps a fresh generator to it.  So
-    the stream holds no uniforms, and reading it again replays its doubles.
-    """
-
-    def __init__(self, policy: SeedPolicy, trial_index: int, skip: int, count: int):
-        self._policy, self._trial, self._skip, self._count = policy, trial_index, skip, count
-        self._rng, self._at = None, -1
-
-    def __len__(self) -> int:
-        return self._count
-
-    def __getitem__(self, part: slice) -> np.ndarray:
-        lo, hi, step = part.indices(self._count)
-        if step != 1:
-            raise ValueError("a UniformStream reads contiguous slices only")
-        if lo != self._at:
-            self._rng = self._policy.trial_generator(self._trial, skip=self._skip + lo)
-        count = max(0, hi - lo)
-        self._at = lo + count
-        return self._rng.random(count)
-
-
-def uniform_blocks(
-    policy: SeedPolicy, stream: int, count: int, skip: int = 0
-) -> tuple[np.ndarray, np.ndarray] | tuple[UniformStream, UniformStream]:
-    """The uniforms of ``count`` points of stream ``stream``, starting at its draw ``skip``.
+def uniform_chunks(
+    policy: SeedPolicy, stream: int, count: int, skip: int = 0, size: int | None = None
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The uniforms of ``count`` points of stream ``stream``, as ``(angle, radius)`` chunks.
 
     The one stream layout: the angle block is draws ``[skip, skip + count)``
     and the radius block the ``count`` draws after it.  A trial's points are
     its blocks at ``skip = 0``; a tail chunk of ``m`` ``n``-tuples at tuple
-    ``start`` owns the blocks of ``n m`` points at ``skip = 2 n start``.  Up
-    to ``_CHUNK`` points the blocks are arrays, from one generator.  Beyond
-    that they are two ``UniformStream``s, so a reader never holds a whole
-    block; slicing either gives the same doubles.
+    ``start`` owns the blocks of ``n m`` points at ``skip = 2 n start``.
+    Yields pairs of ``size`` points in order (``_CHUNK`` when ``None``), the
+    last pair perhaps shorter.  Up to ``size`` points one generator draws
+    both blocks; beyond that each block has its own generator, jumped to its
+    first draw, so a reader never holds a whole block.  Each call draws
+    afresh, so calling again replays the same doubles.
     """
-    if count <= _CHUNK:
+    size = _CHUNK if size is None else size
+    if count <= size:
         rng = policy.trial_generator(stream, skip=skip)
-        return rng.random(count), rng.random(count)
-    return (
-        UniformStream(policy, stream, skip, count),
-        UniformStream(policy, stream, skip + count, count),
-    )
+        yield rng.random(count), rng.random(count)
+        return
+    angle = policy.trial_generator(stream, skip=skip)
+    radius = policy.trial_generator(stream, skip=skip + count)
+    for lo in range(0, count, size):
+        part = min(size, count - lo)
+        yield angle.random(part), radius.random(part)
 
 
-def select_uniforms(angle_u, radius_u, floor: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The points with ``radius_u >= floor``: their indices (sorted) and their two uniforms.
+def select_uniforms(chunks, floor: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The points with radius uniform ``>= floor``: their indices (sorted) and their two uniforms.
 
-    ``angle_u`` and ``radius_u`` are blocks of one length, arrays or
-    ``UniformStream``s, read ``_CHUNK`` points at a time in lockstep: a
-    stream is drawn once per call and never held whole.  The uniforms
-    returned are copies; array blocks are left as they are.
+    ``chunks`` is an iterable of ``(angle, radius)`` pairs of equal-length
+    arrays, such as ``uniform_chunks`` yields, read once in order; a point's
+    index counts from the first point of the first chunk.  The uniforms
+    returned are copies; the chunks are left as they are.
     """
-    parts = []
-    for lo in range(0, len(radius_u), _CHUNK):
-        a, r = angle_u[lo : lo + _CHUNK], radius_u[lo : lo + _CHUNK]
+    parts, lo = [], 0
+    for a, r in chunks:
         i = np.flatnonzero(r >= floor)
         parts.append((i + lo, a[i], r[i]))
+        lo += len(r)
     return tuple(np.concatenate(p) for p in zip(*parts))
 
 

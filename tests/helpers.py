@@ -1,8 +1,16 @@
-"""Shared test oracles: high-precision gamma evaluation and generic bisection."""
+"""Shared test helpers: oracles, a draw counter and a chunk cutter.
+
+The oracles are a high-precision gamma evaluation and generic bisection.
+"""
 
 from __future__ import annotations
 
+from collections import defaultdict
+from types import SimpleNamespace
+
 import mpmath as mp
+
+from betapoly.sampler import SeedPolicy
 
 
 def oracle_K(n: int, beta: float, dps: int = 50) -> float:
@@ -36,3 +44,46 @@ def bisect_inverse(f, target: float, lo: float, hi: float, iters: int = 200) -> 
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+class _CountingGenerator:
+    """A generator that records the size of each ``random`` request."""
+
+    def __init__(self, rng, requests):
+        self._rng, self._requests = rng, requests
+
+    def random(self, size):
+        self._requests.append(size)
+        return self._rng.random(size)
+
+
+def count_draws(monkeypatch) -> SimpleNamespace:
+    """Patch ``SeedPolicy.trial_generator`` to record its generators and draws.
+
+    Returns a namespace whose ``requests[stream]`` lists the size of each
+    ``random`` request on that stream's generators, in order, and whose
+    ``generators`` lists the ``(stream, skip)`` of each generator made.
+    """
+    log = SimpleNamespace(requests=defaultdict(list), generators=[])
+    make = SeedPolicy.trial_generator
+
+    def counting(self, trial_index, skip=0):
+        log.generators.append((trial_index, skip))
+        return _CountingGenerator(make(self, trial_index, skip), log.requests[trial_index])
+
+    monkeypatch.setattr(SeedPolicy, "trial_generator", counting)
+    return log
+
+
+def chunked(angle_u, radius_u, size=None):
+    """Two uniform blocks as ``uniform_hull``'s ``chunks``: cut into pairs of ``size`` points.
+
+    Returns a callable that gives a fresh list of the pairs (views of the
+    blocks, the last perhaps shorter) on each call; ``None`` is one pair of
+    the whole blocks.
+    """
+    size = size or len(radius_u)
+    return lambda: [
+        (angle_u[lo : lo + size], radius_u[lo : lo + size])
+        for lo in range(0, len(radius_u), size)
+    ]

@@ -444,6 +444,8 @@ def test_every_flag_can_come_from_the_config_file(tmp_path, capsys, command):
         ("constants", "n", "4"),
         ("constants", "beta", "0.5"),
         ("simulate", "trials", "10"),
+        ("simulate", "N_list", [30, "60"]),
+        ("tailprobe", "eps", [0.4, "0.5"]),
     ],
 )
 def test_config_value_of_wrong_type_is_a_bad_value(tmp_path, capsys, command, key, value):
@@ -479,7 +481,7 @@ def test_config_threads_given_as_a_string_is_a_bad_value(tmp_path, capsys):
 def test_config_null_is_absent_and_integral_numbers_are_ints(tmp_path, capsys):
     rows = _all_flags(tmp_path)["simulate"]
     section = {k: v for _, k, _, v, _ in rows}
-    section.update(delta=None, n=3.0)
+    section.update(delta=None, n=3.0, N_list=[30.0, 60])
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"simulate": section}))
     code, _, _ = _run(capsys, ["--threads", "1", "--config", str(cfg), "simulate"])
@@ -487,3 +489,4 @@ def test_config_null_is_absent_and_integral_numbers_are_ints(tmp_path, capsys):
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["consistency"]["delta"] == CONSISTENCY_DELTA
     assert summary["n"] == 3 and isinstance(summary["n"], int)
+    assert summary["N_list"] == [30, 60] and all(isinstance(N, int) for N in summary["N_list"])

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from betapoly import geometry, sampler
+import helpers
+from betapoly import geometry
 from betapoly.geometry import (
     Objective,
     PolygonChain,
@@ -32,7 +33,7 @@ from betapoly.sampler import (
     points_from_uniforms,
     radius_uniform_floor,
     sample_batch,
-    uniform_blocks,
+    uniform_chunks,
 )
 
 SQUARE = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
@@ -133,11 +134,17 @@ def _chain_sizes(monkeypatch, run):
     return sizes
 
 
-def _assert_uniform_hull_exact(params, angle_u, radius_u):
-    """``uniform_hull`` mapped through its kept points equals the full monotone chain."""
-    blocks = angle_u.copy(), radius_u.copy()
-    pts = points_from_uniforms(params, *blocks)
-    keep, kept_pts, hull = uniform_hull(params, angle_u, radius_u)
+def _stream_blocks(seed, stream, N):
+    """The angle and radius blocks of ``N`` points of a stream, whole."""
+    ((angle_u, radius_u),) = uniform_chunks(SeedPolicy(seed), stream, N, size=N)
+    return angle_u, radius_u
+
+
+def _assert_uniform_hull_exact(params, angle_u, radius_u, size=None):
+    """``uniform_hull`` of the blocks in ``size``-point chunks equals the full monotone chain."""
+    pts = points_from_uniforms(params, angle_u.copy(), radius_u.copy())
+    chunks = helpers.chunked(angle_u, radius_u, size)
+    keep, kept_pts, hull = uniform_hull(params, len(radius_u), chunks)
     assert np.array_equal(kept_pts, pts[keep])
     assert tuple(int(keep[i]) for i in hull.vertex_indices) == tuple(
         _rotate_min_first(_monotone_chain(pts))
@@ -158,7 +165,7 @@ def test_uniform_hull_chains_the_far_set_alone_when_it_holds_every_vertex(monkey
     # At seed 5, beta = 0, the floor of the far set's disk clears the far
     # set's own floor at N = 64 000 but not at N = 1 000 (3 sqrt(N) far
     # points hold the hull in ~80% of trials there; seed 42 is one of them).
-    blocks = uniform_blocks(SeedPolicy(5), 0, N)
+    blocks = _stream_blocks(5, 0, N)
     params = BetaParams(0.0)
     sizes = _chain_sizes(monkeypatch, lambda: _assert_uniform_hull_exact(params, *blocks))
     assert len(sizes) == chains and sizes == sorted(sizes)
@@ -176,7 +183,7 @@ def test_convex_hull_chains_the_far_set_alone_when_it_holds_every_vertex(monkeyp
 def test_prefilter_exact_on_samples(monkeypatch, beta, N):
     pts = sample_batch(BetaParams(beta), N, SeedPolicy(23), N)
     _assert_convex_hull_exact(pts)
-    blocks = uniform_blocks(SeedPolicy(23), N, N)
+    blocks = _stream_blocks(23, N, N)
     keep = _assert_uniform_hull_exact(BetaParams(beta), *blocks)
     if N > 128 and beta >= 0.0:  # at beta = -0.99 most points are hull vertices
         assert len(_convex_hull_kept(monkeypatch, pts)) < N // 2
@@ -263,13 +270,12 @@ def _uniform_clouds(draw):
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(_uniform_clouds(), st.sampled_from([None, 1, 7, 64]))
 def test_uniform_hull_equals_convex_hull_of_the_whole_cloud(cloud, chunk):
-    # As one chunk (None: the default size) and split into several.
+    # As one chunk (None) and split into several.
     params, angle_u, radius_u = cloud
     blocks = angle_u.copy(), radius_u.copy()
     pts = points_from_uniforms(params, angle_u.copy(), radius_u.copy())
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(sampler, "_CHUNK", chunk or sampler._CHUNK)
-        keep, kept_pts, hull = uniform_hull(params, angle_u, radius_u)
+    chunks = helpers.chunked(angle_u, radius_u, chunk)
+    keep, kept_pts, hull = uniform_hull(params, len(radius_u), chunks)
     assert np.array_equal(angle_u, blocks[0]) and np.array_equal(radius_u, blocks[1])
     assert np.array_equal(kept_pts, pts[keep])
     mapped = tuple(int(keep[i]) for i in hull.vertex_indices)
@@ -282,31 +288,29 @@ def test_uniform_hull_keeps_the_smallest_copy_across_chunk_boundaries(monkeypatc
     # another chunk, and the chunks read once (20 000 points) or twice
     # (500 at seed 8): every hull vertex is the smallest index of its copies.
     params = BetaParams(0.0)
-    monkeypatch.setattr(sampler, "_CHUNK", chunk)
     for N, step, chains, seed in ((500, 1, 2, 8), (20_000, 8, 1, 37)):
-        blocks = [block[:] for block in uniform_blocks(SeedPolicy(seed), 0, N)]  # arrays
-        keep, _, hull = uniform_hull(params, *blocks)
+        blocks = _stream_blocks(seed, 0, N)
+        keep, _, hull = uniform_hull(params, N, helpers.chunked(*blocks, chunk))
         ring = keep[list(hull.vertex_indices)]
         dup = [np.concatenate([u[ring[:: 2 * step]], u, u[ring[::step]]]) for u in blocks]
-        sizes = _chain_sizes(monkeypatch, lambda: _assert_uniform_hull_exact(params, *dup))
+        sizes = _chain_sizes(monkeypatch, lambda: _assert_uniform_hull_exact(params, *dup, chunk))
         assert len(sizes) == chains
-        keep, _, hull = uniform_hull(params, *dup)
+        keep, _, hull = uniform_hull(params, len(dup[1]), helpers.chunked(*dup, chunk))
         for i in keep[list(hull.vertex_indices)]:
             same = np.flatnonzero((dup[0] == dup[0][i]) & (dup[1] == dup[1][i]))
             assert i == same.min() and (len(same) >= 2 or step > 1)
 
 
-def test_uniform_hull_keeps_the_smallest_copy_next_to_a_chunk_boundary(monkeypatch):
+def test_uniform_hull_keeps_the_smallest_copy_next_to_a_chunk_boundary():
     # A hull vertex that ends a chunk and its copy that starts the next.
     params = BetaParams(0.0)
-    angle_u, radius_u = uniform_blocks(SeedPolicy(41), 0, 2_000)
-    keep, _, hull = uniform_hull(params, angle_u, radius_u)
+    angle_u, radius_u = _stream_blocks(41, 0, 2_000)
+    keep, _, hull = uniform_hull(params, 2_000, helpers.chunked(angle_u, radius_u))
     v = int(keep[hull.vertex_indices[len(hull.vertex_indices) // 2]])
     dup = [np.insert(u, v + 1, u[v]) for u in (angle_u, radius_u)]
-    monkeypatch.setattr(sampler, "_CHUNK", v + 1)
-    keep = _assert_uniform_hull_exact(params, *dup)
+    keep = _assert_uniform_hull_exact(params, *dup, v + 1)
     assert v in keep and v + 1 in keep
-    keep, _, hull = uniform_hull(params, *dup)
+    keep, _, hull = uniform_hull(params, 2_001, helpers.chunked(*dup, v + 1))
     assert v in keep[list(hull.vertex_indices)] and v + 1 not in keep[list(hull.vertex_indices)]
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from multiprocessing import get_all_start_methods, get_context
@@ -7,6 +8,7 @@ from multiprocessing import get_all_start_methods, get_context
 import numpy as np
 import pytest
 
+import helpers
 from betapoly import montecarlo, sampler
 from betapoly.geometry import (
     Objective,
@@ -35,7 +37,7 @@ from betapoly.sampler import (
     SeedPolicy,
     points_from_uniforms,
     sample_batch,
-    uniform_blocks,
+    uniform_chunks,
 )
 
 PERIMETER_LAW = law_for(Objective.PERIMETER, 3, 0.0)
@@ -86,34 +88,21 @@ def test_sim_config_validation():
         with pytest.raises(ValueError, match="master_seed"):
             _small_config(master_seed=bad)
     _small_config(N_list=(np.int64(40),), trials=np.int32(3), master_seed=np.uint64(11))
+    # Refused when built, by the kernel's rule, not later by run_trials.
+    with pytest.raises(ValueError, match="area kernel needs n >= 3, got 2"):
+        _small_config(objective=Objective.AREA, n=2)
+    # Numpy integers are stored as ints, so summary.json can be written.
+    cfg = SimConfig(
+        Objective.PERIMETER, np.int64(3), 0.0, (np.int64(300),), np.int64(4), np.uint64(7)
+    )
+    assert all(type(v) is int for v in (cfg.n, *cfg.N_list, cfg.trials, cfg.master_seed))
+    law = law_for(cfg.objective, 3, 0.0)
+    json.loads(json.dumps(build_summary(cfg, run_trials(cfg, threads=1), law)))
 
 
 def test_sim_config_rejects_a_non_integer_n():
     with pytest.raises(ValueError, match="n must be an integer, got 3.5"):
         _small_config(n=3.5)
-
-
-class _CountingGenerator:
-    """A generator that records the size of each ``random`` request."""
-
-    def __init__(self, rng, requests):
-        self._rng, self._requests = rng, requests
-
-    def random(self, size):
-        self._requests.append(size)
-        return self._rng.random(size)
-
-
-def _count_draws(monkeypatch):
-    """Record every draw request of a trial generator; returns the list of sizes."""
-    requests = []
-    make = SeedPolicy.trial_generator
-
-    def counting(self, trial_index, skip=0):
-        return _CountingGenerator(make(self, trial_index, skip), requests)
-
-    monkeypatch.setattr(SeedPolicy, "trial_generator", counting)
-    return requests
 
 
 def _assert_trial_touches_few_points(monkeypatch, N):
@@ -131,14 +120,16 @@ def _assert_trial_touches_few_points(monkeypatch, N):
     inverse = counted(sampler._radius_from_uniform, "radii")
     monkeypatch.setattr(sampler, "_radius_from_uniform", inverse)
     monkeypatch.setattr(sampler, "cartesian", counted(sampler.cartesian, "coordinates"))
-    draws = _count_draws(monkeypatch)
+    log = helpers.count_draws(monkeypatch)
     law = law_for(Objective.PERIMETER, 3, 0.0)
     (record,) = montecarlo._run_batch((Objective.PERIMETER, 3, 0.0, 42, N, 0, 1, law.M, law.A))
     bound = min(N // 20, sampler._CHUNK + 8 * math.isqrt(N))
     assert 0 < counts["radii"] < bound
     assert 0 < counts["coordinates"] < bound
+    draws = log.requests[0]
     assert N > sampler._CHUNK and max(draws) <= sampler._CHUNK
     assert sum(draws) in (2 * N, 4 * N)  # one pass, or a replay
+    assert len(log.generators) == sum(draws) // N  # two generators a pass
     assert record.H == max_kgon(convex_hull(pts), pts, 3, Objective.PERIMETER).value
 
 
@@ -213,7 +204,8 @@ def test_trials_equal_the_full_sample_path(objective, beta):
         for t in range(cfg.trials):
             pts = sample_batch(params, N, policy, t)
             hull = convex_hull(pts)
-            keep, cand, cand_hull = uniform_hull(params, *uniform_blocks(policy, t, N))
+            chunks = functools.partial(uniform_chunks, policy, t, N)
+            keep, cand, cand_hull = uniform_hull(params, N, chunks)
             assert np.array_equal(cand, pts[keep])
             kept_hull = tuple(int(keep[i]) for i in cand_hull.vertex_indices)
             assert kept_hull == hull.vertex_indices
@@ -254,10 +246,12 @@ def test_a_streamed_trial_replays_its_stream_when_the_far_set_falls_short(monkey
     pts = sample_batch(BetaParams(0.0), N, SeedPolicy(5), 0)
     expected = max_kgon(convex_hull(pts), pts, 3, Objective.AREA)
     monkeypatch.setattr(sampler, "_CHUNK", 97)
-    draws = _count_draws(monkeypatch)
+    log = helpers.count_draws(monkeypatch)
     law = law_for(Objective.AREA, 3, 0.0)
     (record,) = montecarlo._run_batch((Objective.AREA, 3, 0.0, 5, N, 0, 1, law.M, law.A))
+    draws = log.requests[0]
     assert sum(draws) == 4 * N and max(draws) == 97
+    assert log.generators == [(0, 0), (0, N)] * 2
     assert (record.H, record.hull_size) == (expected.value, len(convex_hull(pts).vertex_indices))
 
 
@@ -402,23 +396,19 @@ def test_tail_probe_blocks_do_not_change_the_hits(monkeypatch):
 
 
 def test_tail_probe_draws_each_uniform_once(monkeypatch):
-    # A job is a whole chunk.  The 10 000-tuple last chunk is 30 000 points,
-    # drawn as arrays from one generator: split across two workers, every
-    # part drew all of it.  The 2-worker pool runs in this process, so the
-    # draws are counted here.
+    # A job is a whole chunk of tuples, drawn by one worker a block at a
+    # time: each epsilon's 260 000 tuples are a full chunk and a 10 000-tuple
+    # last one, two generators each.  The 2-worker pool runs in this
+    # process, so the draws are counted here.
     args = (Objective.PERIMETER, 3, 0.0, (0.4, 0.5), 260_000, 99)
     serial = tail_probe(*args, threads=1)
     started = _in_process_pool(monkeypatch)
-    requests = {0: [], 1: []}
-    make = SeedPolicy.trial_generator
-
-    def counting(self, trial_index, skip=0):
-        return _CountingGenerator(make(self, trial_index, skip), requests[trial_index])
-
-    monkeypatch.setattr(SeedPolicy, "trial_generator", counting)
+    log = helpers.count_draws(monkeypatch)
     assert tail_probe(*args, threads=2) == serial
     assert started == [2]
-    assert [sum(r) for r in requests.values()] == [2 * 3 * 260_000] * 2
+    assert [sum(log.requests[k]) for k in (0, 1)] == [2 * 3 * 260_000] * 2
+    assert max(max(r) for r in log.requests.values()) == 3 * montecarlo._TAIL_BLOCK
+    assert len(log.generators) == 2 * 2 * 2
 
 
 def test_tail_probe_starts_no_more_workers_than_full_chunks(monkeypatch):
@@ -473,6 +463,9 @@ def test_tail_probe_ragged_draws_reproduce_the_sequential_stream(monkeypatch):
     # The probe scores only the tuples its radius prefilter keeps; the
     # reference scores every tuple.
     draws = montecarlo._TAIL_CHUNK + 3 * montecarlo._TAIL_BLOCK + 7
+    # Both chunks drawn by two generators a block at a time (the default),
+    # the ragged one alone drawn whole by one, and both whole.
+    blocks = (montecarlo._TAIL_BLOCK, draws - montecarlo._TAIL_CHUNK, draws)
     if _HAS_FORK:
         _pool_started_by(monkeypatch, "fork")
     cases = [(Objective.PERIMETER, 0.0, (0.4, 0.5)), (Objective.AREA, -0.5, (0.25, 0.3))]
@@ -482,10 +475,8 @@ def test_tail_probe_ragged_draws_reproduce_the_sequential_stream(monkeypatch):
         # tuple scored twice or not at all shows in the count.
         M = extremal_value(objective, 3)
         every = (M - 1e-9, M - 2e-9)
-        # The chunks' blocks as streams (the default), the ragged one alone
-        # as arrays, and both as arrays.
-        for chunk in (sampler._CHUNK, 3 * (draws - montecarlo._TAIL_CHUNK), 3 * draws):
-            monkeypatch.setattr(sampler, "_CHUNK", chunk)
+        for block in blocks:
+            monkeypatch.setattr(montecarlo, "_TAIL_BLOCK", block)
             for threads in (1, 2, 3) if _HAS_FORK else (1,):
                 res = tail_probe(objective, 3, beta, eps, draws, 99, threads)
                 assert res.hits == expected

@@ -10,7 +10,6 @@ from betapoly import sampler
 from betapoly.sampler import (
     BetaParams,
     SeedPolicy,
-    UniformStream,
     _radius_from_uniform,
     cartesian,
     check_vertex_count,
@@ -20,7 +19,7 @@ from betapoly.sampler import (
     read_points_csv,
     sample_batch,
     select_uniforms,
-    uniform_blocks,
+    uniform_chunks,
     write_points_csv,
 )
 
@@ -140,47 +139,42 @@ def test_skipped_block_matches_draw_points_slice(beta):
         assert np.array_equal(block, whole[lo:hi])
 
 
-def test_uniform_stream_slices_are_the_drawn_blocks():
-    # In order, out of order, overlapping and again from the start, every
-    # slice of a stream is the same slice of the drawn blocks.
-    policy, N = SeedPolicy(61), 1_000
-    rng = policy.trial_generator(4)
-    whole = rng.random(N), rng.random(N)
-    streams = UniformStream(policy, 4, 0, N), UniformStream(policy, 4, N, N)
-    assert len(streams[0]) == len(streams[1]) == N
-    for lo, hi in ((0, 97), (97, 500), (500, 1_000), (0, 1_000), (250, 260), (3, 3), (990, 5_000)):
-        for stream, block in zip(streams, whole):
-            assert np.array_equal(stream[lo:hi], block[lo:hi])
-    with pytest.raises(ValueError, match="contiguous"):
-        streams[0][::2]
-
-
-def test_uniform_blocks_draws_small_blocks_whole(monkeypatch):
-    # The angle block is draws [skip, skip + N) and the radius block the N
-    # after it.  Up to a chunk they are arrays; beyond it they are streams
-    # of the same doubles.
-    policy = SeedPolicy(62)
-    monkeypatch.setattr(sampler, "_CHUNK", 100)
-    for N, skip in itertools.product((1, 99, 100, 101, 250), (0, 1, 600)):
-        raw = policy.trial_generator(1).random(skip + 2 * N)[skip:]
-        blocks = uniform_blocks(policy, 1, N, skip)
-        kind = np.ndarray if N <= 100 else UniformStream
-        assert all(isinstance(b, kind) and len(b) == N for b in blocks)
-        assert np.array_equal(blocks[0][0:N], raw[:N]) and np.array_equal(blocks[1][0:N], raw[N:])
+def test_uniform_chunks_are_the_stream_layout_in_chunks_of_any_size(monkeypatch):
+    # The angle block is draws [skip, skip + count) and the radius block the
+    # count after it, yielded in lockstep chunks of size points, the last
+    # perhaps shorter.  One generator draws both blocks up to a chunk; beyond
+    # it each block has its own.  A second call replays the same doubles.
+    policy, count = SeedPolicy(62), 250
+    skips = (0, 1, 600)
+    raw = {skip: policy.trial_generator(1).random(skip + 2 * count)[skip:] for skip in skips}
+    monkeypatch.setattr(sampler, "_CHUNK", 100)  # size None reads it when called
+    log = helpers.count_draws(monkeypatch)
+    for size, skip in itertools.product((1, 97, count - 1, count, count + 1, None), skips):
+        step = size or 100
+        for _ in range(2):
+            made = len(log.generators)
+            chunks = list(uniform_chunks(policy, 1, count, skip, size))
+            assert len(log.generators) - made == (1 if count <= step else 2)
+            lengths = [len(a) for a, _ in chunks]
+            assert lengths == [len(r) for _, r in chunks]
+            assert lengths == [min(step, count - lo) for lo in range(0, count, step)]
+            angle_u, radius_u = (np.concatenate(block) for block in zip(*chunks))
+            assert np.array_equal(angle_u, raw[skip][:count])
+            assert np.array_equal(radius_u, raw[skip][count:])
 
 
 @pytest.mark.parametrize("chunk", [1, 97, 128, 1_000, 1 << 16])
-def test_select_uniforms_is_the_same_on_arrays_and_streams_in_any_chunks(monkeypatch, chunk):
+def test_select_uniforms_is_the_same_on_arrays_and_streams_in_any_chunks(chunk):
+    # Arrays cut into chunks and the stream's own chunks give the same
+    # selection as the whole arrays.
     policy, N = SeedPolicy(63), 1_000
-    monkeypatch.setattr(sampler, "_CHUNK", chunk)
     rng = policy.trial_generator(0)
     angle_u, radius_u = rng.random(N), rng.random(N)
     blocks = angle_u.copy(), radius_u.copy()
-    streams = UniformStream(policy, 0, 0, N), UniformStream(policy, 0, N, N)
     for floor in (-math.inf, 0.0, 0.5, 0.99, 1.0):
         keep = np.flatnonzero(radius_u >= floor)
-        for source in (blocks, streams, streams):  # the second stream pass replays
-            got = select_uniforms(*source, floor)
+        for chunks in (helpers.chunked(*blocks, chunk)(), uniform_chunks(policy, 0, N, size=chunk)):
+            got = select_uniforms(chunks, floor)
             assert all(map(np.array_equal, got, (keep, angle_u[keep], radius_u[keep])))
     assert np.array_equal(blocks[0], angle_u) and np.array_equal(blocks[1], radius_u)
 
@@ -191,7 +185,7 @@ def test_cartesian_rows_of_any_subset_are_the_rows_of_the_whole_batch():
     # order or position.
     params, policy = BetaParams(0.0), SeedPolicy(13)
     whole = sample_batch(params, 5_000, policy, 2)
-    angle_u, radius_u = uniform_blocks(policy, 2, 5_000)
+    ((angle_u, radius_u),) = uniform_chunks(policy, 2, 5_000)
     rng = np.random.default_rng(5)
     subsets = [np.arange(k) for k in range(1, 18)]
     subsets += [np.arange(3, 4_999, 7), np.arange(4_999, 0, -3)]
