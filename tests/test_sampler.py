@@ -139,28 +139,43 @@ def test_skipped_block_matches_draw_points_slice(beta):
         assert np.array_equal(block, whole[lo:hi])
 
 
-def test_uniform_chunks_are_the_stream_layout_in_chunks_of_any_size(monkeypatch):
+def test_uniform_stream_slices_are_the_drawn_blocks(monkeypatch):
     # The angle block is draws [skip, skip + count) and the radius block the
     # count after it, yielded in lockstep chunks of size points, the last
-    # perhaps shorter.  One generator draws both blocks up to a chunk; beyond
-    # it each block has its own.  A second call replays the same doubles.
-    policy, count = SeedPolicy(62), 250
+    # perhaps shorter.  A second call replays the same doubles.
+    policy, count = SeedPolicy(61), 250
     skips = (0, 1, 600)
-    raw = {skip: policy.trial_generator(1).random(skip + 2 * count)[skip:] for skip in skips}
+    raw = {skip: policy.trial_generator(4).random(skip + 2 * count)[skip:] for skip in skips}
     monkeypatch.setattr(sampler, "_CHUNK", 100)  # size None reads it when called
-    log = helpers.count_draws(monkeypatch)
     for size, skip in itertools.product((1, 97, count - 1, count, count + 1, None), skips):
         step = size or 100
         for _ in range(2):
-            made = len(log.generators)
-            chunks = list(uniform_chunks(policy, 1, count, skip, size))
-            assert len(log.generators) - made == (1 if count <= step else 2)
+            chunks = list(uniform_chunks(policy, 4, count, skip, size))
             lengths = [len(a) for a, _ in chunks]
             assert lengths == [len(r) for _, r in chunks]
             assert lengths == [min(step, count - lo) for lo in range(0, count, step)]
             angle_u, radius_u = (np.concatenate(block) for block in zip(*chunks))
             assert np.array_equal(angle_u, raw[skip][:count])
             assert np.array_equal(radius_u, raw[skip][count:])
+
+
+def test_uniform_blocks_draws_small_blocks_whole(monkeypatch):
+    # Up to a chunk one generator draws both blocks, as one pair of arrays;
+    # beyond it each block has its own generator.  Either way the blocks
+    # are the same doubles.
+    policy = SeedPolicy(62)
+    cases = list(itertools.product((1, 99, 100, 101, 250), (0, 1, 600)))
+    raw = {(N, skip): policy.trial_generator(1).random(skip + 2 * N)[skip:] for N, skip in cases}
+    monkeypatch.setattr(sampler, "_CHUNK", 100)
+    log = helpers.count_draws(monkeypatch)
+    for N, skip in cases:
+        made = len(log.generators)
+        chunks = list(uniform_chunks(policy, 1, N, skip))
+        assert len(log.generators) - made == (1 if N <= 100 else 2)
+        assert len(chunks) == (1 if N <= 100 else -(-N // 100))
+        angle_u, radius_u = (np.concatenate(block) for block in zip(*chunks))
+        assert np.array_equal(angle_u, raw[N, skip][:N])
+        assert np.array_equal(radius_u, raw[N, skip][N:])
 
 
 @pytest.mark.parametrize("chunk", [1, 97, 128, 1_000, 1 << 16])
