@@ -13,6 +13,7 @@ import json
 import math
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -104,12 +105,6 @@ def _int(value) -> int:
     return int(value)
 
 
-def _float(value) -> float:
-    if isinstance(value, (bool, str)):
-        raise ValueError("not a number")
-    return float(value)
-
-
 def _exactly(cls):
     def check(value):
         if not isinstance(value, cls):
@@ -131,6 +126,7 @@ def _num_list(item, text):
 
 
 _text = _checked(_exactly(str))
+_float = partial(sampler.check_real, name="value")
 
 # kind -> (argparse keywords, cast(value, flag)).  Casts apply to flag and
 # config values alike; argparse has already typed the flags, so the type
@@ -142,7 +138,7 @@ _KINDS = {
     "path": ({"type": str}, lambda raw, flag: Path(_text(raw, flag))),
     "bool": ({"action": "store_true"}, _checked(_exactly(bool))),
     "objective": (
-        {"type": str, "choices": [o.value for o in geometry.Objective]},
+        {"type": str, "metavar": "{%s}" % ",".join(o.value for o in geometry.Objective)},
         lambda raw, flag: geometry.Objective.parse(_text(raw, flag)),
     ),
     "ints": ({"type": str}, _num_list(_int, int)),
@@ -265,13 +261,7 @@ def _cmd_verify(kernel, n, step, as_json) -> int:
 
 def _cmd_simulate(objective, n, beta, N_list, trials, seed, delta, out_dir, threads) -> int:
     config = montecarlo.SimConfig(
-        objective=objective,
-        n=n,
-        beta=beta,
-        N_list=N_list,
-        trials=trials,
-        master_seed=seed,
-        consistency_delta=delta,
+        objective, n, beta, N_list, trials, master_seed=seed, consistency_delta=delta
     )
     law = limits.law_for(objective, n, beta)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -349,8 +339,7 @@ def dispatch(argv: list[str] | None = None) -> int:
         threads = args.threads if args.threads is not None else cfg.get("threads")
         if threads is not None:
             threads = _KINDS["int"][1](threads, "--threads")
-            if threads < 1:
-                raise CliError(f"--threads must be >= 1, got {threads}")
+            threads = sampler.check_integer(threads, "--threads", least=1)
         if args.command is None:
             raise CliError("no subcommand given; expected one of " + ", ".join(_COMMANDS))
         rows = _COMMANDS[args.command][1]

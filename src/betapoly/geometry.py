@@ -49,12 +49,13 @@ class Objective(enum.Enum):
     AREA = "area"
 
     @classmethod
-    def parse(cls, name: str) -> "Objective":
+    def parse(cls, objective) -> "Objective":
+        """A member as is, or the member its name gives (case and outer blanks ignored)."""
         try:
-            return cls(name.strip().lower())
-        except ValueError:
+            return objective if isinstance(objective, cls) else cls(objective.strip().lower())
+        except (AttributeError, ValueError):
             raise ValueError(
-                f"unknown objective {name!r}; expected 'perimeter' or 'area'"
+                f"unknown objective {objective!r}; expected 'perimeter' or 'area'"
             ) from None
 
 
@@ -295,6 +296,7 @@ def hull_functional(tuples, objective: Objective) -> np.ndarray:
     Raises:
         ValueError: if ``tuples`` is not an ``(m, n, 2)`` array with ``n >= 1``.
     """
+    objective = Objective.parse(objective)
     pts = np.asarray(tuples, dtype=float)
     if pts.ndim != 3 or pts.shape[1] == 0 or pts.shape[2] != 2:
         raise ValueError(f"expected an (m, n, 2) array of tuples, got shape {pts.shape}")
@@ -418,6 +420,7 @@ def threshold_radius(objective: Objective, n: int, threshold: float) -> float:
 
     The bound is tight: ``r0`` sits within ~1e-9 of ``g^-1(T)``.
     """
+    objective = Objective.parse(objective)
     if n != 3:
         return 0.0
     if objective is Objective.PERIMETER:
@@ -500,7 +503,7 @@ def max_kgons(cases, k: int, objective: Objective) -> list[UMaxResult]:
     Raises:
         ValueError: as ``max_kgon``, for any case, before any DP runs.
     """
-    check_vertex_count(k)
+    k, objective = check_vertex_count(k), Objective.parse(objective)
     cases = [(hull, as_points_array(points)) for hull, points in cases]
     results: list[UMaxResult | None] = [None] * len(cases)
     stacks: list[list[int]] = []
@@ -652,7 +655,7 @@ def umax(points, n: int, objective: Objective) -> UMaxResult:
         points are supplied, or the hull is too large for ``max_kgon``.
     """
     pts = as_points_array(points)
-    check_vertex_count(n)
+    n = check_vertex_count(n)
     if len(pts) < n:
         raise ValueError(f"need at least n={n} points, got {len(pts)}")
     return max_kgon(convex_hull(pts), pts, n, objective)
@@ -668,9 +671,10 @@ def umax_bruteforce(points, n: int, objective: Objective) -> UMaxResult:
     from itertools import combinations
 
     pts = as_points_array(points)
-    check_vertex_count(n)
+    n = check_vertex_count(n)
     if len(pts) < n:
         raise ValueError(f"need at least n={n} points, got {len(pts)}")
+    objective = Objective.parse(objective)
     total = math.comb(len(pts), n)
     if total > 10**6:
         raise ValueError(f"C({len(pts)}, {n}) = {total} exceeds the 10^6 guard")

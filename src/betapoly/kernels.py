@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Objective, hull_functional
-from .sampler import BetaParams, cartesian, check_vertex_count
+from .sampler import BetaParams, cartesian, check_real, check_vertex_count
 
 # Finite-difference defaults.  The Hessian step balances second-difference
 # truncation (~h^2) against roundoff (~eps/h^2); 1e-5 is too small for the
@@ -42,7 +42,7 @@ Point = tuple[np.ndarray, np.ndarray]
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """The kernel of arity ``n``: ``objective`` of the hull of ``n`` points.
+    """The kernel of arity ``n``: ``objective`` (``Objective.parse``) of the hull of ``n`` points.
 
     Raises:
         ValueError: for an ``n`` that is not an integer, ``n < 2``
@@ -54,8 +54,10 @@ class KernelSpec:
     n: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "objective", Objective.parse(self.objective))
         least = 2 if self.objective is Objective.PERIMETER else 3
-        check_vertex_count(self.n, least, f"{self.objective.value} kernel")
+        n = check_vertex_count(self.n, least, f"{self.objective.value} kernel")
+        object.__setattr__(self, "n", n)
 
     def evaluate(self, angles, radii) -> float | np.ndarray:
         """The kernel at angles ``(..., n-1)`` and radii ``(..., n)``.
@@ -103,11 +105,12 @@ class MaximizerAnalysis:
         return bool(np.all(np.isfinite(self.radial_partials)) and np.all(self.radial_partials > 0.0))
 
 
-def _base_point(spec: KernelSpec, point: Point | None, step: float) -> Point:
+def _base_point(spec: KernelSpec, point: Point | None, step: float) -> tuple[Point, float]:
+    step = check_real(step, "step")
     if not 0.0 < step < math.inf:
         raise ValueError(f"step must be positive and finite, got {step}")
     angles, radii = spec.maximizer if point is None else point
-    return np.asarray(angles, dtype=float), np.asarray(radii, dtype=float)
+    return (np.asarray(angles, dtype=float), np.asarray(radii, dtype=float)), step
 
 
 def numeric_angular_gradient(
@@ -118,7 +121,7 @@ def numeric_angular_gradient(
     ``point`` is an ``(angles, radii)`` pair, here and below; the default is
     ``spec.maximizer``.
     """
-    a0, r0 = _base_point(spec, point, step)
+    (a0, r0), step = _base_point(spec, point, step)
     shift = step * np.eye(spec.n - 1)
     return (spec.evaluate(a0 + shift, r0) - spec.evaluate(a0 - shift, r0)) / (2.0 * step)
 
@@ -130,7 +133,9 @@ def numeric_sub_hessian(
 
     The off-diagonal entries are computed for ``i < j`` and mirrored.
     """
-    a0, r0 = _base_point(spec, point, step)
+    (a0, r0), step = _base_point(spec, point, step)
+    if step**2 == 0.0:  # the differences below would divide 0 by 0
+        raise ValueError(f"step**2 underflows to 0 for step {step}")
     shift = step * np.eye(spec.n - 1)
     f0 = spec.evaluate(a0, r0)
     plus, minus = a0 + shift, a0 - shift
@@ -147,7 +152,7 @@ def numeric_radial_partials(
     spec: KernelSpec, point: Point | None = None, step: float = RADIAL_STEP
 ) -> np.ndarray:
     """One-sided (inward, second order) radial derivatives at the given radii."""
-    a0, r0 = _base_point(spec, point, step)
+    (a0, r0), step = _base_point(spec, point, step)
     shift = step * np.eye(spec.n)
     f0 = spec.evaluate(a0, r0)
     f1, f2 = spec.evaluate(a0, np.stack((r0 - shift, r0 - 2.0 * shift)))
@@ -176,7 +181,7 @@ def _maximizer_sum(n: int, det_negG: float, mean_log_partial: float, beta: float
     ``log(dh/dr_j)`` over the ``n`` vertices, so the product is
     ``exp(n * (beta+1) * mean_log_partial)``.
     """
-    BetaParams(beta)  # rejects a NaN, infinite or <= -1 beta
+    beta = BetaParams(beta).beta
     log_i = (
         math.lgamma(n)
         - 0.5 * math.log(det_negG)
@@ -199,26 +204,29 @@ def compute_I(spec: KernelSpec, analysis: MaximizerAnalysis, beta: float) -> flo
     return _maximizer_sum(spec.n, analysis.det_negG, float(np.mean(np.log(partials))), beta)
 
 
-def analytic_det_negG(objective: Objective, n: int) -> float:
-    """Closed-form det(-G) at any maximizer of the kernel."""
-    ang = math.pi / n if objective is Objective.PERIMETER else math.tau / n
-    return 2.0 ** (1 - n) * n * math.sin(ang) ** (n - 1)
+def analytic_det_negG(objective: Objective | str, n: int) -> float:
+    """Closed-form det(-G) at any maximizer of ``KernelSpec(objective, n)``."""
+    spec = KernelSpec(objective, n)
+    n, ang = spec.n, (math.pi if spec.objective is Objective.PERIMETER else math.tau)
+    return 2.0 ** (1 - n) * n * math.sin(ang / n) ** (n - 1)
 
 
-def analytic_radial_partial(objective: Objective, n: int) -> float:
-    """Closed-form boundary radial derivative (identical across coordinates).
+def analytic_radial_partial(objective: Objective | str, n: int) -> float:
+    """Closed-form boundary radial derivative of ``KernelSpec(objective, n)``, at every vertex.
 
     Each radius appears in the two cyclic terms adjacent to its vertex, so
     the value is twice the single-edge sensitivity.
     """
-    if objective is Objective.PERIMETER:
-        return 2.0 * math.sin(math.pi / n)
-    return math.sin(math.tau / n)
+    spec = KernelSpec(objective, n)
+    if spec.objective is Objective.PERIMETER:
+        return 2.0 * math.sin(math.pi / spec.n)
+    return math.sin(math.tau / spec.n)
 
 
-def analytic_I(objective: Objective, n: int, beta: float) -> float:
-    """Closed form of :func:`compute_I`."""
-    KernelSpec(objective, n)  # rejects n below the kernel's range
+def analytic_I(objective: Objective | str, n: int, beta: float) -> float:
+    """Closed form of :func:`compute_I` for ``KernelSpec(objective, n)``."""
+    spec = KernelSpec(objective, n)
+    objective, n = spec.objective, spec.n
     return _maximizer_sum(
         n, analytic_det_negG(objective, n), math.log(analytic_radial_partial(objective, n)), beta
     )

@@ -42,11 +42,6 @@ from .kernels import KernelSpec, analytic_I
 from .sampler import BetaParams, check_vertex_count
 
 
-def _validate(n: int, beta: float) -> None:
-    check_vertex_count(n)
-    BetaParams(beta)
-
-
 def _log_K(n: int, beta: float) -> float:
     return (
         ((beta + 0.5) * n + 0.5) * math.log(2.0)
@@ -59,40 +54,41 @@ def _log_K(n: int, beta: float) -> float:
 
 def compute_K(n: int, beta: float) -> float:
     """The normalization constant K_n of the limit law (log-gamma pipeline)."""
-    _validate(n, beta)
+    n, beta = check_vertex_count(n), BetaParams(beta).beta
     return math.exp(_log_K(n, beta))
 
 
 def shape_C(n: int, beta: float) -> float:
     """Weibull shape: C = (beta + 3/2) * n - 1/2."""
-    _validate(n, beta)
+    n, beta = check_vertex_count(n), BetaParams(beta).beta
     return (beta + 1.5) * n - 0.5
 
 
 def exponent_A(n: int, beta: float) -> float:
     """Scaling exponent of the deficiency: A = n / C, so A * C = n exactly."""
+    n, beta = check_vertex_count(n), BetaParams(beta).beta
     return n / shape_C(n, beta)
 
 
 def rate_constant_B(n: int, beta: float, I: float) -> float:
     """Weibull rate B = K_n * I for a kernel with maximizer aggregate I."""
-    _validate(n, beta)
+    n, beta = check_vertex_count(n), BetaParams(beta).beta
     if not (I > 0.0) or not math.isfinite(I):
         raise ValueError(f"I must be a positive finite number, got {I}")
     return math.exp(_log_K(n, beta) + math.log(I))
 
 
-def extremal_value(objective: Objective, n: int) -> float:
+def extremal_value(objective: Objective | str, n: int) -> float:
     """Largest objective value over point sets in the closed unit disk.
 
     Attained by the regular n-gon inscribed in the unit circle:
     2*n*sin(pi/n) for the perimeter, (n/2)*sin(2*pi/n) for the area.
-    ``n`` is validated as for ``KernelSpec(objective, n)``.
+    ``objective`` and ``n`` are those ``KernelSpec(objective, n)`` stores.
     """
-    KernelSpec(objective, n)
-    if objective is Objective.PERIMETER:
-        return 2.0 * n * math.sin(math.pi / n)
-    return 0.5 * n * math.sin(2.0 * math.pi / n)
+    spec = KernelSpec(objective, n)
+    if spec.objective is Objective.PERIMETER:
+        return 2.0 * spec.n * math.sin(math.pi / spec.n)
+    return 0.5 * spec.n * math.sin(2.0 * math.pi / spec.n)
 
 
 @dataclass(frozen=True)
@@ -130,19 +126,18 @@ class LimitLaw:
         }
 
 
-def law_for(objective: Objective, n: int, beta: float) -> LimitLaw:
-    """Assemble the full limit law for a built-in objective."""
-    _validate(n, beta)
-    M = extremal_value(objective, n)
-    C = shape_C(n, beta)
+def law_for(objective: Objective | str, n: int, beta: float) -> LimitLaw:
+    """Assemble the full limit law for an objective, given as a member or a name."""
+    n, beta = check_vertex_count(n), BetaParams(beta).beta
+    objective = Objective.parse(objective)
     return LimitLaw(
         objective=objective,
         n=n,
         beta=beta,
-        M=M,
+        M=extremal_value(objective, n),
         A=exponent_A(n, beta),
         B=rate_constant_B(n, beta, analytic_I(objective, n, beta)),
-        C=C,
+        C=shape_C(n, beta),
     )
 
 

@@ -42,6 +42,7 @@ from .sampler import (
     BetaParams,
     SeedPolicy,
     check_integer,
+    check_real,
     points_from_uniforms,
     radius_uniform_floor,
     uniform_chunks,
@@ -66,7 +67,7 @@ _TAIL_BLOCK = 1 << 13
 
 @dataclass(frozen=True)
 class SimConfig:
-    """One simulation campaign: objective, parameters, sizes, budget, seed."""
+    """One simulation campaign; each field holds what its check returns, so it writes to JSON."""
 
     objective: Objective
     n: int
@@ -77,26 +78,27 @@ class SimConfig:
     consistency_delta: float = CONSISTENCY_DELTA
 
     def __post_init__(self) -> None:
-        KernelSpec(self.objective, self.n)
-        BetaParams(self.beta)
-        SeedPolicy(self.master_seed)
-        check_integer(self.trials, "trials")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        spec = KernelSpec(self.objective, self.n)
+        checked = dict(
+            objective=spec.objective,
+            n=spec.n,
+            beta=BetaParams(self.beta).beta,
+            master_seed=SeedPolicy(self.master_seed).master_seed,
+            trials=check_integer(self.trials, "trials", least=1),
+            N_list=tuple(check_integer(N, "every N") for N in self.N_list),
+            consistency_delta=check_real(self.consistency_delta, "delta"),
+        )
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
         if not self.N_list:
             raise ValueError("N_list must be nonempty")
         for i, N in enumerate(self.N_list):
-            check_integer(N, "every N")
             if N in self.N_list[:i]:
                 raise ValueError(f"every N must be distinct, got N = {N} more than once")
-        if any(N < self.n for N in self.N_list):
+        if min(self.N_list) < self.n:
             raise ValueError(f"every N must be >= n={self.n}, got {self.N_list}")
         if not 0.0 < self.consistency_delta < math.inf:
             raise ValueError(f"delta must be positive and finite, got {self.consistency_delta}")
-        # Numpy integers pass the checks; stored as ints, they write to JSON.
-        for name in ("n", "trials", "master_seed"):
-            object.__setattr__(self, name, int(getattr(self, name)))
-        object.__setattr__(self, "N_list", tuple(int(N) for N in self.N_list))
 
 
 @dataclass(frozen=True)
@@ -229,10 +231,7 @@ def _map(fn, jobs: list, threads: int | None, busy: int) -> list:
     """
     if threads is None:
         threads = os.cpu_count() or 1
-    check_integer(threads, "threads")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-    workers = min(threads, busy)
+    workers = min(check_integer(threads, "threads", least=1), busy)
     if workers <= 1:
         return [fn(job) for job in jobs]
     chunk = max(1, len(jobs) // (8 * workers))
@@ -318,8 +317,10 @@ def _ols_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, float,
     return slope, intercept, slope_se, intercept_se, m
 
 
-def tail_prefactor(objective: Objective, n: int, beta: float) -> float:
+def tail_prefactor(objective: Objective | str, n: int, beta: float) -> float:
     """Leading small-eps coefficient of P[f >= M - eps]: n! * K_n * I."""
+    spec = KernelSpec(objective, n)
+    objective, n = spec.objective, spec.n
     return math.factorial(n) * compute_K(n, beta) * analytic_I(objective, n, beta)
 
 
@@ -356,7 +357,7 @@ def _tail_hits(job) -> tuple[int, int]:
 
 
 def tail_probe(
-    objective: Objective,
+    objective: Objective | str,
     n: int,
     beta: float,
     epsilon_grid,
@@ -386,12 +387,13 @@ def tail_probe(
     with a warning.
 
     Raises:
-        ValueError: on a bad grid (a non-finite epsilon included), a guard
+        ValueError: on a bad grid (a non-real or non-finite epsilon too), a guard
         violation, a ``threads``, ``draws_per_epsilon`` or ``seed`` that
         is not an integer, ``threads < 1``, or < 2 nonzero probabilities to fit.
     """
-    policy = SeedPolicy(seed)
-    eps = tuple(sorted({float(e) for e in epsilon_grid}, reverse=True))
+    policy, params, spec = SeedPolicy(seed), BetaParams(beta), KernelSpec(objective, n)
+    objective, n, beta = spec.objective, spec.n, params.beta
+    eps = tuple(sorted({check_real(e, "every epsilon") for e in epsilon_grid}, reverse=True))
     for e in eps:
         if not math.isfinite(e):
             raise ValueError(f"epsilons must be finite, got {e}")
@@ -400,9 +402,7 @@ def tail_probe(
     M = extremal_value(objective, n)
     if eps[0] >= M or eps[-1] <= 0.0:
         raise ValueError(f"epsilons must lie in (0, M={M:.6g}), got {eps}")
-    check_integer(draws_per_epsilon, "draws_per_epsilon")
-    if draws_per_epsilon < 1:
-        raise ValueError("draws_per_epsilon must be >= 1")
+    draws_per_epsilon = check_integer(draws_per_epsilon, "draws_per_epsilon", least=1)
     prefactor = tail_prefactor(objective, n, beta)
     C = shape_C(n, beta)
     for e in eps:
@@ -413,8 +413,6 @@ def tail_probe(
                 f"{draws_per_epsilon} draws (need >= {MIN_EXPECTED_HITS:.0f}); "
                 "increase draws_per_epsilon or drop this epsilon"
             )
-
-    params = BetaParams(beta)
 
     # A pool takes ~10-15 ms to start: at n = 3, 2 workers on 2 full chunks
     # only break even with 1, so each worker gets at least a full chunk.
@@ -462,6 +460,7 @@ def consistency_check(
     """Fraction of trials whose deficiency M - H stayed below ``delta``."""
     if not records:
         raise ValueError("no trial records")
+    delta = check_real(delta, "delta")
     if not 0.0 < delta < math.inf:
         raise ValueError(f"delta must be positive and finite, got {delta}")
     Ns = {r.N for r in records}

@@ -54,33 +54,42 @@ _CHUNK = 1 << 16
 
 @dataclass(frozen=True)
 class BetaParams:
-    """Shape parameter of the disk density proportional to (1 - r^2)^beta."""
+    """Shape parameter of the disk density proportional to (1 - r^2)^beta, stored as a float."""
 
     beta: float
 
     def __post_init__(self) -> None:
-        if isinstance(self.beta, (bool, np.bool_)):
-            raise ValueError(f"beta must be a number, got {self.beta!r}")
+        object.__setattr__(self, "beta", check_real(self.beta, "beta"))
         if not math.isfinite(self.beta) or self.beta <= -1.0:
             raise ValueError(f"beta must be finite and > -1, got {self.beta}")
 
 
-def check_integer(value, name: str) -> None:
-    """Reject a ``value`` that is not an integer, naming it ``name``.
+def check_real(value, name: str) -> float:
+    """``value`` as a ``float`` if it is a real number (not a ``bool``), else ``ValueError``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
-    The one rule for counts and seeds across the package.  Python and numpy
-    integers pass; ``bool``, floats (whole ones such as ``4.0`` too) and
-    non-numbers raise ``ValueError``.
+
+def check_integer(value, name: str, least: int | None = None) -> int:
+    """``value`` as an ``int`` if it is an integer ``>= least``; else ``ValueError``.
+
+    The one rule for counts, indices and seeds across the package: Python and
+    numpy integers pass; ``bool``, floats (``4.0`` too) and non-numbers raise.
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return int(value)
 
 
-def check_vertex_count(n, least: int = 2, owner: str = "a polygon") -> None:
-    """Reject a vertex count ``n`` that is not an integer ``>= least``."""
-    check_integer(n, "n")
+def check_vertex_count(n, least: int = 2, owner: str = "a polygon") -> int:
+    """``n`` as an ``int``, if it is an integer ``>= least``; else ``ValueError``."""
+    n = check_integer(n, "n")
     if n < least:
         raise ValueError(f"{owner} needs n >= {least}, got {n}")
+    return n
 
 
 @dataclass(frozen=True)
@@ -97,11 +106,10 @@ class SeedPolicy:
     master_seed: int
 
     def __post_init__(self) -> None:
-        check_integer(self.master_seed, "master_seed")
-        if not (0 <= int(self.master_seed) < 2**64):
-            raise ValueError(
-                f"master_seed must be a 64-bit unsigned integer, got {self.master_seed}"
-            )
+        seed = check_integer(self.master_seed, "master_seed")
+        if not 0 <= seed < 2**64:
+            raise ValueError(f"master_seed must be a 64-bit unsigned integer, got {seed}")
+        object.__setattr__(self, "master_seed", seed)
 
     def trial_generator(self, trial_index: int, skip: int = 0) -> np.random.Generator:
         """The stream of ``trial_index``, advanced past its first ``skip`` draws.
@@ -110,14 +118,11 @@ class SeedPolicy:
         consumes per float64, so ``trial_generator(t, skip=k).random(c)``
         equals ``trial_generator(t).random(k + c)[k:]`` bit for bit.
         """
-        for value, name in ((trial_index, "trial_index"), (skip, "skip")):
-            check_integer(value, name)
-            if value < 0:
-                raise ValueError(f"{name} must be >= 0, got {value}")
-        seq = np.random.SeedSequence((int(self.master_seed), int(trial_index)))
-        bits = np.random.PCG64(seq)
+        trial_index = check_integer(trial_index, "trial_index", least=0)
+        skip = check_integer(skip, "skip", least=0)
+        bits = np.random.PCG64(np.random.SeedSequence((self.master_seed, trial_index)))
         if skip:
-            bits.advance(int(skip))
+            bits.advance(skip)
         return np.random.Generator(bits)
 
 
@@ -211,9 +216,7 @@ def sample_batch(
     Raises:
         ValueError: if ``count`` is not an integer ``>= 1``.
     """
-    check_integer(count, "count")
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    count = check_integer(count, "count", least=1)
     ((angle_u, radius_u),) = uniform_chunks(seed_policy, trial_index, count, size=count)
     return points_from_uniforms(params, angle_u, radius_u)
 

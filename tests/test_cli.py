@@ -69,6 +69,30 @@ def test_invalid_objective_exits_1(capsys):
     assert code == 1
 
 
+def test_an_objective_flag_is_read_by_the_rule_of_a_config_value(tmp_path, capsys):
+    # --objective goes through Objective.parse, as a config file's value
+    # does: the case and outer blanks of a name do not change a byte.
+    outs = []
+    for i, name in enumerate(("perimeter", "Perimeter", " AREA ", "area")):
+        out_dir = tmp_path / str(i)
+        code, out, _ = _run(capsys, [
+            "--threads", "1", "simulate", "--objective", name, "--n", "3", "--beta", "0",
+            "--N", "40", "--trials", "10", "--seed", "5", "--out-dir", str(out_dir),
+        ])
+        assert code == 0
+        code, out, _ = _run(capsys, ["constants", "--objective", name, "--n", "3", "--beta", "0"])
+        assert code == 0
+        names = ("trials.csv", "summary.json", "ecdf.csv")
+        outs.append([out] + [(out_dir / f).read_bytes() for f in names])
+    assert outs[0] == outs[1] and outs[2] == outs[3] and outs[0] != outs[2]
+    code, _, err = _run(capsys, ["constants", "--objective", "volume", "--n", "3", "--beta", "0"])
+    assert code == 1
+    assert err == "error: unknown objective 'volume'; expected 'perimeter' or 'area'\n"
+    with pytest.raises(SystemExit):
+        dispatch(["constants", "--help"])
+    assert "--objective {perimeter,area}" in capsys.readouterr().out
+
+
 def test_domain_error_exits_1(capsys):
     code, _, err = _run(
         capsys, ["constants", "--objective", "perimeter", "--n", "3", "--beta", "-2", "--json"]
@@ -135,10 +159,15 @@ def test_verify_step_override(capsys):
 
 
 def test_verify_rejects_a_step_that_is_not_finite(capsys):
-    for bad in ("nan", "inf"):
-        code, out, err = _run(capsys, ["verify", "--kernel", "perimeter", "--n", "3", "--step", bad])
+    # A step whose square underflows to 0 would divide 0 by 0 in the
+    # Hessian and print "det_negG": NaN, which is not JSON.
+    cases = [(bad, f"step must be positive and finite, got {bad}") for bad in ("nan", "inf")]
+    cases.append(("1e-300", "step**2 underflows to 0 for step 1e-300"))
+    for bad, message in cases:
+        argv = ["verify", "--kernel", "perimeter", "--n", "3", "--step", bad, "--json"]
+        code, out, err = _run(capsys, argv)
         assert code == 1 and out == ""
-        assert f"step must be positive and finite, got {bad}" in err
+        assert message in err
 
 
 def test_config_file_supplies_and_flags_override(tmp_path, capsys):

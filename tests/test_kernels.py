@@ -6,9 +6,12 @@ import pytest
 from betapoly.geometry import (
     Objective,
     convex_hull,
+    hull_functional,
     max_kgon,
+    max_kgons,
     polygon_area,
     polygon_perimeter,
+    threshold_radius,
     umax,
     umax_bruteforce,
 )
@@ -23,10 +26,50 @@ from betapoly.kernels import (
     numeric_radial_partials,
     numeric_sub_hessian,
 )
-from betapoly.limits import extremal_value
-from betapoly.montecarlo import SimConfig, tail_probe
+from betapoly.limits import extremal_value, law_for
+from betapoly.montecarlo import SimConfig, tail_prefactor, tail_probe
+from betapoly.sampler import BetaParams, SeedPolicy, sample_batch
 
 TWO_PI = 2.0 * math.pi
+
+_CLOUD = sample_batch(BetaParams(0.0), 200, SeedPolicy(1))
+_HALF_DISK = np.array([[[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]]])
+_KITE = np.array([[[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -0.5]]])
+# Every public function that takes an objective, called with one.  Each
+# value tells the two objectives apart, so a name read as the wrong member
+# shows.
+_TAKES_AN_OBJECTIVE = {
+    "Objective.parse": Objective.parse,
+    "KernelSpec": lambda o: KernelSpec(o, 3),
+    "hull_functional": lambda o: [hull_functional(t, o).tolist() for t in (_HALF_DISK, _KITE)],
+    "threshold_radius": lambda o: threshold_radius(o, 3, 1.2),
+    "max_kgon": lambda o: max_kgon(convex_hull(_CLOUD), _CLOUD, 3, o),
+    "max_kgons": lambda o: max_kgons([(convex_hull(_CLOUD), _CLOUD)], 4, o),
+    "umax": lambda o: umax(_CLOUD, 3, o),
+    "umax_bruteforce": lambda o: umax_bruteforce(_CLOUD[:12], 3, o),
+    "analytic_det_negG": lambda o: analytic_det_negG(o, 3),
+    "analytic_radial_partial": lambda o: analytic_radial_partial(o, 3),
+    "analytic_I": lambda o: analytic_I(o, 3, 0.5),
+    "extremal_value": lambda o: extremal_value(o, 3),
+    "law_for": lambda o: law_for(o, 3, 0.5),
+    "tail_prefactor": lambda o: tail_prefactor(o, 3, 0.5),
+    "tail_probe": lambda o: tail_probe(o, 3, 0.0, (0.5, 0.6), 60_000, 5, threads=1),
+    "SimConfig": lambda o: SimConfig(o, 3, 0.0, (40,), 2, 1),
+}
+
+
+@pytest.mark.parametrize("name", list(_TAKES_AN_OBJECTIVE))
+def test_every_function_that_takes_an_objective_takes_its_name(name):
+    call = _TAKES_AN_OBJECTIVE[name]
+    per, area = call(Objective.PERIMETER), call(Objective.AREA)
+    assert per != area
+    for spelling in ("perimeter", " Perimeter "):
+        assert call(spelling) == per
+    for spelling in ("area", "AREA"):
+        assert call(spelling) == area
+    for bad in (None, 5, "volume"):
+        with pytest.raises(ValueError, match="unknown objective"):
+            call(bad)
 
 
 def test_perimeter_kernel_examples():
@@ -210,6 +253,10 @@ def test_finite_difference_probes_need_a_positive_finite_step():
                 probe(spec, step=bad)
     with pytest.raises(ValueError, match="step must be positive and finite"):
         analyze_maximizer(spec, math.nan)
+    # True passed the range check and ran as a step of 1.
+    for bad in (True, "1e-5", 1j):
+        with pytest.raises(ValueError, match="step must be a number"):
+            analyze_maximizer(spec, bad)
 
 
 def test_gradient_second_order_convergence():

@@ -98,6 +98,37 @@ def test_sim_config_validation():
     assert all(type(v) is int for v in (cfg.n, *cfg.N_list, cfg.trials, cfg.master_seed))
     law = law_for(cfg.objective, 3, 0.0)
     json.loads(json.dumps(build_summary(cfg, run_trials(cfg, threads=1), law)))
+    # Numpy floats are stored as Python floats, so single precision never
+    # reaches the sampler and summary.json can be written.
+    cfg = _small_config(beta=np.float32(0.5), consistency_delta=np.float32(0.25))
+    assert (cfg.beta, cfg.consistency_delta) == (0.5, 0.25)
+    assert type(cfg.beta) is type(cfg.consistency_delta) is float
+    law = law_for(cfg.objective, cfg.n, cfg.beta)
+    json.loads(json.dumps(build_summary(cfg, run_trials(cfg, threads=1), law)))
+    for bad in ("0.5", None, 1 + 0j):
+        with pytest.raises(ValueError, match="beta must be a number"):
+            _small_config(beta=bad)
+        with pytest.raises(ValueError, match="delta must be a number"):
+            _small_config(consistency_delta=bad)
+
+
+@pytest.mark.parametrize("beta", [0.5, -0.5])
+@pytest.mark.parametrize("kind", [np.float32, np.float16, np.float64])
+def test_a_numpy_beta_computes_what_the_python_float_does(kind, beta):
+    def results(b):
+        return {
+            "points": sample_batch(BetaParams(b), 50, SeedPolicy(3), 1).tobytes().hex(),
+            "floor": sampler.radius_uniform_floor(BetaParams(b), 0.99),
+            "law": {o.value: law_for(o, 3, b).constants() for o in Objective},
+            "prefactor": tail_prefactor(Objective.AREA, 4, b),
+            "C": shape_C(3, b),
+        }
+
+    same = results(beta)
+    got = results(kind(beta))
+    assert got == same
+    assert json.dumps(got) == json.dumps(same)  # the floats are Python floats
+    assert all(type(v) is float for v in got["law"]["area"].values())
 
 
 def test_sim_config_rejects_a_non_integer_n():
@@ -535,6 +566,10 @@ def test_tail_probe_grid_validation():
     for bad in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ValueError, match=f"epsilons must be finite, got {bad}"):
             tail_probe(Objective.PERIMETER, 3, 0.0, (0.4, bad, 0.5), 300_000, seed=1)
+    # float() took "0.5" and True (as 1.0) for epsilons.
+    for bad in ("0.5", True, None):
+        with pytest.raises(ValueError, match="every epsilon must be a number"):
+            tail_probe(Objective.PERIMETER, 3, 0.0, (0.4, bad), 300_000, seed=1)
 
 
 @pytest.mark.parametrize(

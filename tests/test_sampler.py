@@ -12,6 +12,7 @@ from betapoly.sampler import (
     SeedPolicy,
     _radius_from_uniform,
     cartesian,
+    check_integer,
     check_vertex_count,
     points_from_uniforms,
     radius_cdf,
@@ -38,9 +39,13 @@ def test_beta_params_validation():
     with pytest.raises(ValueError):
         BetaParams(float("nan"))
     # math.isfinite(True) holds, so True would run as beta = 1.
-    for bad in (True, False, np.True_):
+    # Nor would a string, None or a complex number be a real beta.
+    for bad in (True, False, np.True_, "0.5", None, 1 + 0j):
         with pytest.raises(ValueError, match="beta must be a number"):
             BetaParams(bad)
+    # Stored as a Python float, so every formula runs in double precision.
+    for kind in (np.float16, np.float32, np.float64):
+        assert type(BetaParams(kind(0.5)).beta) is float
 
 
 def test_radius_cdf_examples():
@@ -300,6 +305,21 @@ def test_radius_uniform_floor_selects_every_uniform_that_reaches_the_radius(beta
     for radius in (-0.5, 0.0, 1e-7, 1.5, float("nan")):
         floor = radius_uniform_floor(params, radius)
         assert floor == 0.0 and np.all(u >= floor)
+
+
+def test_check_integer_returns_an_int_and_holds_the_bound():
+    for value in (np.int8(3), np.uint64(3), np.int64(3), 3):
+        assert type(check_integer(value, "count")) is int
+        assert check_integer(value, "count", least=3) == 3
+    assert check_integer(np.int64(-2), "skip") == -2  # no bound without least
+    with pytest.raises(ValueError, match=r"^count must be >= 1, got 0$"):
+        check_integer(np.int32(0), "count", least=1)
+    with pytest.raises(ValueError, match=r"^skip must be >= 0, got -1$"):
+        check_integer(-1, "skip", least=0)
+    for bad in (3.0, True, "3", None):
+        with pytest.raises(ValueError, match="count must be an integer"):
+            check_integer(bad, "count", least=1)
+    assert type(check_vertex_count(np.int64(4))) is int
 
 
 def test_check_vertex_count():
