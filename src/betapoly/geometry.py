@@ -4,12 +4,16 @@ The maximum of either objective over all vertex subsets of size at most ``k``
 is attained on extreme points of the full convex hull: with all other
 vertices fixed, the perimeter is convex and the area is affine in a single
 vertex, so no interior point can beat a hull point, and enlarging a subset
-never decreases either objective.  So ``convex_hull`` and ``uniform_hull``
-(for points given by their sampling uniforms) drop provably interior points
-with one circle test, ``_circle_hull``, whose far points' hull is most often
-the hull itself (``_far_count``: ``3 sqrt(N)`` far points below 10 000,
-``2 sqrt(N)`` from there), and ``max_kgon`` runs a max-plus program over the
-``h`` hull vertices in ``O(h^2 k + h^3 / k^2)``.  ``max_kgons`` runs that
+never decreases either objective.  So ``convex_hull`` and ``uniform_hulls``
+(for the points of many trials given by their sampling uniforms) drop
+provably interior points with one circle test, whose far points' hull is
+most often the hull itself (``_far_count``: ``3 sqrt(N)`` far points below
+10 000, ``2 sqrt(N)`` from there).  ``convex_hull`` builds its hulls with
+the monotone chain; ``uniform_hulls`` runs the test for a whole batch of
+trials at once, with one reflex-vertex elimination (``_star_rings``) for
+all their far sets, and ``uniform_hull`` is its one-trial call.
+``max_kgon`` runs a max-plus program over the ``h`` hull vertices in
+``O(h^2 k + h^3 / k^2)``.  ``max_kgons`` runs that
 program for many hulls at once, stacked into one array per DP layer, with
 the cycles of one hull at a time; ``max_kgon`` is its one-hull call.  The
 exhaustive subset oracle below validates both.  ``threshold_radius``
@@ -25,14 +29,13 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .sampler import BetaParams, check_vertex_count, points_from_uniforms
 from .sampler import radius_uniform_floor, select_uniforms
 
-# Below this size the circle test of _circle_hull costs more than it saves.
+# Below this size convex_hull's circle test costs more than it saves.
 _CIRCLE_MIN_POINTS = 128
 _CIRCLE_MARGIN = 1e-9  # relative slack on _inscribed_radius
 # Most hull vertices max_kgon takes: its second pass costs O(h^3 / k^2) time.
@@ -100,35 +103,13 @@ def as_points_array(points) -> np.ndarray:
 def _far_count(N: int) -> int:
     """How many far points a circle test of ``N`` points builds its hull from.
 
-    Any count gives the same hull; it only decides how often a second chain
-    runs.  Below 10 000 points ``2 sqrt(N)`` far points miss the hull in most
-    trials at ``beta = 0`` (96% at 250, 69% at 4 000), and ``3 sqrt(N)`` in
-    37% and 3%; from 10 000 on the smaller set is as fast or faster.
+    Any count gives the same hull; it only decides how often a second hull
+    is built, on a widened set.  Below 10 000 points ``2 sqrt(N)`` far
+    points miss the hull in most trials at ``beta = 0`` (96% at 250, 69% at
+    4 000), and ``3 sqrt(N)`` in 37% and 3%; from 10 000 on the smaller set
+    is as fast or faster.
     """
     return max(32, int((3.0 if N < 10_000 else 2.0) * math.sqrt(N)))
-
-
-def _circle_hull(select, far_floor: float, centre: np.ndarray, key_floor):
-    """One circle test: the kept indices, their coordinates and their hull.
-
-    Each point has a key that grows with its distance from ``centre``, and
-    no point with ``key < key_floor(radius)`` reaches ``radius``;
-    ``select(floor)`` gives the indices (sorted) and coordinates of the
-    points with ``key >= floor``.  The points with ``key >= far_floor`` form
-    the far set, and the disk of ``_inscribed_radius`` lies inside their
-    hull.  If that disk's key floor is at least ``far_floor``, the far set
-    holds every possible vertex and every exact copy of one, so its hull is
-    the hull; otherwise the chain runs again on the points above the floor.
-    The hull is positions into the kept indices, and mapped through them it
-    is the monotone chain of every point (copies keep the smallest).
-    """
-    keep, pts = select(far_floor)
-    ring = _monotone_chain(pts)
-    floor = key_floor(_inscribed_radius(pts[ring], centre))
-    if floor < far_floor:
-        keep, pts = select(floor)
-        ring = _monotone_chain(pts)
-    return keep, pts, ring
 
 
 def _inscribed_radius(ring: np.ndarray, centre: np.ndarray) -> float:
@@ -144,11 +125,22 @@ def _inscribed_radius(ring: np.ndarray, centre: np.ndarray) -> float:
     """
     if len(ring) < 3:
         return 0.0
-    e = np.roll(ring, -1, axis=0) - ring  # raw coordinates: short edges stay accurate
-    rel = ring - centre
-    radius = np.min((rel[:, 0] * e[:, 1] - rel[:, 1] * e[:, 0]) / np.hypot(e[:, 0], e[:, 1]))
-    reach = np.hypot(rel[:, 0], rel[:, 1]).max()
-    return float(radius) - _CIRCLE_MARGIN * float(reach)
+    nxt = np.roll(np.arange(len(ring)), -1)
+    return float(_inscribed_radii(ring, nxt, np.zeros(1, dtype=np.intp), centre)[0])
+
+
+def _inscribed_radii(rings: np.ndarray, nxt: np.ndarray, first: np.ndarray, centre) -> np.ndarray:
+    """``_inscribed_radius`` of each ring: the rows from ``first[k]`` to the next start.
+
+    ``nxt`` gives each row's next vertex in its ring.  Every edge and
+    distance is computed row by row, so each radius is the same double as
+    for its ring alone.
+    """
+    e = rings[nxt] - rings  # raw coordinates: short edges stay accurate
+    rel = rings - centre
+    dist = (rel[:, 0] * e[:, 1] - rel[:, 1] * e[:, 0]) / np.hypot(e[:, 0], e[:, 1])
+    reach = np.hypot(rel[:, 0], rel[:, 1])
+    return np.minimum.reduceat(dist, first) - _CIRCLE_MARGIN * np.maximum.reduceat(reach, first)
 
 
 def _monotone_chain(pts: np.ndarray) -> list[int]:
@@ -194,9 +186,13 @@ def convex_hull(points) -> PolygonChain:
     Returns a degenerate chain of 1 or 2 indices when the input has fewer
     than 3 distinct extreme points.  Ties in coordinates keep the smallest
     original index; the chain is rotated so its smallest index comes first.
-    From ``_CIRCLE_MIN_POINTS`` points on, ``_circle_hull`` runs on the
-    distances from the bounding-box midpoint (each its own key floor), with
-    the ``_far_count`` farthest points as far set.
+    From ``_CIRCLE_MIN_POINTS`` points on, a circle test about the
+    bounding-box midpoint ``c`` drops interior points first: the
+    ``_far_count`` points farthest from ``c`` form the far set, and the disk
+    of ``_inscribed_radius`` about ``c`` lies inside their hull.  If no other
+    point reaches that radius, the far set holds every possible vertex and
+    every copy of one, so its hull is the hull; otherwise the chain runs
+    again on the points that reach it.
     """
     pts = as_points_array(points)
     if len(pts) < _CIRCLE_MIN_POINTS:
@@ -207,12 +203,13 @@ def convex_hull(points) -> PolygonChain:
     dist += (y - c[1]) ** 2
     np.sqrt(dist, out=dist)
     kth = len(dist) - _far_count(len(dist))
-
-    def select(floor):
-        keep = np.flatnonzero(dist >= floor)
-        return keep, pts[keep]
-
-    keep, _, ring = _circle_hull(select, np.partition(dist, kth)[kth], c, float)
+    far = np.partition(dist, kth)[kth]
+    keep = np.flatnonzero(dist >= far)
+    ring = _monotone_chain(pts[keep])
+    radius = _inscribed_radius(pts[keep[ring]], c)
+    if radius < far:
+        keep = np.flatnonzero(dist >= radius)
+        ring = _monotone_chain(pts[keep])
     return PolygonChain(tuple(_rotate_min_first([int(keep[i]) for i in ring])))
 
 
@@ -221,33 +218,197 @@ def uniform_hull(
 ) -> tuple[np.ndarray, np.ndarray, PolygonChain]:
     """Hull of the ``N`` points that ``points_from_uniforms`` makes of a stream's uniforms.
 
-    ``chunks()`` returns a fresh iterable of ``(angle, radius)`` uniform
-    pairs of ``N`` points in all, such as ``sampler.uniform_chunks`` yields,
-    and ``select_uniforms`` reads it a chunk at a time.  A radius increases
-    with its uniform, so ``_circle_hull`` runs about the origin on the
-    radius uniforms: the far set is ``u >= 1 - _far_count(N) / N`` (every
-    point below ``_CIRCLE_MIN_POINTS``), a threshold known before any chunk
-    is read, and a radius's key floor is ``sampler.radius_uniform_floor``.
-    ``chunks`` is called a second time, which replays the stream, only when
-    the far set falls short.  Only the points a read selects get a radius,
-    an angle and coordinates: every point when the origin is not strictly
-    inside the far set's hull.  The chunks are left as they are.
+    ``uniform_hulls`` of one trial: see there.
+    """
+    return uniform_hulls(params, N, [chunks])[0]
 
-    Returns the kept indices (sorted), their coordinates, which are the rows
-    of ``points_from_uniforms`` of the whole blocks at those indices bit for
-    bit (the map is elementwise), and their hull as positions into the kept
-    points.  Mapped through the kept indices, that hull is ``convex_hull``
-    of the whole sample.
+
+def uniform_hulls(
+    params: BetaParams, N: int, sources
+) -> list[tuple[np.ndarray, np.ndarray, PolygonChain]]:
+    """``uniform_hull`` of each trial of ``N`` points, the hull stage run once for all.
+
+    Each of ``sources`` is a trial's ``chunks``: ``chunks()`` returns a
+    fresh iterable of ``(angle, radius)`` uniform pairs of ``N`` points in
+    all, such as ``sampler.uniform_chunks`` yields, and ``select_uniforms``
+    reads it a chunk at a time.  A radius increases with its uniform, so the
+    circle test runs about the origin on the radius uniforms:
+
+    1. Each trial reads its far set, the points with ``u >= 1 -
+       _far_count(N) / N`` (every point below ``_CIRCLE_MIN_POINTS``), a
+       threshold known before any chunk is read.
+    2. ``_star_hulls`` gives all far sets coordinates, in one
+       ``points_from_uniforms`` call, and their hulls and inscribed radii.
+    3. A trial whose radius's floor ``u* = radius_uniform_floor(radius)``
+       falls below the far floor calls its ``chunks`` again, which replays
+       the stream, and reads the points with ``u >= u*``: every point when
+       the origin is not strictly inside the far set's hull (``u* = 0``).
+       These widened sets go through ``_star_hulls`` as one smaller batch.
+
+    Only the points a read selects get a radius, an angle and coordinates.
+    The chunks are left as they are.
+
+    Returns, for each trial, the kept indices (sorted), their coordinates,
+    which are the rows of ``points_from_uniforms`` of the whole blocks at
+    those indices bit for bit (the map is elementwise), and their hull as
+    positions into the kept points, rotated to start at the smallest.
+    Mapped through the kept indices, that hull is ``convex_hull`` of the
+    whole sample, and it is the monotone chain's hull of the kept points,
+    except where points an ulp or two apart round the cross products (see
+    ``_star_rings``).
     """
     far_floor = 1.0 - _far_count(N) / N if N >= _CIRCLE_MIN_POINTS else -math.inf
+    hulls = _star_hulls(params, [select_uniforms(chunks(), far_floor) for chunks in sources])
+    floors = [radius_uniform_floor(params, radius) for *_, radius in hulls]
+    short = [t for t, floor in enumerate(floors) if floor < far_floor]
+    wide = _star_hulls(params, [select_uniforms(sources[t](), floors[t]) for t in short])
+    for t, hull in zip(short, wide):
+        hulls[t] = hull
+    return [(keep, pts, PolygonChain(tuple(_rotate_min_first(r)))) for keep, pts, r, _ in hulls]
 
-    def select(floor):
-        keep, a, r = select_uniforms(chunks(), floor)
-        return keep, points_from_uniforms(params, a, r)
 
-    floor = partial(radius_uniform_floor, params)
-    keep, pts, ring = _circle_hull(select, far_floor, np.zeros(2), floor)
-    return keep, pts, PolygonChain(tuple(_rotate_min_first(ring)))
+def _star_hulls(params: BetaParams, picks) -> list[tuple[np.ndarray, np.ndarray, list, float]]:
+    """Coordinates, hull and inscribed radius of each ``(keep, angle_u, radius_u)`` pick.
+
+    The picks are ``select_uniforms`` results.  One ``points_from_uniforms``
+    call maps them all (it is elementwise, so each row is the same double as
+    for its pick alone) and leaves the angles ``phi = 2 pi u`` and the radii
+    in the concatenated uniforms.  Each pick is sorted by ``(phi, radius)``,
+    ties by index: ``phi`` does not decrease with the angle uniform, so that
+    order costs no ``arctan2``.  Points equal in both to the one before them
+    are its copies of larger index and are left out, as the monotone chain
+    leaves them out; the hull is ``_star_rings`` of the rest, or, for a pick
+    it does not certify, ``_monotone_chain`` of the pick.
+
+    Returns ``(keep, points, ring, radius)`` per pick: ``ring`` holds
+    positions into the pick's points, counterclockwise, and ``radius`` is
+    ``_inscribed_radius`` of the ring about the origin.
+    """
+    if not picks:
+        return []
+    counts = np.array([len(keep) for keep, _, _ in picks])
+    bounds = np.concatenate(([0], np.cumsum(counts)))
+    phi = np.concatenate([a for _, a, _ in picks])
+    r = np.concatenate([u for _, _, u in picks])
+    pts = points_from_uniforms(params, phi, r)  # phi and r now hold the angles and radii
+    # A padded row of complex keys per pick: numpy sorts them by real part,
+    # then imaginary part, and a stable sort keeps index order on ties.
+    trial = np.repeat(np.arange(len(picks)), counts)
+    keys = np.full((len(picks), counts.max()), np.inf, dtype=complex)
+    keys[trial, np.arange(len(trial)) - bounds[trial]] = phi + 1j * r
+    rows = np.argsort(keys, axis=1, kind="stable") + bounds[:-1, None]
+    order = rows[np.arange(keys.shape[1]) < counts[:, None]]
+    phi, r = phi[order], r[order]
+    fresh = np.ones(len(order), dtype=bool)
+    fresh[1:] = (phi[1:] != phi[:-1]) | (r[1:] != r[:-1]) | (trial[1:] != trial[:-1])
+    rings, radii = _star_rings(pts[order], trial, fresh, len(picks))
+    out = []
+    for b, (keep, _, _) in enumerate(picks):
+        own = pts[bounds[b] : bounds[b + 1]]
+        if rings[b] is None:
+            ring = _monotone_chain(own)
+            radius = _inscribed_radius(own[ring], np.zeros(2))
+        else:
+            ring, radius = (order[rings[b]] - bounds[b]).tolist(), radii[b]
+        out.append((keep, own, ring, radius))
+    return out
+
+
+def _star_rings(xy: np.ndarray, trial: np.ndarray, fresh: np.ndarray, trials: int):
+    """Certified hulls of star-shaped polygons about the origin, by reflex-vertex elimination.
+
+    ``xy`` holds the points of ``trials`` polygons, trial ``trial[i]``'s in
+    one run sorted by angle about the origin; only the rows in ``fresh``
+    take part.  Each pass deletes every vertex whose turn is not strictly
+    left, with ``_monotone_chain``'s cross product ``(a - o) x (b - o)``, the
+    previous vertex ``o`` and the next ``b`` taken cyclically within the
+    trial, until a pass deletes none.  Then each trial's
+    ``_inscribed_radius`` comes from ``_inscribed_radii``.
+
+    Why it is exact (R. L. Graham, IPL 1, 1972).  Suppose the origin is
+    strictly inside the hull of a trial's points and their angles are
+    distinct.  Then no angular gap reaches pi, and the sorted points are a
+    simple polygon, star-shaped about the origin.  A vertex that is not a
+    strict left turn has an interior angle of at least pi, so the polygon
+    holds a half-disk about it and it is not an extreme point.  Deleting such
+    vertices keeps every extreme point, so the origin stays strictly inside
+    and the argument repeats.  When no vertex is deleted, the polygon is
+    convex: its vertices are the extreme points.  Of points at one angle
+    only the farthest can be extreme, and the elimination deletes the nearer
+    ones (their turn is to the right).
+
+    Rounding leaves one gap: the computed ``(r cos phi, r sin phi)`` can
+    order two angles a few ulp apart differently from ``phi``, so the
+    sorted order is not always the points' angular order.  A certificate
+    closes it, and a trial without one gets ``None`` (its caller runs the
+    monotone chain):
+
+    * at least 3 vertices remain, each a strict left turn;
+    * the inscribed radius is positive, so the origin is strictly left of
+      every edge, each edge turns by less than pi about the origin, and, as
+      the vertices stay within rounding of their sorted angles ``phi``,
+      which turn once in all, the polygon winds once: it is convex;
+    * every deleted point lies in the closed triangle of the origin and an
+      edge: the edge of the last vertex sorted at or before it
+      (cyclically), or one next to that edge, as a point on a vertex's ray
+      may round to either side of it.  So the point lies in the polygon.
+
+    Then the survivors are the extreme points of the trial's points, whatever
+    the order was.  Every test is a float cross product of the chain's kind,
+    so where the signs of this stage's and the chain's cross products are
+    all right, both give the exact hull of the computed points.  Points an
+    ulp or two apart can round either stage's signs, and the two hulls can
+    then differ.
+
+    Returns, per trial, the rows of its hull in counterclockwise order (or
+    ``None``) and its inscribed radius.
+    """
+    alive = np.flatnonzero(fresh)
+    while True:
+        t = trial[alive]
+        starts = np.ones(len(t) + 1, dtype=bool)  # starts[i]: row i begins a trial's run
+        starts[1:-1] = t[1:] != t[:-1]
+        first, last = np.flatnonzero(starts[:-1]), np.flatnonzero(starts[1:])
+        nxt, prv = np.arange(1, len(t) + 1), np.arange(-1, len(t) - 1)
+        nxt[last], prv[first] = first, last
+        ring = xy[alive]
+        left = _cross(ring[prv], ring, ring[nxt]) > 0.0
+        if left.all():
+            break
+        alive = alive[left]
+    # A run of 1 or 2 vertices deletes itself, so every run left has 3 or more.
+    radius = _inscribed_radii(ring, nxt, first, 0.0)
+    ok = np.zeros(trials, dtype=bool)
+    ok[t[first]] = radius > 0.0
+    head = np.zeros(trials, dtype=np.intp)
+    head[t[first]] = first
+    tail = np.zeros(trials, dtype=np.intp)
+    tail[t[first]] = last
+    kept = np.zeros(len(xy), dtype=bool)
+    kept[alive] = True
+    q = np.flatnonzero(fresh & ~kept & ok[trial])
+    i = np.cumsum(kept)[q] - 1  # the last vertex sorted at or before q
+    tq = trial[q]
+    i = np.where(i < head[tq], tail[tq], i)
+    p = xy[q]
+
+    def inside(i):  # p in the closed triangle of the origin and edge i
+        v, w = ring[i], ring[nxt[i]]
+        return (_cross(0.0, v, p) >= 0.0) & (_cross(0.0, p, w) >= 0.0) & (_cross(v, p, w) <= 0.0)
+
+    ok[tq[~(inside(prv[i]) | inside(i) | inside(nxt[i]))]] = False
+    rings: list = [None] * trials
+    radii = [0.0] * trials
+    for b, lo, hi, rad in zip(t[first].tolist(), first.tolist(), last.tolist(), radius.tolist()):
+        if ok[b]:
+            rings[b], radii[b] = alive[lo : hi + 1], rad
+    return rings, radii
+
+
+def _cross(o, a, b) -> np.ndarray:
+    """``(a - o) x (b - o)`` of rows of points, as ``_monotone_chain`` computes it."""
+    d, e = a - o, b - o
+    return d[:, 0] * e[:, 1] - d[:, 1] * e[:, 0]
 
 
 def _rotate_min_first(cycle):

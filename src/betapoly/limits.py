@@ -93,7 +93,11 @@ def extremal_value(objective: Objective | str, n: int) -> float:
 
 @dataclass(frozen=True)
 class LimitLaw:
-    """The Weibull limit of the scaled deficiency N^A * (M - H_N)."""
+    """The Weibull limit of the scaled deficiency N^A * (M - H_N).
+
+    ``objective``, ``n`` and ``beta`` hold what their checks return (a
+    member, an ``int`` and a ``float``), as in ``SimConfig``.
+    """
 
     objective: Objective
     n: int
@@ -104,6 +108,13 @@ class LimitLaw:
     C: float
 
     def __post_init__(self) -> None:
+        checked = dict(
+            objective=Objective.parse(self.objective),
+            n=check_vertex_count(self.n),
+            beta=BetaParams(self.beta).beta,
+        )
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
         for name in ("M", "A", "B", "C"):
             v = getattr(self, name)
             if not math.isfinite(v) or v <= 0.0:

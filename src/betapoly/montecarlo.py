@@ -3,12 +3,13 @@
 Four probes, all pure functions of their configuration (seeds included):
 
 * ``run_trials``: simulate the scaled deficiency ``T = N^A * (M - H_N)``
-  across sample sizes; each trial draws from its own derived seed and runs
-  its own ``uniform_hull``, and a job is a batch of consecutive trials of
-  one ``N`` (``_BATCH_POINTS`` points in all, or one trial above that)
-  whose hulls share one stacked ``max_kgons`` call.  Jobs run on a process
-  pool (``_map``) and records are always aggregated in (N, trial) order, so
-  the output is byte-stable under any worker count and batch size.
+  across sample sizes; each trial draws from its own derived seed, and a
+  job is a batch of consecutive trials of one ``N`` (``_BATCH_POINTS``
+  points in all, or one trial above that) that makes one ``uniform_hulls``
+  call, which reads each trial's stream and builds all their hulls at
+  once, and one stacked ``max_kgons`` call.  Jobs run on a process pool
+  (``_map``) and records are always aggregated in (N, trial) order, so the
+  output is byte-stable under any worker count and batch size.
 * ``ks_distance`` / ``fit_shape``: compare the empirical law of ``T`` against
   the fully specified Weibull limit, and recover its shape/rate from the
   lower quantiles via a log-log regression of ``ln(-ln(1 - F))`` on ``ln t``.
@@ -30,12 +31,11 @@ import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
-from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .geometry import Objective, hull_functional, max_kgons, threshold_radius, uniform_hull
+from .geometry import Objective, hull_functional, max_kgons, threshold_radius, uniform_hulls
 from .kernels import KernelSpec, analytic_I
 from .limits import LimitLaw, compute_K, extremal_value, law_for, shape_C, weibull_cdf
 from .sampler import (
@@ -65,6 +65,14 @@ _BATCH_POINTS = 1 << 16
 _TAIL_BLOCK = 1 << 13
 
 
+def _check_delta(delta) -> float:
+    """The consistency cutoff as a ``float``, if positive, finite and real; else ``ValueError``."""
+    delta = check_real(delta, "delta")
+    if not 0.0 < delta < math.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta}")
+    return delta
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """One simulation campaign; each field holds what its check returns, so it writes to JSON."""
@@ -86,7 +94,7 @@ class SimConfig:
             master_seed=SeedPolicy(self.master_seed).master_seed,
             trials=check_integer(self.trials, "trials", least=1),
             N_list=tuple(check_integer(N, "every N") for N in self.N_list),
-            consistency_delta=check_real(self.consistency_delta, "delta"),
+            consistency_delta=_check_delta(self.consistency_delta),
         )
         for name, value in checked.items():
             object.__setattr__(self, name, value)
@@ -97,17 +105,16 @@ class SimConfig:
                 raise ValueError(f"every N must be distinct, got N = {N} more than once")
         if min(self.N_list) < self.n:
             raise ValueError(f"every N must be >= n={self.n}, got {self.N_list}")
-        if not 0.0 < self.consistency_delta < math.inf:
-            raise ValueError(f"delta must be positive and finite, got {self.consistency_delta}")
 
 
 @dataclass(frozen=True)
 class TrialRecord:
     """One trial: sample size, index, raw maximum H, scaled deficiency T.
 
-    ``wall_time`` is the trial's own draw and hull time plus an equal share
-    of its batch's ``max_kgons`` time, so the records of a run sum to its
-    compute time.  It is the only field that varies between runs.
+    ``wall_time`` is the trial's own draw-and-select time (its reads of its
+    stream) plus an equal share of the rest of its batch's time, the
+    ``uniform_hulls`` and ``max_kgons`` calls, so the records of a run sum
+    to its compute time.  It is the only field that varies between runs.
     """
 
     N: int
@@ -181,31 +188,37 @@ class ConsistencyReport:
 
 
 def _run_batch(job) -> list[TrialRecord]:
-    """Trials ``first`` to ``first + count - 1`` of one ``N``, their DP in one ``max_kgons``.
+    """Trials ``first`` to ``first + count - 1`` of one ``N``: one hull call, one DP call.
 
     ``job`` is ``(objective, n, beta, master_seed, N, first, count, M, A)``.
-    Each trial runs ``uniform_hull`` alone on its stream's
-    ``uniform_chunks`` at draw 0.  Trial ``t``'s points are
-    ``sample_batch(params, N, policy, t)``, left as uniforms and drawn
-    ``sampler._CHUNK`` points at a time, so a trial holds ``O(_CHUNK)``
-    uniforms and the ``O(sqrt N)`` points its circle test keeps (more where
-    ``beta`` nears -1), not ``N``.  ``uniform_hull`` gives
-    coordinates only to those points, which are that array's rows bit for
-    bit, and ``max_kgons`` finds each hull's cycle as ``max_kgon`` does, so
-    ``H`` and ``hull_size`` equal those of ``sample_batch -> convex_hull ->
-    max_kgon`` bit for bit, whatever the batch.
+    Trial ``t``'s source is its stream's ``uniform_chunks`` at draw 0, so
+    its points are ``sample_batch(params, N, policy, t)``, left as uniforms
+    and drawn ``sampler._CHUNK`` points at a time: a trial holds
+    ``O(_CHUNK)`` uniforms and the ``O(sqrt N)`` points its circle test
+    keeps (more where ``beta`` nears -1), not ``N``.  ``uniform_hulls``
+    gives coordinates only to those points, which are that array's rows bit
+    for bit, and its hulls are ``convex_hull``'s; ``max_kgons`` finds each
+    hull's cycle as ``max_kgon`` does.  So ``H`` and ``hull_size`` equal
+    those of ``sample_batch -> convex_hull -> max_kgon`` bit for bit,
+    whatever the batch.
     """
     objective, n, beta, master_seed, N, first, count, M, A = job
     policy, params = SeedPolicy(master_seed), BetaParams(beta)
-    cases, own = [], []
-    for t in range(first, first + count):
-        start = time.perf_counter()
-        _, points, hull = uniform_hull(params, N, partial(uniform_chunks, policy, t, N))
-        cases.append((hull, points))
-        own.append(time.perf_counter() - start)
+    own = [0.0] * count
+
+    def source(b):  # trial first + b's chunks, the time spent reading them added to own[b]
+        def chunks():
+            start = time.perf_counter()
+            yield from uniform_chunks(policy, first + b, N)
+            own[b] += time.perf_counter() - start
+
+        return chunks
+
     start = time.perf_counter()
+    hulls = uniform_hulls(params, N, [source(b) for b in range(count)])
+    cases = [(hull, points) for _, points, hull in hulls]
     results = max_kgons(cases, n, objective)
-    shared = (time.perf_counter() - start) / count
+    shared = (time.perf_counter() - start - sum(own)) / count
     return [
         TrialRecord(
             N=N,
@@ -460,9 +473,7 @@ def consistency_check(
     """Fraction of trials whose deficiency M - H stayed below ``delta``."""
     if not records:
         raise ValueError("no trial records")
-    delta = check_real(delta, "delta")
-    if not 0.0 < delta < math.inf:
-        raise ValueError(f"delta must be positive and finite, got {delta}")
+    delta = _check_delta(delta)
     Ns = {r.N for r in records}
     if len(Ns) != 1:
         raise ValueError(f"records mix several sample sizes: {sorted(Ns)}")

@@ -1,3 +1,4 @@
+import functools
 import math
 import time
 import tracemalloc
@@ -25,6 +26,7 @@ from betapoly.geometry import (
     umax,
     umax_bruteforce,
     uniform_hull,
+    uniform_hulls,
 )
 from betapoly.limits import extremal_value
 from betapoly.sampler import (
@@ -104,19 +106,8 @@ def _assert_convex_hull_exact(pts):
 
 
 def _convex_hull_kept(monkeypatch, pts):
-    """Indices that ``convex_hull(pts)``'s one ``_circle_hull`` call keeps."""
-    kept = []
-    circle_hull = geometry._circle_hull
-
-    def recording(*args):
-        kept.append(circle_hull(*args))
-        return kept[-1]
-
-    with monkeypatch.context() as m:
-        m.setattr(geometry, "_circle_hull", recording)
-        convex_hull(pts)
-    ((keep, _, _),) = kept
-    return keep
+    """How many points ``convex_hull(pts)``'s circle test keeps: the size of its last chain."""
+    return _chain_sizes(monkeypatch, lambda: convex_hull(pts))[-1]
 
 
 def _chain_sizes(monkeypatch, run):
@@ -132,6 +123,22 @@ def _chain_sizes(monkeypatch, run):
         m.setattr(geometry, "_monotone_chain", counting)
         run()
     return sizes
+
+
+def _hull_stages(monkeypatch, run):
+    """Pick sizes of each elimination batch ``run()`` makes, and sizes of the chains it runs."""
+    batches = []
+    stage = geometry._star_hulls
+
+    def recording(params, picks):
+        if picks:
+            batches.append([len(keep) for keep, _, _ in picks])
+        return stage(params, picks)
+
+    with monkeypatch.context() as m:
+        m.setattr(geometry, "_star_hulls", recording)
+        chains = _chain_sizes(monkeypatch, run)
+    return batches, chains
 
 
 def _stream_blocks(seed, stream, N):
@@ -156,19 +163,22 @@ def test_convex_hull_prefilter_agrees_with_direct_chain(monkeypatch):
     # 130 points exercises the circle filter; the monotone chain run on the
     # whole set must give the identical hull.
     pts = sample_batch(BetaParams(-0.5), 130, SeedPolicy(17), 0)
-    assert len(_convex_hull_kept(monkeypatch, pts)) < len(pts)
+    assert _convex_hull_kept(monkeypatch, pts) < len(pts)
     _assert_convex_hull_exact(pts)
 
 
-@pytest.mark.parametrize("N, chains", [(64_000, 1), (1000, 2)])
-def test_uniform_hull_chains_the_far_set_alone_when_it_holds_every_vertex(monkeypatch, N, chains):
+@pytest.mark.parametrize("N, reads", [(64_000, 1), (1000, 2)])
+def test_uniform_hull_chains_the_far_set_alone_when_it_holds_every_vertex(monkeypatch, N, reads):
     # At seed 5, beta = 0, the floor of the far set's disk clears the far
     # set's own floor at N = 64 000 but not at N = 1 000 (3 sqrt(N) far
     # points hold the hull in ~80% of trials there; seed 42 is one of them).
+    # So the stream is read once, or once more for the widened set; each
+    # read is one elimination batch, and no monotone chain runs.
     blocks = _stream_blocks(5, 0, N)
     params = BetaParams(0.0)
-    sizes = _chain_sizes(monkeypatch, lambda: _assert_uniform_hull_exact(params, *blocks))
-    assert len(sizes) == chains and sizes == sorted(sizes)
+    check = functools.partial(_assert_uniform_hull_exact, params, *blocks)
+    batches, chains = _hull_stages(monkeypatch, check)
+    assert len(batches) == reads and batches == sorted(batches) and not chains
 
 
 @pytest.mark.parametrize("N, chains", [(4000, 1), (1000, 2)])
@@ -186,7 +196,7 @@ def test_prefilter_exact_on_samples(monkeypatch, beta, N):
     blocks = _stream_blocks(23, N, N)
     keep = _assert_uniform_hull_exact(BetaParams(beta), *blocks)
     if N > 128 and beta >= 0.0:  # at beta = -0.99 most points are hull vertices
-        assert len(_convex_hull_kept(monkeypatch, pts)) < N // 2
+        assert _convex_hull_kept(monkeypatch, pts) < N // 2
         assert len(keep) < N // 2
 
 
@@ -198,7 +208,7 @@ def test_prefilter_exact_off_centre_and_rescaled(monkeypatch, shift, scale):
     for trial in range(3):
         pts = sample_batch(BetaParams(0.0), 3000, SeedPolicy(29), trial) * scale + shift
         _assert_convex_hull_exact(pts)
-        assert len(_convex_hull_kept(monkeypatch, pts)) < 1500
+        assert _convex_hull_kept(monkeypatch, pts) < 1500
 
 
 def test_prefilter_exact_on_cocircular_polygon_with_interior_points():
@@ -228,73 +238,163 @@ def test_prefilter_keeps_all_when_centre_is_outside_the_sub_hull(monkeypatch):
     # the bounding-box midpoint hug the x-axis, and their hull misses it.
     angles = np.linspace(0.0, math.pi / 3.0, 200)
     pts = np.vstack([np.column_stack([np.cos(angles), np.sin(angles)]), [[0.0, 0.0]]])
-    assert np.array_equal(_convex_hull_kept(monkeypatch, pts), np.arange(len(pts)))
+    assert _convex_hull_kept(monkeypatch, pts) == len(pts)
     assert len(convex_hull(pts).vertex_indices) == len(pts)
     _assert_convex_hull_exact(pts)
 
 
+def _arc_cloud(nearer):
+    """The uniforms of an arc of 200 points and of ``nearer`` points in its wedge.
+
+    The arc's points have one radius (the largest uniform below 1) and
+    span 60 degrees.
+    """
+    angle_u = np.concatenate([np.linspace(0.0, 1.0 / 6.0, 200), np.linspace(0.02, 0.14, nearer)])
+    radius_u = np.concatenate([np.full(200, np.nextafter(1.0, 0.0)), np.linspace(0.2, 0.8, nearer)])
+    return angle_u, radius_u
+
+
 def test_prefilter_exact_keeps_all_when_origin_is_outside_the_far_hull():
-    # An arc of 200 points of one radius (the largest uniform below 1)
-    # within 60 degrees, plus 100 nearer points in the same wedge: the far
-    # points' hull misses the origin, so the radius filter keeps every point.
-    angle_u = np.concatenate([np.linspace(0.0, 1.0 / 6.0, 200), np.linspace(0.02, 0.14, 100)])
-    radius_u = np.concatenate([np.full(200, np.nextafter(1.0, 0.0)), np.linspace(0.2, 0.8, 100)])
+    # The far points' hull misses the origin, so the radius filter keeps
+    # every point.
+    angle_u, radius_u = _arc_cloud(100)
     keep = _assert_uniform_hull_exact(BetaParams(0.0), angle_u, radius_u)
     assert np.array_equal(keep, np.arange(len(radius_u)))
 
 
+def _mixed_batch(N):
+    """Uniforms of six trials of ``N`` points each, each a different case of the hull stage."""
+    held, replayed = _stream_blocks(42, 0, N), _stream_blocks(5, 0, N)
+    # Copies of every hull vertex of seed 37's points at the first and the
+    # last h indices that are not vertices: before and after the originals.
+    copies = _stream_blocks(37, 0, N)
+    keep, _, hull = uniform_hull(BetaParams(0.0), N, helpers.chunked(*copies))
+    ring = keep[list(hull.vertex_indices)]
+    others = np.setdiff1d(np.arange(N), ring)
+    for u in copies:
+        u[others[: len(ring)]] = u[others[-len(ring) :]] = u[ring]
+    # Four points at each angle uniform, at four radii.
+    one_angle = _stream_blocks(11, 0, N)
+    one_angle[0][:] = np.repeat(one_angle[0][::4], 4)[:N]
+    # A regular 512-gon of angle uniforms k / 512 (its coordinates tie in
+    # absolute value) at one radius, and points inside it.
+    rng = np.random.default_rng(13)
+    polygon = (
+        np.concatenate([np.arange(512) / 512, rng.random(N - 512)]),
+        np.concatenate([np.full(512, np.nextafter(1.0, 0.0)), 0.9 * rng.random(N - 512)]),
+    )
+    return [held, replayed, _arc_cloud(N - 200), copies, one_angle, polygon]
+
+
+@pytest.mark.parametrize("beta", [-0.9, 0.0, 2.0])
+def test_uniform_hulls_of_a_mixed_batch_equal_the_chain_of_each_trial(monkeypatch, beta):
+    # One call on six trials: the far set holds the hull; the stream is
+    # replayed (seed 5); the far hull misses the origin, so every point is
+    # read again; copies of hull vertices; four points at each angle; a
+    # regular polygon with float ties.  Each trial's hull is the monotone
+    # chain of all its points, and what the trial gets alone.  Only the
+    # trial whose far hull misses the origin takes the chain, on its 200
+    # far points and then on all of them.
+    N, params = 1_000, BetaParams(beta)
+    batch = _mixed_batch(N)
+    reads, hulls = [], []
+
+    def source(b, a, r):
+        def chunks():
+            reads.append(b)
+            return helpers.chunked(a, r, 97)()
+
+        return chunks
+
+    sources = [source(b, a, r) for b, (a, r) in enumerate(batch)]
+    chains = _chain_sizes(monkeypatch, lambda: hulls.extend(uniform_hulls(params, N, sources)))
+    assert chains == [200, N]
+    if beta == 0.0:
+        assert sorted(reads) == [0, 1, 1, 2, 2, 3, 4, 5]
+    for (angle_u, radius_u), (keep, kept_pts, hull) in zip(batch, hulls):
+        pts = points_from_uniforms(params, angle_u.copy(), radius_u.copy())
+        assert np.array_equal(kept_pts, pts[keep])
+        mapped = tuple(int(keep[i]) for i in hull.vertex_indices)
+        assert mapped == tuple(_rotate_min_first(_monotone_chain(pts)))
+        alone = uniform_hull(params, N, helpers.chunked(angle_u, radius_u))
+        assert np.array_equal(alone[0], keep) and np.array_equal(alone[1], kept_pts)
+        assert alone[2] == hull
+
+
+@pytest.mark.parametrize("beta", [-0.9, 0.0, 2.0])
+def test_uniform_hulls_equal_the_chain_on_seeded_far_sets(monkeypatch, beta):
+    # 700 trials of 250 points at each beta, in batches as run_trials makes
+    # them: each hull is the monotone chain of the trial's kept points.
+    params, policy, N = BetaParams(beta), SeedPolicy(101), 250
+    for first in range(0, 700, 262):
+        sources = [functools.partial(uniform_chunks, policy, t, N) for t in range(first, first + 262)]
+        for keep, pts, hull in uniform_hulls(params, N, sources[: 700 - first]):
+            assert hull.vertex_indices == tuple(_rotate_min_first(_monotone_chain(pts)))
+
+
 @st.composite
 def _uniform_clouds(draw):
-    """A beta and the angle and radius uniforms of 3 to 400 points.
+    """A beta and the angle and radius uniforms of 1 to 4 clouds of one size, 3 to 400 points.
 
-    Some radius uniforms repeat a few levels, 0 always among them, so some
-    radii are equal; some points are exact copies of others; and the angles
-    span either a full turn or a one-sided arc, whose far points' hull
-    misses the origin.
+    In each cloud some radius uniforms repeat a few levels, 0 always among
+    them, so some radii are equal; some points are exact copies of others;
+    and the angles span either a full turn or a one-sided arc, whose far
+    points' hull misses the origin.
     """
     beta = draw(st.sampled_from([-0.99, -0.5, 0.0, 2.0]))
     N = draw(st.integers(3, 400))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    arc = draw(st.sampled_from([1.0, 1.0 / 6.0, 0.5]))
-    angle_u = rng.uniform(0.0, arc, N)
-    radius_u = rng.random(N) ** draw(st.sampled_from([0.1, 0.5, 1.0, 4.0]))
-    levels = [0.0] + draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=4))
-    repeated = rng.random(N) < draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
-    radius_u[repeated] = rng.choice(levels, int(repeated.sum()))
-    copies = rng.integers(0, N, draw(st.integers(0, 20)))
-    originals = rng.integers(0, N, len(copies))
-    angle_u[copies], radius_u[copies] = angle_u[originals], radius_u[originals]
-    return BetaParams(beta), angle_u, radius_u
+    clouds = []
+    for _ in range(draw(st.integers(1, 4))):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        arc = draw(st.sampled_from([1.0, 1.0 / 6.0, 0.5]))
+        angle_u = rng.uniform(0.0, arc, N)
+        radius_u = rng.random(N) ** draw(st.sampled_from([0.1, 0.5, 1.0, 4.0]))
+        levels = [0.0] + draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=4))
+        repeated = rng.random(N) < draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+        radius_u[repeated] = rng.choice(levels, int(repeated.sum()))
+        copies = rng.integers(0, N, draw(st.integers(0, 20)))
+        originals = rng.integers(0, N, len(copies))
+        angle_u[copies], radius_u[copies] = angle_u[originals], radius_u[originals]
+        clouds.append((angle_u, radius_u))
+    return BetaParams(beta), clouds
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(_uniform_clouds(), st.sampled_from([None, 1, 7, 64]))
-def test_uniform_hull_equals_convex_hull_of_the_whole_cloud(cloud, chunk):
-    # As one chunk (None) and split into several.
-    params, angle_u, radius_u = cloud
-    blocks = angle_u.copy(), radius_u.copy()
-    pts = points_from_uniforms(params, angle_u.copy(), radius_u.copy())
-    chunks = helpers.chunked(angle_u, radius_u, chunk)
-    keep, kept_pts, hull = uniform_hull(params, len(radius_u), chunks)
-    assert np.array_equal(angle_u, blocks[0]) and np.array_equal(radius_u, blocks[1])
-    assert np.array_equal(kept_pts, pts[keep])
-    mapped = tuple(int(keep[i]) for i in hull.vertex_indices)
-    assert mapped == convex_hull(pts).vertex_indices
+def test_uniform_hull_equals_convex_hull_of_the_whole_cloud(batch, chunk):
+    # As one chunk (None) and split into several; each cloud alone, and all
+    # of them as one batch.
+    params, clouds = batch
+    N = len(clouds[0][1])
+    blocks = [(angle_u.copy(), radius_u.copy()) for angle_u, radius_u in clouds]
+    sources = [helpers.chunked(angle_u, radius_u, chunk) for angle_u, radius_u in clouds]
+    together = uniform_hulls(params, N, sources)
+    for (angle_u, radius_u), block, chunks, hulls in zip(clouds, blocks, sources, together):
+        pts = points_from_uniforms(params, angle_u.copy(), radius_u.copy())
+        keep, kept_pts, hull = uniform_hull(params, N, chunks)
+        assert np.array_equal(angle_u, block[0]) and np.array_equal(radius_u, block[1])
+        assert np.array_equal(kept_pts, pts[keep])
+        mapped = tuple(int(keep[i]) for i in hull.vertex_indices)
+        assert mapped == convex_hull(pts).vertex_indices
+        assert np.array_equal(hulls[0], keep) and np.array_equal(hulls[1], kept_pts)
+        assert hulls[2] == hull
 
 
 @pytest.mark.parametrize("chunk", [97, 128, 1_000])
 def test_uniform_hull_keeps_the_smallest_copy_across_chunk_boundaries(monkeypatch, chunk):
     # Copies of hull vertices before and after the originals, each in
     # another chunk, and the chunks read once (20 000 points) or twice
-    # (500 at seed 8): every hull vertex is the smallest index of its copies.
+    # (500 at seed 8): every hull vertex is the smallest index of its copies,
+    # and the elimination, which leaves the larger copies out, needs no chain.
     params = BetaParams(0.0)
-    for N, step, chains, seed in ((500, 1, 2, 8), (20_000, 8, 1, 37)):
+    for N, step, reads, seed in ((500, 1, 2, 8), (20_000, 8, 1, 37)):
         blocks = _stream_blocks(seed, 0, N)
         keep, _, hull = uniform_hull(params, N, helpers.chunked(*blocks, chunk))
         ring = keep[list(hull.vertex_indices)]
         dup = [np.concatenate([u[ring[:: 2 * step]], u, u[ring[::step]]]) for u in blocks]
-        sizes = _chain_sizes(monkeypatch, lambda: _assert_uniform_hull_exact(params, *dup, chunk))
-        assert len(sizes) == chains
+        check = functools.partial(_assert_uniform_hull_exact, params, *dup, chunk)
+        batches, chains = _hull_stages(monkeypatch, check)
+        assert len(batches) == reads and not chains
         keep, _, hull = uniform_hull(params, len(dup[1]), helpers.chunked(*dup, chunk))
         for i in keep[list(hull.vertex_indices)]:
             same = np.flatnonzero((dup[0] == dup[0][i]) & (dup[1] == dup[1][i]))
@@ -317,7 +417,7 @@ def test_uniform_hull_keeps_the_smallest_copy_next_to_a_chunk_boundary():
 def test_prefilter_falls_back_on_collinear_cloud(monkeypatch):
     t = np.random.default_rng(41).uniform(-1.0, 1.0, 300)
     pts = np.column_stack([t, 0.5 * t + 0.25])
-    assert np.array_equal(_convex_hull_kept(monkeypatch, pts), np.arange(len(pts)))
+    assert _convex_hull_kept(monkeypatch, pts) == len(pts)
     hull = convex_hull(pts)
     assert hull.degenerate and sorted(hull.vertex_indices) == sorted([t.argmin(), t.argmax()])
     _assert_convex_hull_exact(pts)

@@ -7,6 +7,7 @@ import helpers
 from betapoly.geometry import Objective
 from betapoly.kernels import analytic_I
 from betapoly.limits import (
+    LimitLaw,
     compute_K,
     exponent_A,
     extremal_value,
@@ -111,3 +112,18 @@ def test_weibull_cdf_properties():
     moderate = np.asarray(weibull_cdf(law, np.linspace(0.0, 6.0, 100)))
     assert np.all(moderate < 1.0)  # strictly below 1 until float saturation
     assert weibull_cdf(law, 1.0) == pytest.approx(-math.expm1(-law.B), rel=1e-12)
+
+
+def test_limit_law_stores_what_its_checks_return():
+    law = LimitLaw("Perimeter", np.int64(3), np.float32(0.5), 1.0, 1.0, 1.0, 1.0)
+    assert law.objective is Objective.PERIMETER
+    assert (type(law.n), type(law.beta)) == (int, float) and (law.n, law.beta) == (3, 0.5)
+    assert law_for("area", 4, 0.0) == law_for(Objective.AREA, 4, 0.0)
+    for n in (1, 3.0, True, "3"):
+        with pytest.raises(ValueError, match="n"):
+            LimitLaw(Objective.AREA, n, 0.0, 1.0, 1.0, 1.0, 1.0)
+    for beta in (-1.0, math.inf, "0", None):
+        with pytest.raises(ValueError, match="beta"):
+            LimitLaw(Objective.AREA, 3, beta, 1.0, 1.0, 1.0, 1.0)
+    with pytest.raises(ValueError, match="unknown objective"):
+        LimitLaw("volume", 3, 0.0, 1.0, 1.0, 1.0, 1.0)

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import json
 import math
+import time
 from concurrent.futures import ProcessPoolExecutor
 from multiprocessing import get_all_start_methods, get_context
 
@@ -197,6 +198,18 @@ def test_run_trials_support_and_order():
         assert r.H <= PERIMETER_LAW.M + 1e-9
         assert r.T >= -1e-9
         assert 1 <= r.hull_size <= r.N
+
+
+def test_trial_wall_times_are_positive_and_sum_within_the_run():
+    # A record's wall_time is its own reads of its stream plus an equal
+    # share of its batch's hull and DP calls, so in one process the records
+    # sum to the campaign's compute time, which the run's elapsed time holds.
+    cfg = _small_config(N_list=(40, 300, 70_000), trials=3)
+    start = time.perf_counter()
+    recs = run_trials(cfg, threads=1)
+    elapsed = time.perf_counter() - start
+    assert all(r.wall_time > 0.0 for r in recs)
+    assert sum(r.wall_time for r in recs) <= elapsed
 
 
 def test_trial_rederivable_from_seed():
