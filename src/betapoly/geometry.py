@@ -12,11 +12,13 @@ most often the hull itself (``_far_count``: ``3 sqrt(N)`` far points below
 the monotone chain; ``uniform_hulls`` runs the test for a whole batch of
 trials at once, with one reflex-vertex elimination (``_star_rings``) for
 all their far sets, and ``uniform_hull`` is its one-trial call.
-``max_kgon`` runs a max-plus program over the ``h`` hull vertices in
-``O(h^2 k + h^3 / k^2)``.  ``max_kgons`` runs that
-program for many hulls at once, stacked into one array per DP layer, with
-the cycles of one hull at a time; ``max_kgon`` is its one-hull call.  The
-exhaustive subset oracle below validates both.  ``threshold_radius``
+``max_kgon`` runs a max-plus program over the ``h`` hull vertices: a pass
+through one vertex in ``O(h^2 k)``, then a bisection over the anchors of
+one arc, ``O(h^2 / k)`` when the chains of neighbouring anchors spread
+evenly.  ``max_kgons`` runs that program for many hulls at once, stacked
+into one array per DP layer, with the cycles of one hull at a time;
+``max_kgon`` is its one-hull call.  The exhaustive subset oracle below
+validates both.  ``threshold_radius``
 bounds how far in a vertex of a triangle scoring a given value can lie, so
 the tail probe scores only the triples that can reach it.
 
@@ -38,9 +40,10 @@ from .sampler import radius_uniform_floor, select_uniforms
 # Below this size convex_hull's circle test costs more than it saves.
 _CIRCLE_MIN_POINTS = 128
 _CIRCLE_MARGIN = 1e-9  # relative slack on _inscribed_radius
-# Most hull vertices max_kgon takes: its second pass costs O(h^3 / k^2) time.
+# Most hull vertices max_kgon takes: its rooted pass costs O(h^2 k) time.
 _MAX_HULL = 4096
 _DP_BLOCK = 1 << 18  # most (anchor, predecessor, successor) cells per DP tile
+_DP_LEAF = 16  # most anchors the second pass solves as one node; more are bisected
 _RADIUS_MARGIN = 2.0**-32  # relative slack of threshold_radius's certificate
 _BISECTIONS = 48  # halvings of each bisection in threshold_radius
 
@@ -631,13 +634,23 @@ def max_kgon(hull: PolygonChain, points, k: int, objective: Objective) -> UMaxRe
     max-plus pass finds the best k-gon through hull position 0,
     ``p_0 < ... < p_{k-1}``, in ``O(h^2 k)``.  Some optimal k-gon intersperses
     it (Boyce, Dobkin, Drysdale & Guibas 1985): its ``j``-th vertex lies on
-    the closed arc ``[p_{i+j}, p_{i+j+1}]``.  With ``i`` the shortest arc, one
-    more pass from all anchors on that arc at once, each layer kept to its
-    arc, finds it in ``O(h^3 / k^2)``.
+    the closed arc ``[p_{i+j}, p_{i+j+1}]``.  With ``i`` the shortest arc,
+    the second pass solves the anchors on that arc, each layer kept to its
+    arc.  The best chains of two anchors intersperse too (same paper), so
+    it bisects: it solves the middle anchor, then each half with every
+    layer's range cut at that anchor's chain, and so on down to intervals of
+    at most ``_DP_LEAF`` anchors, which it solves whole.  Each level is one
+    ``_max_plus`` call.  On evenly spread chains a level costs about half
+    the one before it, so the pass costs ``O(h^2 / k)``; at worst each of its
+    ``O(log(h / k))`` levels costs about what one pass from all anchors at
+    once does, ``O(h^3 / k^2)``.
 
     On exact float ties the cycle is an optimal one, but not always the
     lexicographically smallest: each anchor keeps only its first maximal
-    predecessor at every layer, and the first anchor with the best total wins.
+    predecessor at every layer, within its ranges, and the first anchor with
+    the best total wins.  Where a predecessor outside an anchor's cut ranges
+    ties its best one, the cycle may differ from the one a pass over whole
+    arcs finds, with the same value.
 
     Raises:
         ValueError: if ``k`` is not an integer ``>= 2``, or if ``k < h`` and
@@ -652,14 +665,17 @@ def max_kgons(cases, k: int, objective: Objective) -> list[UMaxResult]:
     Consecutive hulls with ``k < h`` are stacked while the stack's size
     times ``(max h / k)^2``, about the cells of a padded second-pass layer,
     stays within ``_DP_BLOCK``; a larger hull stands alone.  A stack makes
-    one rooted ``_max_plus`` pass and one second pass for all its hulls, so
-    small hulls share the fixed cost of each numpy call, and large ones add
-    no DP state to each other's.  Hull ``b``'s position ``p`` is ``p + b w`` in
+    one rooted ``_max_plus`` pass for all its hulls, and one call per level
+    of the second pass, with a row per node of every hull, so small hulls
+    share the fixed cost of each numpy call, and large ones add no DP state
+    to each other's.  Hull ``b``'s position ``p`` is ``p + b w`` in
     one coordinate row per hull, ``w = 2 max(h) + 1``; each layer is padded
     after its hull's last position with ``b w + w - 1``, above every real
     position, whose edges are all ``-inf``.  So every real cell sums the
     same doubles as for the hull alone, and each first maximum, and so each
-    cycle, is that of the hull alone.
+    cycle, is that of the hull alone.  The second pass's nodes are reduced
+    per hull by total, descending, then anchor, ascending: the tie rule of
+    ``max_kgon``.
 
     Raises:
         ValueError: as ``max_kgon``, for any case, before any DP runs.
@@ -677,7 +693,7 @@ def max_kgons(cases, k: int, objective: Objective) -> list[UMaxResult]:
         if h > _MAX_HULL:
             raise ValueError(
                 f"the hull has h = {h} vertices; max_kgon takes at most {_MAX_HULL} "
-                f"(its second pass costs O(h^3 / k^2) time over DP layers of (h / k)^2 cells)"
+                "(its rooted pass costs O(h^2 k) time)"
             )
         if not stacks or (len(stacks[-1]) + 1) * max(top, h) ** 2 > k * k * _DP_BLOCK:
             stacks.append([])
@@ -711,22 +727,49 @@ def _best_cycles(cases, k: int, objective: Objective) -> list[tuple[int, ...]]:
             return np.hypot(x[p] - x[q], y[p] - y[q])
         return 0.5 * (x[p] * y[q] - y[p] * x[q])
 
-    base = np.arange(0, x.size, width)[:, None]  # position 0 of each hull
-    h = hs[:, None]
+    base = np.arange(0, x.size, width)  # position 0 of each hull
 
-    def layer(lo, hi):  # positions lo..hi of each hull, padded
-        last = hi - lo
+    def layer(b, lo, hi):  # positions lo..hi of hull b[r] in row r, padded
+        last = (hi - lo)[:, None]
         span = np.arange(int(last.max()) + 1)
-        return np.where(span <= last, base + lo + span, base + width - 1)
+        return np.where(span <= last, (base[b] + lo)[:, None] + span, base[b, None] + width - 1)
 
-    _, rooted = _max_plus(edge, hs, base, [layer(1, h - 1)] * (k - 1))
-    p = rooted(np.zeros(len(cases), dtype=np.intp)) - base
-    ring = np.hstack((p, p + h))  # the rooted k-gon's positions, unwrapped twice
+    hulls = np.arange(len(cases))
+    _, rooted = _max_plus(edge, hs, base[:, None], [layer(hulls, 1, hs - 1)] * (k - 1))
+    p = rooted(np.zeros(len(cases), dtype=np.intp)) - base[:, None]
+    ring = np.hstack((p, p + hs[:, None]))  # the rooted k-gon's positions, unwrapped twice
     i = np.diff(ring[:, : k + 1], axis=1).argmin(axis=1)
-    arcs = ring[np.arange(len(cases))[:, None], i[:, None] + np.arange(k + 1)]
-    layers = [layer(arcs[:, j : j + 1], arcs[:, j + 1 : j + 2]) for j in range(k)]
-    totals, trace = _max_plus(edge, hs, layers[0], layers[1:])
-    cycles = (trace(totals.argmax(axis=1)) - base) % h
+    arcs = ring[hulls[:, None], i[:, None] + np.arange(k + 1)]
+    # The second pass bisects the anchors.  A node is a hull, an interval of
+    # anchors (column 0 of lo, hi) and a range per layer (column j); each
+    # level is one _max_plus call with a row per node.
+    node, lo, hi = hulls, arcs[:, :k], arcs[:, 1:]
+    found = []
+    while node.size:
+        whole = hi[:, 0] - lo[:, 0] < _DP_LEAF
+        mid = (lo[:, 0] + hi[:, 0]) // 2
+        anchors = layer(node, np.where(whole, lo[:, 0], mid), np.where(whole, hi[:, 0], mid))
+        layers = [layer(node, lo[:, j], hi[:, j]) for j in range(1, k)]
+        totals, trace = _max_plus(edge, hs[node], anchors, layers)
+        t = totals.argmax(axis=1)
+        chain, total = trace(t) - base[node, None], totals[np.arange(node.size), t]
+        found.append((node, total, chain))
+        # Some best chain of an anchor left of mid lies at or before mid's in
+        # every layer, and one right of it at or after (Boyce et al.).  A
+        # node without a chain keeps its ranges.
+        ok = (total > -np.inf)[:, None]
+        left = np.column_stack((mid - 1, np.where(ok, chain[:, 1:], hi[:, 1:])))
+        right = np.column_stack((mid + 1, np.where(ok, chain[:, 1:], lo[:, 1:])))
+        split = ~whole
+        node = np.concatenate((node[split], node[split]))
+        lo, hi = np.vstack((lo[split], right[split])), np.vstack((left[split], hi[split]))
+        keep = lo[:, 0] <= hi[:, 0]
+        node, lo, hi = node[keep], lo[keep], hi[keep]
+    # Each anchor was solved in one node: the best total wins, ties to the first anchor.
+    node, total, chain = (np.concatenate(part) for part in zip(*found))
+    order = np.lexsort((chain[:, 0], -total, node))
+    best = order[np.searchsorted(node[order], hulls)]
+    cycles = chain[best] % hs[:, None]
     return [
         _rotate_min_first(tuple(hull.vertex_indices[q] for q in cycle))
         for (hull, _), cycle in zip(cases, cycles.tolist())
@@ -747,24 +790,25 @@ def _tiles(hulls: int, rows: int, cells: int):
 
 
 def _max_plus(edge, h: np.ndarray, anchors: np.ndarray, layers: list[np.ndarray]):
-    """Best closed chains ``anchor -> layers[0] -> ... -> layers[-1] -> anchor`` of each hull.
+    """Best closed chains ``anchor -> layers[0] -> ... -> layers[-1] -> anchor`` of each row.
 
-    Row ``b`` of ``anchors`` and of each layer holds hull ``b``'s positions,
-    in ``max_kgons``' stacked coordinates: unwrapped hull positions below
+    Row ``b`` of ``anchors`` and of each layer, a hull or a node of the
+    second pass, holds positions of a hull of ``h[b]`` vertices, in
+    ``max_kgons``' stacked coordinates: unwrapped hull positions below
     ``2 h[b]``, strictly increasing along a chain and below ``anchor +
     h[b]`` at its end, or padding above them all; ``edge(p, q)`` weighs the
-    edges ``p -> q``.  A step works all anchors of all hulls in tiles of at
+    edges ``p -> q``.  A step works all anchors of all rows in tiles of at
     most ``_DP_BLOCK`` cells: blocks of successor columns, whose weights are
-    computed once for all hulls (kept while the next step repeats the
+    computed once for all rows (kept while the next step repeats the
     block), then ``_tiles`` of anchor rows.  A block weighs only the
-    predecessors below its last column in some hull; the others would be
+    predecessors below its last column in some row; the others would be
     ``-inf``, so each predecessor ``argmax`` (first maximum on ties) is
     that of the whole step.  Weights are laid out successor-major, so that
     ``argmax`` runs along a tile's last axis, and the best total is the cell
     it picks.  The closing edges are added in ``_tiles`` of anchor rows
     too.  Returns each anchor's best total, shape ``anchors``
     (``-inf`` without a chain), and ``trace(t)``, the positions of the best
-    chain of anchor ``t[b]`` of each hull ``b``, one row per hull.
+    chain of anchor ``t[b]`` of each row ``b``, one row each.
     """
     hulls, rows = anchors.shape
     a = anchors[:, :, None]

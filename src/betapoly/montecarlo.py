@@ -247,6 +247,11 @@ def _map(fn, jobs: list, threads: int | None, busy: int) -> list:
     workers = min(check_integer(threads, "threads", least=1), busy)
     if workers <= 1:
         return [fn(job) for job in jobs]
+    # The jobs draw with numpy.random.  Imported here, not with the package,
+    # so start-up does not pay for it, and before the pool forks, so that no
+    # worker imports it during its first job.
+    import numpy.random  # noqa: F401
+
     chunk = max(1, len(jobs) // (8 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, jobs, chunksize=chunk))

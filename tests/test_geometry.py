@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import time
 import tracemalloc
@@ -586,7 +587,8 @@ def test_max_kgon_column_blocks_keep_the_cycle(monkeypatch):
 def test_max_kgon_memory_stays_below_a_weight_table(objective):
     # Weights are computed from the coordinates a tile at a time, so no
     # h x h array is held: at h = 2000 one anchor's step has 4e6 cells, and
-    # the second pass at k = 3 holds DP layers of (h / 3)^2 cells.  A batch
+    # the second pass at k = 3 bisects its ~667 anchors rather than holding
+    # DP layers of (h / 3)^2 cells for all of them.  A batch
     # of a 2000-gon and a 1500-gon keeps the bound: stacked at k = 12, where
     # a step's columns are cut for both hulls, and one hull at a time at
     # k = 3, where stacking would hold two sets of layers.
@@ -623,6 +625,118 @@ def test_max_kgon_keeps_its_cycles_on_a_large_hull():
     for objective, k, value, cycle in pins:
         result = umax(pts, k, objective)
         assert (result.value, result.vertex_indices) == (value, cycle), (objective, k)
+
+
+def _count_max_plus_calls(monkeypatch) -> list:
+    """Wrap ``geometry._max_plus`` to log each call's anchors and layers."""
+    calls, real = [], geometry._max_plus
+
+    def logged(edge, h, anchors, layers):
+        calls.append([anchors, *layers])
+        return real(edge, h, anchors, layers)
+
+    monkeypatch.setattr(geometry, "_max_plus", logged)
+    return calls
+
+
+@functools.cache
+def _bisected_hulls():
+    """Seeded hulls of 54 to 383 vertices, from beta = -0.99 to 2."""
+    draws = [(-0.99, 300), (-0.9, 1_000), (-0.5, 10_000), (0.0, 300_000), (2.0, 1_000_000)]
+    return [
+        (convex_hull(pts), pts)
+        for pts in (sample_batch(BetaParams(beta), N, SeedPolicy(5), 0) for beta, N in draws)
+    ]
+
+
+def test_max_kgon_bisection_keeps_the_cycles(monkeypatch):
+    # The second pass bisects anchor intervals wider than _DP_LEAF.  One
+    # leaf (_DP_LEAF = _MAX_HULL) is a pass over all anchors of the arc at
+    # once; _DP_LEAF = 1 bisects down to single anchors.  Both keep every
+    # cycle of these hulls.  The default bisects every k = 3 case and most
+    # others: a second pass of one leaf is one _max_plus call after the
+    # rooted one.
+    cases = [
+        (hull, pts, k, objective)
+        for hull, pts in _bisected_hulls()
+        for k in (3, 4, 5, 8)
+        for objective in Objective
+    ]
+    calls = _count_max_plus_calls(monkeypatch)
+    default, bisected = [], []
+    for case in cases:
+        calls.clear()
+        default.append(max_kgon(*case))
+        bisected.append(len(calls) > 2)
+    assert all(split for (_, _, k, _), split in zip(cases, bisected) if k == 3)
+    assert sum(bisected) >= 30, sum(bisected)
+    for leaf in (geometry._MAX_HULL, 1):
+        monkeypatch.setattr(geometry, "_DP_LEAF", leaf)
+        assert [max_kgon(*case) for case in cases] == default, leaf
+
+
+def test_max_kgon_bisection_breaks_exact_ties_to_the_first_anchor(monkeypatch):
+    # Integer polygons whose best k-gons tie exactly.  With _DP_LEAF = 1
+    # each anchor is its own node, so the first anchor with the best total
+    # must win across nodes, as it does within the one leaf.
+    octagon = [(1, 2), (2, 1), (2, -1), (1, -2), (-1, -2), (-2, -1), (-2, 1), (-1, 2)]
+    circle = [(x, y) for x, y in itertools.product(range(-5, 6), repeat=2) if x * x + y * y == 25]
+    clouds = [SQUARE, np.array(octagon, dtype=float), np.array(circle, dtype=float)]
+    cases = [
+        (pts, k, objective)
+        for pts in clouds
+        for k in range(3, min(len(pts), 9))
+        for objective in Objective
+    ]
+    cycles = {}
+    for leaf in (geometry._MAX_HULL, 1):
+        monkeypatch.setattr(geometry, "_DP_LEAF", leaf)
+        cycles[leaf] = [umax(*case).vertex_indices for case in cases]
+    assert cycles[1] == cycles[geometry._MAX_HULL]
+
+
+def test_max_kgon_bisection_keeps_the_values_on_regular_polygons(monkeypatch):
+    # Cocircular weights tie in floats, so a bisected pass may pick another
+    # optimal cycle: only the value is kept.
+    cases = [
+        (PolygonChain(tuple(range(h))), _regular(h), k, objective)
+        for h in (100, 257)
+        for k in (3, 4, 5, 8)
+        for objective in Objective
+    ]
+    values = {}
+    for leaf in (geometry._DP_LEAF, geometry._MAX_HULL, 1):
+        monkeypatch.setattr(geometry, "_DP_LEAF", leaf)
+        values[leaf] = [max_kgon(*case).value for case in cases]
+    for leaf in (geometry._MAX_HULL, 1):
+        assert values[leaf] == pytest.approx(values[geometry._DP_LEAF], rel=1e-12)
+
+
+def test_max_kgon_bisection_node_without_a_chain_keeps_its_ranges(monkeypatch):
+    # A node whose total is -inf has no chain to cut its children's ranges
+    # at.  Report the first bisection node's middle anchor as chainless:
+    # both children must keep the node's ranges, and the other anchors
+    # still give the best cycle (the middle anchor does not win here).
+    hull, pts = _bisected_hulls()[1]
+    want = max_kgon(hull, pts, 3, Objective.AREA)
+    calls, real = [], geometry._max_plus
+
+    def chainless_first_node(edge, h, anchors, layers):
+        calls.append([anchors, *layers])
+        totals, trace = real(edge, h, anchors, layers)
+        if len(calls) == 2:
+            assert anchors.shape == (1, 1)  # the middle anchor of the whole arc
+            totals = np.full_like(totals, -np.inf)
+        return totals, trace
+
+    monkeypatch.setattr(geometry, "_max_plus", chainless_first_node)
+    assert max_kgon(hull, pts, 3, Objective.AREA) == want
+    pad = 2 * len(hull.vertex_indices)  # one hull: its padding position
+    node, children = calls[1], calls[2]
+    assert len(children[0]) == 2
+    for j in (1, 2):
+        span = node[j][node[j] < pad].tolist()
+        assert [row[row < pad].tolist() for row in children[j]] == [span, span]
 
 
 @pytest.mark.parametrize("objective", list(Objective))

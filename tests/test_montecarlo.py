@@ -2,9 +2,13 @@ import dataclasses
 import functools
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from multiprocessing import get_all_start_methods, get_context
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -479,6 +483,39 @@ def test_both_probes_run_on_a_forkserver_pool(monkeypatch):
     runs = [run_trials(cfg, threads=t) for t in (2, 1)]
     keys = [[(r.N, r.trial_index, r.H, r.T, r.hull_size) for r in recs] for recs in runs]
     assert keys[0] == keys[1]
+
+
+_PROBE_WORKER_IMPORTS = """
+import functools, sys
+from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import get_context
+from betapoly import montecarlo
+
+def loaded(_):
+    return "numpy.random" in sys.modules
+
+if __name__ == "__main__":
+    assert "numpy.random" not in sys.modules, "the package imports it"
+    pool = functools.partial(ProcessPoolExecutor, mp_context=get_context("fork"))
+    montecarlo.ProcessPoolExecutor = pool
+    print(montecarlo._map(loaded, list(range(4)), 2, 4))
+    print("numpy.random" in sys.modules)
+"""
+
+
+@pytest.mark.skipif(not _HAS_FORK, reason="no fork")
+def test_pool_workers_find_numpy_random_imported(tmp_path):
+    # _map imports numpy.random before its pool forks, so a worker does
+    # not import it during its first job.  A fresh interpreter, as this one
+    # has imported it long ago.
+    script = tmp_path / "probe.py"
+    script.write_text(_PROBE_WORKER_IMPORTS)
+    env = dict(os.environ, PYTHONPATH=str(Path(montecarlo.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, str(script)],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert out.stdout.split("\n")[:2] == ["[True, True, True, True]", "True"]
 
 
 def _sequential_hits(objective, n, beta, eps, draws, seed):
