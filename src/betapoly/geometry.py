@@ -11,7 +11,7 @@ most often the hull itself (``_far_count``: ``3 sqrt(N)`` far points below
 10 000, ``2 sqrt(N)`` from there).  ``convex_hull`` builds its hulls with
 the monotone chain; ``uniform_hulls`` runs the test for a whole batch of
 trials at once, with one reflex-vertex elimination (``_star_rings``) for
-all their far sets, and ``uniform_hull`` is its one-trial call.
+all their far sets.
 ``max_kgon`` runs a max-plus program over the ``h`` hull vertices: a pass
 through one vertex in ``O(h^2 k)``, then a bisection over the anchors of
 one arc, ``O(h^2 / k)`` when the chains of neighbouring anchors spread
@@ -216,20 +216,10 @@ def convex_hull(points) -> PolygonChain:
     return PolygonChain(tuple(_rotate_min_first([int(keep[i]) for i in ring])))
 
 
-def uniform_hull(
-    params: BetaParams, N: int, chunks
-) -> tuple[np.ndarray, np.ndarray, PolygonChain]:
-    """Hull of the ``N`` points that ``points_from_uniforms`` makes of a stream's uniforms.
-
-    ``uniform_hulls`` of one trial: see there.
-    """
-    return uniform_hulls(params, N, [chunks])[0]
-
-
 def uniform_hulls(
     params: BetaParams, N: int, sources
 ) -> list[tuple[np.ndarray, np.ndarray, PolygonChain]]:
-    """``uniform_hull`` of each trial of ``N`` points, the hull stage run once for all.
+    """The hull of each trial's ``N`` points, the hull stage run once for all.
 
     Each of ``sources`` is a trial's ``chunks``: ``chunks()`` returns a
     fresh iterable of ``(angle, radius)`` uniform pairs of ``N`` points in
@@ -420,28 +410,36 @@ def _rotate_min_first(cycle):
     return cycle[k:] + cycle[:k]
 
 
+def _measure(pts: np.ndarray, cycle, objective: Objective) -> float:
+    """The objective of the closed polygon ``cycle``, indices into the checked array ``pts``.
+
+    Sums the cyclic edges ``a -> b`` in cycle order: ``hypot(b - a)`` for
+    the perimeter, so a 2-vertex cycle counts its segment twice, and the
+    shoelace term ``cross(a, b)``, halved, for the signed area, 0 below 3
+    vertices.  The sums run on Python floats, which round as numpy's
+    doubles do, so an overflow gives ``inf`` without numpy's
+    ``RuntimeWarning``.
+    """
+    xy = pts[list(cycle)].tolist()
+    edges = zip(xy, xy[1:] + xy[:1])
+    total = 0.0
+    if objective is Objective.PERIMETER:
+        for (ax, ay), (bx, by) in edges:
+            total += math.hypot(bx - ax, by - ay)
+        return total
+    for (ax, ay), (bx, by) in edges:
+        total += ax * by - ay * bx
+    return 0.5 * total
+
+
 def polygon_perimeter(chain: PolygonChain, points) -> float:
     """Cyclic edge-length sum; a 2-point chain counts its segment twice."""
-    pts = as_points_array(points)
-    idx = chain.vertex_indices
-    total = 0.0
-    for i in range(len(idx)):
-        a = pts[idx[i]]
-        b = pts[idx[(i + 1) % len(idx)]]
-        total += math.hypot(b[0] - a[0], b[1] - a[1])
-    return total
+    return _measure(as_points_array(points), chain.vertex_indices, Objective.PERIMETER)
 
 
 def polygon_area(chain: PolygonChain, points) -> float:
     """Signed shoelace area: positive for CCW chains, 0 for degenerate ones."""
-    pts = as_points_array(points)
-    idx = chain.vertex_indices
-    total = 0.0
-    for i in range(len(idx)):
-        ax, ay = pts[idx[i]]
-        bx, by = pts[idx[(i + 1) % len(idx)]]
-        total += ax * by - ay * bx
-    return 0.5 * total
+    return _measure(as_points_array(points), chain.vertex_indices, Objective.AREA)
 
 
 def hull_functional(tuples, objective: Objective) -> np.ndarray:
@@ -619,11 +617,6 @@ def threshold_radius(objective: Objective, n: int, threshold: float) -> float:
     return lo
 
 
-def _chain_result(chain: PolygonChain, pts: np.ndarray, objective: Objective) -> UMaxResult:
-    measure = polygon_perimeter if objective is Objective.PERIMETER else polygon_area
-    return UMaxResult(measure(chain, pts), chain.vertex_indices)
-
-
 def max_kgon(hull: PolygonChain, points, k: int, objective: Objective) -> UMaxResult:
     """Best polygon using at most ``k`` hull vertices: ``max_kgons`` of one hull.
 
@@ -675,20 +668,19 @@ def max_kgons(cases, k: int, objective: Objective) -> list[UMaxResult]:
     same doubles as for the hull alone, and each first maximum, and so each
     cycle, is that of the hull alone.  The second pass's nodes are reduced
     per hull by total, descending, then anchor, ascending: the tie rule of
-    ``max_kgon``.
+    ``max_kgon``.  Each value is ``_measure`` of its cycle, on the points
+    checked once here.
 
     Raises:
         ValueError: as ``max_kgon``, for any case, before any DP runs.
     """
     k, objective = check_vertex_count(k), Objective.parse(objective)
     cases = [(hull, as_points_array(points)) for hull, points in cases]
-    results: list[UMaxResult | None] = [None] * len(cases)
+    cycles = [hull.vertex_indices for hull, _ in cases]
     stacks: list[list[int]] = []
     top = 0
-    for i, (hull, pts) in enumerate(cases):
-        h = len(hull.vertex_indices)
+    for i, h in enumerate(map(len, cycles)):
         if k >= h:
-            results[i] = _chain_result(hull, pts, objective)
             continue
         if h > _MAX_HULL:
             raise ValueError(
@@ -702,8 +694,8 @@ def max_kgons(cases, k: int, objective: Objective) -> list[UMaxResult]:
         stacks[-1].append(i)
     for stack in stacks:
         for i, cycle in zip(stack, _best_cycles([cases[i] for i in stack], k, objective)):
-            results[i] = _chain_result(PolygonChain(cycle), cases[i][1], objective)
-    return results
+            cycles[i] = cycle
+    return [UMaxResult(_measure(pts, c, objective), c) for (_, pts), c in zip(cases, cycles)]
 
 
 def _best_cycles(cases, k: int, objective: Objective) -> list[tuple[int, ...]]:
@@ -888,10 +880,10 @@ def umax_bruteforce(points, n: int, objective: Objective) -> UMaxResult:
     for combo in combinations(range(len(pts)), n):
         local = convex_hull(pts[list(combo)])
         cycle = _rotate_min_first(tuple(combo[i] for i in local.vertex_indices))
-        res = _chain_result(PolygonChain(cycle), pts, objective)
-        if best is None or res.value > best.value or (
-            res.value == best.value and cycle < best.vertex_indices
+        value = _measure(pts, cycle, objective)
+        if best is None or value > best.value or (
+            value == best.value and cycle < best.vertex_indices
         ):
-            best = res
+            best = UMaxResult(value, cycle)
     assert best is not None
     return best

@@ -111,10 +111,10 @@ class SimConfig:
 class TrialRecord:
     """One trial: sample size, index, raw maximum H, scaled deficiency T.
 
-    ``wall_time`` is the trial's own draw-and-select time (its reads of its
-    stream) plus an equal share of the rest of its batch's time, the
-    ``uniform_hulls`` and ``max_kgons`` calls, so the records of a run sum
-    to its compute time.  It is the only field that varies between runs.
+    ``wall_time`` is an equal share of its batch's time, the
+    ``uniform_hulls`` call that reads every trial's stream and the
+    ``max_kgons`` call, so the records of a run sum to its compute time.
+    It is the only field that varies between runs.
     """
 
     N: int
@@ -202,23 +202,15 @@ def _run_batch(job) -> list[TrialRecord]:
     those of ``sample_batch -> convex_hull -> max_kgon`` bit for bit,
     whatever the batch.
     """
+    from functools import partial
+
     objective, n, beta, master_seed, N, first, count, M, A = job
     policy, params = SeedPolicy(master_seed), BetaParams(beta)
-    own = [0.0] * count
-
-    def source(b):  # trial first + b's chunks, the time spent reading them added to own[b]
-        def chunks():
-            start = time.perf_counter()
-            yield from uniform_chunks(policy, first + b, N)
-            own[b] += time.perf_counter() - start
-
-        return chunks
-
     start = time.perf_counter()
-    hulls = uniform_hulls(params, N, [source(b) for b in range(count)])
-    cases = [(hull, points) for _, points, hull in hulls]
+    sources = [partial(uniform_chunks, policy, t, N) for t in range(first, first + count)]
+    cases = [(hull, points) for _, points, hull in uniform_hulls(params, N, sources)]
     results = max_kgons(cases, n, objective)
-    shared = (time.perf_counter() - start - sum(own)) / count
+    share = (time.perf_counter() - start) / count
     return [
         TrialRecord(
             N=N,
@@ -226,7 +218,7 @@ def _run_batch(job) -> list[TrialRecord]:
             H=result.value,
             T=N**A * (M - result.value),
             hull_size=len(hull.vertex_indices),
-            wall_time=own[b] + shared,
+            wall_time=share,
         )
         for b, (result, (hull, _)) in enumerate(zip(results, cases))
     ]

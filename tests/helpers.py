@@ -76,7 +76,7 @@ def count_draws(monkeypatch) -> SimpleNamespace:
 
 
 def chunked(angle_u, radius_u, size=None):
-    """Two uniform blocks as ``uniform_hull``'s ``chunks``: cut into pairs of ``size`` points.
+    """Two uniform blocks as a ``uniform_hulls`` source: cut into pairs of ``size`` points.
 
     Returns a callable that gives a fresh list of the pairs (views of the
     blocks, the last perhaps shorter) on each call; ``None`` is one pair of

@@ -26,7 +26,6 @@ from betapoly.geometry import (
     threshold_radius,
     umax,
     umax_bruteforce,
-    uniform_hull,
     uniform_hulls,
 )
 from betapoly.limits import extremal_value
@@ -149,10 +148,10 @@ def _stream_blocks(seed, stream, N):
 
 
 def _assert_uniform_hull_exact(params, angle_u, radius_u, size=None):
-    """``uniform_hull`` of the blocks in ``size``-point chunks equals the full monotone chain."""
+    """``uniform_hulls`` of the blocks in ``size``-point chunks equals the full monotone chain."""
     pts = points_from_uniforms(params, angle_u.copy(), radius_u.copy())
     chunks = helpers.chunked(angle_u, radius_u, size)
-    keep, kept_pts, hull = uniform_hull(params, len(radius_u), chunks)
+    keep, kept_pts, hull = uniform_hulls(params, len(radius_u), [chunks])[0]
     assert np.array_equal(kept_pts, pts[keep])
     assert tuple(int(keep[i]) for i in hull.vertex_indices) == tuple(
         _rotate_min_first(_monotone_chain(pts))
@@ -269,7 +268,7 @@ def _mixed_batch(N):
     # Copies of every hull vertex of seed 37's points at the first and the
     # last h indices that are not vertices: before and after the originals.
     copies = _stream_blocks(37, 0, N)
-    keep, _, hull = uniform_hull(BetaParams(0.0), N, helpers.chunked(*copies))
+    keep, _, hull = uniform_hulls(BetaParams(0.0), N, [helpers.chunked(*copies)])[0]
     ring = keep[list(hull.vertex_indices)]
     others = np.setdiff1d(np.arange(N), ring)
     for u in copies:
@@ -317,7 +316,7 @@ def test_uniform_hulls_of_a_mixed_batch_equal_the_chain_of_each_trial(monkeypatc
         assert np.array_equal(kept_pts, pts[keep])
         mapped = tuple(int(keep[i]) for i in hull.vertex_indices)
         assert mapped == tuple(_rotate_min_first(_monotone_chain(pts)))
-        alone = uniform_hull(params, N, helpers.chunked(angle_u, radius_u))
+        alone = uniform_hulls(params, N, [helpers.chunked(angle_u, radius_u)])[0]
         assert np.array_equal(alone[0], keep) and np.array_equal(alone[1], kept_pts)
         assert alone[2] == hull
 
@@ -372,7 +371,7 @@ def test_uniform_hull_equals_convex_hull_of_the_whole_cloud(batch, chunk):
     together = uniform_hulls(params, N, sources)
     for (angle_u, radius_u), block, chunks, hulls in zip(clouds, blocks, sources, together):
         pts = points_from_uniforms(params, angle_u.copy(), radius_u.copy())
-        keep, kept_pts, hull = uniform_hull(params, N, chunks)
+        keep, kept_pts, hull = uniform_hulls(params, N, [chunks])[0]
         assert np.array_equal(angle_u, block[0]) and np.array_equal(radius_u, block[1])
         assert np.array_equal(kept_pts, pts[keep])
         mapped = tuple(int(keep[i]) for i in hull.vertex_indices)
@@ -390,13 +389,13 @@ def test_uniform_hull_keeps_the_smallest_copy_across_chunk_boundaries(monkeypatc
     params = BetaParams(0.0)
     for N, step, reads, seed in ((500, 1, 2, 8), (20_000, 8, 1, 37)):
         blocks = _stream_blocks(seed, 0, N)
-        keep, _, hull = uniform_hull(params, N, helpers.chunked(*blocks, chunk))
+        keep, _, hull = uniform_hulls(params, N, [helpers.chunked(*blocks, chunk)])[0]
         ring = keep[list(hull.vertex_indices)]
         dup = [np.concatenate([u[ring[:: 2 * step]], u, u[ring[::step]]]) for u in blocks]
         check = functools.partial(_assert_uniform_hull_exact, params, *dup, chunk)
         batches, chains = _hull_stages(monkeypatch, check)
         assert len(batches) == reads and not chains
-        keep, _, hull = uniform_hull(params, len(dup[1]), helpers.chunked(*dup, chunk))
+        keep, _, hull = uniform_hulls(params, len(dup[1]), [helpers.chunked(*dup, chunk)])[0]
         for i in keep[list(hull.vertex_indices)]:
             same = np.flatnonzero((dup[0] == dup[0][i]) & (dup[1] == dup[1][i]))
             assert i == same.min() and (len(same) >= 2 or step > 1)
@@ -406,12 +405,12 @@ def test_uniform_hull_keeps_the_smallest_copy_next_to_a_chunk_boundary():
     # A hull vertex that ends a chunk and its copy that starts the next.
     params = BetaParams(0.0)
     angle_u, radius_u = _stream_blocks(41, 0, 2_000)
-    keep, _, hull = uniform_hull(params, 2_000, helpers.chunked(angle_u, radius_u))
+    keep, _, hull = uniform_hulls(params, 2_000, [helpers.chunked(angle_u, radius_u)])[0]
     v = int(keep[hull.vertex_indices[len(hull.vertex_indices) // 2]])
     dup = [np.insert(u, v + 1, u[v]) for u in (angle_u, radius_u)]
     keep = _assert_uniform_hull_exact(params, *dup, v + 1)
     assert v in keep and v + 1 in keep
-    keep, _, hull = uniform_hull(params, 2_001, helpers.chunked(*dup, v + 1))
+    keep, _, hull = uniform_hulls(params, 2_001, [helpers.chunked(*dup, v + 1)])[0]
     assert v in keep[list(hull.vertex_indices)] and v + 1 not in keep[list(hull.vertex_indices)]
 
 
@@ -458,6 +457,75 @@ def test_polygon_area_examples():
     for chain in ((0,), (1,), (0, 1), (1, 2), (2, 0), (1, 1)):
         area = polygon_area(PolygonChain(chain), pts)
         assert area == 0.0 and math.copysign(1.0, area) == 1.0
+
+
+def test_measure_equals_the_per_edge_loops():
+    # The reference: the per-edge loops on numpy scalars, whose bits every
+    # polygon value must keep, the sign of a degenerate zero included.
+    def perimeter_loop(idx, pts):
+        total = 0.0
+        for i in range(len(idx)):
+            a = pts[idx[i]]
+            b = pts[idx[(i + 1) % len(idx)]]
+            total += math.hypot(b[0] - a[0], b[1] - a[1])
+        return total
+
+    def area_loop(idx, pts):
+        total = 0.0
+        for i in range(len(idx)):
+            ax, ay = pts[idx[i]]
+            bx, by = pts[idx[(i + 1) % len(idx)]]
+            total += ax * by - ay * bx
+        return 0.5 * total
+
+    rng = np.random.default_rng(27)
+    m = 40
+    x = np.linspace(-1.0, 1.0, m)
+    clouds = {
+        "uniform": rng.uniform(-1.0, 1.0, (m, 2)),
+        "integer": rng.integers(-5, 6, (m, 2)).astype(float),
+        "near-collinear": np.column_stack((x, 0.3 * x + rng.uniform(-1e-15, 1e-15, m))),
+        "huge": 1e150 * rng.uniform(-1.0, 1.0, (m, 2)),
+        "tiny": 1e-150 * rng.uniform(-1.0, 1.0, (m, 2)),
+    }
+    for name, pts in clouds.items():
+        cycles = [(), (3,), (3, 7), (7, 7), (0, 1, 2), (0, 5, 5, 9), (4, 9, 4)]
+        cycles += [tuple(range(m)), tuple(rng.permutation(m).tolist())]
+        cycles.append(convex_hull(pts).vertex_indices)
+        for cycle in cycles:
+            for objective, public, loop in (
+                (Objective.PERIMETER, polygon_perimeter, perimeter_loop),
+                (Objective.AREA, polygon_area, area_loop),
+            ):
+                want = float(loop(cycle, pts)).hex()
+                assert float(geometry._measure(pts, cycle, objective)).hex() == want, (name, cycle)
+                assert float(public(PolygonChain(cycle), pts)).hex() == want, (name, cycle)
+
+
+def test_max_kgon_and_the_oracle_check_their_points_once(monkeypatch):
+    sizes = []
+    check = geometry.as_points_array
+
+    def counting(points):
+        pts = check(points)
+        sizes.append(len(pts))
+        return pts
+
+    pts = sample_batch(BetaParams(0.0), 300, SeedPolicy(5), 0)
+    hull = convex_hull(pts)
+    h = len(hull.vertex_indices)
+    monkeypatch.setattr(geometry, "as_points_array", counting)
+    for objective in Objective:
+        for k in (3, h):  # the DP's cycle, and the hull itself
+            sizes.clear()
+            max_kgon(hull, pts, k, objective)
+            assert sizes == [300]
+    cloud = pts[:9]
+    for objective in Objective:
+        sizes.clear()
+        umax_bruteforce(cloud, 4, objective)
+        # One check of the cloud; each subset's own is convex_hull's.
+        assert sizes.count(9) == 1 and sizes.count(4) == math.comb(9, 4) == len(sizes) - 1
 
 
 def _hull_tuples(n: int) -> np.ndarray:
@@ -783,8 +851,8 @@ def test_max_kgons_refuses_a_batch_with_a_hull_too_large():
 
 
 def test_umax_rejects_a_hull_too_large_for_max_kgon():
-    # Refused before any DP: at k = 3 the second pass of a 5000-gon would
-    # work ~(5000 / 3)^3 = 4.6e9 cells.
+    # Refused before any DP: 5000 vertices exceed _MAX_HULL, the cap that
+    # the rooted pass's O(h^2 k) time sets.
     start = time.perf_counter()
     with pytest.raises(ValueError, match=r"h = 5000 vertices; max_kgon takes at most 4096"):
         umax(_regular(5000), 3, Objective.PERIMETER)

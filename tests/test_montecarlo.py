@@ -21,7 +21,7 @@ from betapoly.geometry import (
     hull_functional,
     max_kgon,
     umax_bruteforce,
-    uniform_hull,
+    uniform_hulls,
 )
 from betapoly.limits import extremal_value, law_for, shape_C, weibull_cdf
 from betapoly.montecarlo import (
@@ -205,9 +205,10 @@ def test_run_trials_support_and_order():
 
 
 def test_trial_wall_times_are_positive_and_sum_within_the_run():
-    # A record's wall_time is its own reads of its stream plus an equal
-    # share of its batch's hull and DP calls, so in one process the records
-    # sum to the campaign's compute time, which the run's elapsed time holds.
+    # A record's wall_time is an equal share of its batch's time, its hull
+    # call (which reads the streams) and its DP call, so in one process the
+    # records sum to the campaign's compute time, which the run's elapsed
+    # time holds.
     cfg = _small_config(N_list=(40, 300, 70_000), trials=3)
     start = time.perf_counter()
     recs = run_trials(cfg, threads=1)
@@ -253,7 +254,7 @@ def test_trials_equal_the_full_sample_path(objective, beta):
             pts = sample_batch(params, N, policy, t)
             hull = convex_hull(pts)
             chunks = functools.partial(uniform_chunks, policy, t, N)
-            keep, cand, cand_hull = uniform_hull(params, N, chunks)
+            keep, cand, cand_hull = uniform_hulls(params, N, [chunks])[0]
             assert np.array_equal(cand, pts[keep])
             kept_hull = tuple(int(keep[i]) for i in cand_hull.vertex_indices)
             assert kept_hull == hull.vertex_indices
