@@ -10,8 +10,8 @@ provably interior points with one circle test, whose far points' hull is
 most often the hull itself (``_far_count``: ``3 sqrt(N)`` far points below
 10 000, ``2 sqrt(N)`` from there).  ``convex_hull`` builds its hulls with
 the monotone chain; ``uniform_hulls`` runs the test for a whole batch of
-trials at once, with one reflex-vertex elimination (``_star_rings``) for
-all their far sets.
+trials at once, with one reflex-vertex elimination on the chain's
+``(x, y)`` order (``_monotone_rings``) for all their far sets.
 ``max_kgon`` runs a max-plus program over the ``h`` hull vertices: a pass
 through one vertex in ``O(h^2 k)``, then a bisection over the anchors of
 one arc, ``O(h^2 / k)`` when the chains of neighbouring anchors spread
@@ -39,7 +39,7 @@ from .sampler import radius_uniform_floor, select_uniforms
 
 # Below this size convex_hull's circle test costs more than it saves.
 _CIRCLE_MIN_POINTS = 128
-_CIRCLE_MARGIN = 1e-9  # relative slack on _inscribed_radius
+_CIRCLE_MARGIN = 1e-9  # relative slack on the radius of _inscribed_radii
 # Most hull vertices max_kgon takes: its rooted pass costs O(h^2 k) time.
 _MAX_HULL = 4096
 _DP_BLOCK = 1 << 18  # most (anchor, predecessor, successor) cells per DP tile
@@ -115,29 +115,19 @@ def _far_count(N: int) -> int:
     return max(32, int((3.0 if N < 10_000 else 2.0) * math.sqrt(N)))
 
 
-def _inscribed_radius(ring: np.ndarray, centre: np.ndarray) -> float:
-    """Radius of a disk about ``centre`` inside the convex polygon ``ring`` (CCW).
-
-    The polygon contains the disk whose radius is the least distance from
-    ``centre`` to one of its edge lines; the radius returned is that, shrunk
-    by ``_CIRCLE_MARGIN`` times the largest distance of a vertex from
-    ``centre``, a margin far above rounding error.  So a point closer to
-    ``centre`` than this is interior to the hull of any set holding
-    ``ring``.  The result is not positive when ``centre`` is not strictly
-    inside a polygon of 3 or more vertices.
-    """
-    if len(ring) < 3:
-        return 0.0
-    nxt = np.roll(np.arange(len(ring)), -1)
-    return float(_inscribed_radii(ring, nxt, np.zeros(1, dtype=np.intp), centre)[0])
-
-
 def _inscribed_radii(rings: np.ndarray, nxt: np.ndarray, first: np.ndarray, centre) -> np.ndarray:
-    """``_inscribed_radius`` of each ring: the rows from ``first[k]`` to the next start.
+    """Radius of a disk about ``centre`` inside each convex ring (CCW) of 3 or more vertices.
 
-    ``nxt`` gives each row's next vertex in its ring.  Every edge and
+    Ring ``k`` is the rows from ``first[k]`` to the next start, and ``nxt``
+    gives each row's next vertex in its ring.  The ring contains the disk
+    whose radius is the least distance from ``centre`` to one of its edge
+    lines; the radius returned is that, shrunk by ``_CIRCLE_MARGIN`` times
+    the largest distance of a vertex from ``centre``, a margin far above
+    rounding error.  So a point closer to ``centre`` than this is interior
+    to the hull of any set holding the ring.  The result is not positive
+    when ``centre`` is not strictly inside the ring.  Every edge and
     distance is computed row by row, so each radius is the same double as
-    for its ring alone.
+    for its ring alone, from any starting vertex.
     """
     e = rings[nxt] - rings  # raw coordinates: short edges stay accurate
     rel = rings - centre
@@ -192,12 +182,16 @@ def convex_hull(points) -> PolygonChain:
     From ``_CIRCLE_MIN_POINTS`` points on, a circle test about the
     bounding-box midpoint ``c`` drops interior points first: the
     ``_far_count`` points farthest from ``c`` form the far set, and the disk
-    of ``_inscribed_radius`` about ``c`` lies inside their hull.  If no other
-    point reaches that radius, the far set holds every possible vertex and
-    every copy of one, so its hull is the hull; otherwise the chain runs
-    again on the points that reach it.
+    of ``_inscribed_radii`` about ``c`` (none below 3 vertices) lies inside
+    their hull.  If no other point reaches that radius, the far set holds
+    every possible vertex and every copy of one, so its hull is the hull;
+    otherwise the chain runs again on the points that reach it.
     """
-    pts = as_points_array(points)
+    return _convex_hull(as_points_array(points))
+
+
+def _convex_hull(pts: np.ndarray) -> PolygonChain:
+    """``convex_hull`` of the checked array ``pts``."""
     if len(pts) < _CIRCLE_MIN_POINTS:
         return PolygonChain(tuple(_rotate_min_first(_monotone_chain(pts))))
     x, y = pts[:, 0], pts[:, 1]
@@ -209,7 +203,10 @@ def convex_hull(points) -> PolygonChain:
     far = np.partition(dist, kth)[kth]
     keep = np.flatnonzero(dist >= far)
     ring = _monotone_chain(pts[keep])
-    radius = _inscribed_radius(pts[keep[ring]], c)
+    radius = 0.0
+    if len(ring) >= 3:
+        nxt = np.roll(np.arange(len(ring)), -1)
+        radius = _inscribed_radii(pts[keep[ring]], nxt, np.zeros(1, dtype=np.intp), c)[0]
     if radius < far:
         keep = np.flatnonzero(dist >= radius)
         ring = _monotone_chain(pts[keep])
@@ -230,13 +227,13 @@ def uniform_hulls(
     1. Each trial reads its far set, the points with ``u >= 1 -
        _far_count(N) / N`` (every point below ``_CIRCLE_MIN_POINTS``), a
        threshold known before any chunk is read.
-    2. ``_star_hulls`` gives all far sets coordinates, in one
+    2. ``_far_hulls`` gives all far sets coordinates, in one
        ``points_from_uniforms`` call, and their hulls and inscribed radii.
     3. A trial whose radius's floor ``u* = radius_uniform_floor(radius)``
        falls below the far floor calls its ``chunks`` again, which replays
        the stream, and reads the points with ``u >= u*``: every point when
        the origin is not strictly inside the far set's hull (``u* = 0``).
-       These widened sets go through ``_star_hulls`` as one smaller batch.
+       These widened sets go through ``_far_hulls`` as one smaller batch.
 
     Only the points a read selects get a radius, an angle and coordinates.
     The chunks are left as they are.
@@ -246,156 +243,152 @@ def uniform_hulls(
     those indices bit for bit (the map is elementwise), and their hull as
     positions into the kept points, rotated to start at the smallest.
     Mapped through the kept indices, that hull is ``convex_hull`` of the
-    whole sample, and it is the monotone chain's hull of the kept points,
-    except where points an ulp or two apart round the cross products (see
-    ``_star_rings``).
+    whole sample, the monotone chain's hull, except on near-collinear or
+    near-coincident triples, where the two can round a cross product
+    differently (see ``_monotone_rings``).
     """
     far_floor = 1.0 - _far_count(N) / N if N >= _CIRCLE_MIN_POINTS else -math.inf
-    hulls = _star_hulls(params, [select_uniforms(chunks(), far_floor) for chunks in sources])
+    hulls = _far_hulls(params, [select_uniforms(chunks(), far_floor) for chunks in sources])
     floors = [radius_uniform_floor(params, radius) for *_, radius in hulls]
     short = [t for t, floor in enumerate(floors) if floor < far_floor]
-    wide = _star_hulls(params, [select_uniforms(sources[t](), floors[t]) for t in short])
+    wide = _far_hulls(params, [select_uniforms(sources[t](), floors[t]) for t in short])
     for t, hull in zip(short, wide):
         hulls[t] = hull
     return [(keep, pts, PolygonChain(tuple(_rotate_min_first(r)))) for keep, pts, r, _ in hulls]
 
 
-def _star_hulls(params: BetaParams, picks) -> list[tuple[np.ndarray, np.ndarray, list, float]]:
+def _far_hulls(params: BetaParams, picks) -> list[tuple[np.ndarray, np.ndarray, list, float]]:
     """Coordinates, hull and inscribed radius of each ``(keep, angle_u, radius_u)`` pick.
 
     The picks are ``select_uniforms`` results.  One ``points_from_uniforms``
     call maps them all (it is elementwise, so each row is the same double as
-    for its pick alone) and leaves the angles ``phi = 2 pi u`` and the radii
-    in the concatenated uniforms.  Each pick is sorted by ``(phi, radius)``,
-    ties by index: ``phi`` does not decrease with the angle uniform, so that
-    order costs no ``arctan2``.  Points equal in both to the one before them
-    are its copies of larger index and are left out, as the monotone chain
-    leaves them out; the hull is ``_star_rings`` of the rest, or, for a pick
-    it does not certify, ``_monotone_chain`` of the pick.
+    for its pick alone).  Each pick is sorted by ``(x, y)``, ties by index,
+    the monotone chain's order, which is exact on the computed doubles.
+    Points equal to the one before them are its copies of larger index and
+    are left out, as the chain leaves them out; the hull is
+    ``_monotone_rings`` of the rest.
 
     Returns ``(keep, points, ring, radius)`` per pick: ``ring`` holds
-    positions into the pick's points, counterclockwise, and ``radius`` is
-    ``_inscribed_radius`` of the ring about the origin.
+    positions into the pick's points, counterclockwise from the
+    lexicographically smallest, and ``radius`` is ``_inscribed_radii`` of
+    the ring about the origin, 0.0 below 3 vertices.
     """
     if not picks:
         return []
     counts = np.array([len(keep) for keep, _, _ in picks])
     bounds = np.concatenate(([0], np.cumsum(counts)))
-    phi = np.concatenate([a for _, a, _ in picks])
-    r = np.concatenate([u for _, _, u in picks])
-    pts = points_from_uniforms(params, phi, r)  # phi and r now hold the angles and radii
-    # A padded row of complex keys per pick: numpy sorts them by real part,
-    # then imaginary part, and a stable sort keeps index order on ties.
+    pts = points_from_uniforms(
+        params, np.concatenate([a for _, a, _ in picks]), np.concatenate([u for _, _, u in picks])
+    )
+    # A padded row of complex keys x + iy per pick: numpy sorts them by real
+    # part, then imaginary part, and a stable sort keeps index order on ties.
+    z = pts.view(complex)[:, 0]
     trial = np.repeat(np.arange(len(picks)), counts)
     keys = np.full((len(picks), counts.max()), np.inf, dtype=complex)
-    keys[trial, np.arange(len(trial)) - bounds[trial]] = phi + 1j * r
+    keys[trial, np.arange(len(trial)) - bounds[trial]] = z
     rows = np.argsort(keys, axis=1, kind="stable") + bounds[:-1, None]
     order = rows[np.arange(keys.shape[1]) < counts[:, None]]
-    phi, r = phi[order], r[order]
+    z = z[order]
     fresh = np.ones(len(order), dtype=bool)
-    fresh[1:] = (phi[1:] != phi[:-1]) | (r[1:] != r[:-1]) | (trial[1:] != trial[:-1])
-    rings, radii = _star_rings(pts[order], trial, fresh, len(picks))
-    out = []
-    for b, (keep, _, _) in enumerate(picks):
-        own = pts[bounds[b] : bounds[b + 1]]
-        if rings[b] is None:
-            ring = _monotone_chain(own)
-            radius = _inscribed_radius(own[ring], np.zeros(2))
-        else:
-            ring, radius = (order[rings[b]] - bounds[b]).tolist(), radii[b]
-        out.append((keep, own, ring, radius))
-    return out
+    fresh[1:] = (z[1:] != z[:-1]) | (trial[1:] != trial[:-1])
+    order = order[fresh]
+    hulls, sizes, radii = _monotone_rings(pts[order], trial[fresh], len(picks))
+    hulls = order[hulls]
+    ring = (hulls - bounds[trial[hulls]]).tolist()
+    cuts = np.concatenate(([0], np.cumsum(sizes))).tolist()
+    bounds = bounds.tolist()
+    return [
+        (keep, pts[bounds[b] : bounds[b + 1]], ring[cuts[b] : cuts[b + 1]], radii[b])
+        for b, (keep, _, _) in enumerate(picks)
+    ]
 
 
-def _star_rings(xy: np.ndarray, trial: np.ndarray, fresh: np.ndarray, trials: int):
-    """Certified hulls of star-shaped polygons about the origin, by reflex-vertex elimination.
+def _runs(trial: np.ndarray):
+    """First and last row of each run of equal ``trial``, and each row's cyclic neighbours in its run."""
+    starts = np.ones(len(trial) + 1, dtype=bool)  # starts[i]: row i begins a run
+    starts[1:-1] = trial[1:] != trial[:-1]
+    first, last = np.flatnonzero(starts[:-1]), np.flatnonzero(starts[1:])
+    nxt, prv = np.arange(1, len(trial) + 1), np.arange(-1, len(trial) - 1)
+    nxt[last], prv[first] = first, last
+    return first, last, nxt, prv
 
-    ``xy`` holds the points of ``trials`` polygons, trial ``trial[i]``'s in
-    one run sorted by angle about the origin; only the rows in ``fresh``
-    take part.  Each pass deletes every vertex whose turn is not strictly
-    left, with ``_monotone_chain``'s cross product ``(a - o) x (b - o)``, the
-    previous vertex ``o`` and the next ``b`` taken cyclically within the
-    trial, until a pass deletes none.  Then each trial's
-    ``_inscribed_radius`` comes from ``_inscribed_radii``.
 
-    Why it is exact (R. L. Graham, IPL 1, 1972).  Suppose the origin is
-    strictly inside the hull of a trial's points and their angles are
-    distinct.  Then no angular gap reaches pi, and the sorted points are a
-    simple polygon, star-shaped about the origin.  A vertex that is not a
-    strict left turn has an interior angle of at least pi, so the polygon
-    holds a half-disk about it and it is not an extreme point.  Deleting such
-    vertices keeps every extreme point, so the origin stays strictly inside
-    and the argument repeats.  When no vertex is deleted, the polygon is
-    convex: its vertices are the extreme points.  Of points at one angle
-    only the farthest can be extreme, and the elimination deletes the nearer
-    ones (their turn is to the right).
+def _monotone_rings(xy: np.ndarray, trial: np.ndarray, trials: int):
+    """Hulls of many point sets at once, by reflex-vertex elimination on x-monotone polygons.
 
-    Rounding leaves one gap: the computed ``(r cos phi, r sin phi)`` can
-    order two angles a few ulp apart differently from ``phi``, so the
-    sorted order is not always the points' angular order.  A certificate
-    closes it, and a trial without one gets ``None`` (its caller runs the
-    monotone chain):
+    ``xy`` holds the distinct points of ``trials`` sets, set ``trial[i]``'s
+    in one run sorted by ``(x, y)``.  Each set is laid out as an x-monotone
+    polygon: its lexicographic minimum ``L``; the points not strictly left
+    of the line ``L -> R`` to its maximum ``R``, in increasing order (``R``
+    last); the points strictly left of it, in decreasing order.  Each pass
+    finds the vertices other than ``L`` and ``R`` that are not strict left
+    turns, with ``_monotone_chain``'s cross product ``(a - o) x (b - o)``,
+    the previous vertex ``o`` and the next ``b`` taken cyclically within the
+    set.  In each run of such vertices it deletes every other one, starting
+    with the first, so both neighbours of a deleted vertex outlive its pass.
+    It stops when a pass finds none.
 
-    * at least 3 vertices remain, each a strict left turn;
-    * the inscribed radius is positive, so the origin is strictly left of
-      every edge, each edge turns by less than pi about the origin, and, as
-      the vertices stay within rounding of their sorted angles ``phi``,
-      which turn once in all, the polygon winds once: it is convex;
-    * every deleted point lies in the closed triangle of the origin and an
-      edge: the edge of the last vertex sorted at or before it
-      (cyclically), or one next to that edge, as a point on a vertex's ray
-      may round to either side of it.  So the point lies in the polygon.
+    Why it is the hull (A. M. Andrew, IPL 9, 1979).  ``L`` and ``R`` are
+    extreme points.  The polygon is two chains from ``L`` to ``R``, each
+    monotone in ``(x, y)``: the lower one on or right of the line ``L ->
+    R``, the upper one left of it.  On either chain, a vertex that is not a
+    strict left turn lies on or beyond the segment of its two neighbours,
+    points of the set, so it is not an extreme point, and deleting it keeps
+    both chains monotone.  At the fixpoint both chains turn left
+    throughout, so the polygon is convex, and every deleted point lies on
+    or inside it.  Every test is a float cross product of the chain's kind,
+    on the chain's triples in the chain's order, so a deletion errs only
+    where a vertex lies within rounding of the segment of its two
+    surviving neighbours, as in the chain: the hull is ``_monotone_chain``'s
+    except on near-collinear or near-coincident triples.  Deleting a whole
+    run at once would test each vertex against a neighbour deleted with it.
+    No point needs to lie inside the hull; only the circle test uses the
+    origin.
 
-    Then the survivors are the extreme points of the trial's points, whatever
-    the order was.  Every test is a float cross product of the chain's kind,
-    so where the signs of this stage's and the chain's cross products are
-    all right, both give the exact hull of the computed points.  Points an
-    ulp or two apart can round either stage's signs, and the two hulls can
-    then differ.
-
-    Returns, per trial, the rows of its hull in counterclockwise order (or
-    ``None``) and its inscribed radius.
+    Returns the rows of every hull, each counterclockwise from ``L``, set
+    after set; each hull's size (0 for an empty set); and each hull's
+    ``_inscribed_radii`` about the origin (0.0 below 3 vertices).
     """
-    alive = np.flatnonzero(fresh)
-    while True:
-        t = trial[alive]
-        starts = np.ones(len(t) + 1, dtype=bool)  # starts[i]: row i begins a trial's run
-        starts[1:-1] = t[1:] != t[:-1]
-        first, last = np.flatnonzero(starts[:-1]), np.flatnonzero(starts[1:])
-        nxt, prv = np.arange(1, len(t) + 1), np.arange(-1, len(t) - 1)
-        nxt[last], prv[first] = first, last
-        ring = xy[alive]
-        left = _cross(ring[prv], ring, ring[nxt]) > 0.0
-        if left.all():
-            break
-        alive = alive[left]
-    # A run of 1 or 2 vertices deletes itself, so every run left has 3 or more.
-    radius = _inscribed_radii(ring, nxt, first, 0.0)
-    ok = np.zeros(trials, dtype=bool)
-    ok[t[first]] = radius > 0.0
-    head = np.zeros(trials, dtype=np.intp)
-    head[t[first]] = first
-    tail = np.zeros(trials, dtype=np.intp)
-    tail[t[first]] = last
-    kept = np.zeros(len(xy), dtype=bool)
-    kept[alive] = True
-    q = np.flatnonzero(fresh & ~kept & ok[trial])
-    i = np.cumsum(kept)[q] - 1  # the last vertex sorted at or before q
-    tq = trial[q]
-    i = np.where(i < head[tq], tail[tq], i)
-    p = xy[q]
-
-    def inside(i):  # p in the closed triangle of the origin and edge i
-        v, w = ring[i], ring[nxt[i]]
-        return (_cross(0.0, v, p) >= 0.0) & (_cross(0.0, p, w) >= 0.0) & (_cross(v, p, w) <= 0.0)
-
-    ok[tq[~(inside(prv[i]) | inside(i) | inside(nxt[i]))]] = False
-    rings: list = [None] * trials
-    radii = [0.0] * trials
-    for b, lo, hi, rad in zip(t[first].tolist(), first.tolist(), last.tolist(), radius.tolist()):
-        if ok[b]:
-            rings[b], radii[b] = alive[lo : hi + 1], rad
-    return rings, radii
+    first, last, nxt, prv = _runs(trial)
+    run = np.repeat(np.arange(len(first)), last - first + 1)
+    upper = _cross(xy[first][run], xy[last][run], xy) > 0.0
+    # Lower points, L first, take the run's first places in increasing
+    # order, upper ones its last places in decreasing order: ``ups`` counts
+    # the upper points of the run up to each.
+    ups = np.cumsum(upper)
+    ups -= ups[first][run]
+    place = np.where(upper, last[run] + 1 - ups, np.arange(len(ups)) - ups)
+    rows = np.empty_like(place)
+    rows[place] = np.arange(len(place))
+    ring = xy[rows]
+    # The vertices form linked rings over their places.  A pass tests only
+    # the vertices whose neighbours changed in the pass before.
+    movable = np.ones(len(rows), dtype=bool)
+    movable[first] = movable[place[last]] = False
+    alive = np.ones(len(rows), dtype=bool)
+    test = np.flatnonzero(movable)
+    while len(test):
+        bent = test[~(_cross(ring[prv[test]], ring[test], ring[nxt[test]]) > 0.0)]
+        # A run of bent vertices is a slice of ``bent``: each but its first
+        # follows a bent vertex.
+        seen = np.zeros(len(rows), dtype=bool)
+        seen[bent] = True
+        i = np.arange(len(bent))
+        offset = i - np.maximum.accumulate(np.where(seen[prv[bent]], 0, i))
+        gone = bent[offset % 2 == 0]
+        before, after = prv[gone], nxt[gone]
+        nxt[before], prv[after] = after, before
+        alive[gone] = False
+        seen[:] = False
+        seen[before] = seen[after] = True
+        test = np.flatnonzero(seen & movable)
+    kept = np.flatnonzero(alive)
+    sizes = np.bincount(trial[kept], minlength=trials)
+    radii = np.zeros(trials)
+    wide = kept[sizes[trial[kept]] >= 3]
+    first, _, nxt, _ = _runs(trial[wide])
+    radii[trial[wide[first]]] = _inscribed_radii(ring[wide], nxt, first, 0.0)
+    return rows[kept], sizes, radii.tolist()
 
 
 def _cross(o, a, b) -> np.ndarray:
@@ -675,7 +668,11 @@ def max_kgons(cases, k: int, objective: Objective) -> list[UMaxResult]:
         ValueError: as ``max_kgon``, for any case, before any DP runs.
     """
     k, objective = check_vertex_count(k), Objective.parse(objective)
-    cases = [(hull, as_points_array(points)) for hull, points in cases]
+    return _max_kgons([(hull, as_points_array(points)) for hull, points in cases], k, objective)
+
+
+def _max_kgons(cases, k: int, objective: Objective) -> list[UMaxResult]:
+    """``max_kgons`` of checked arguments: each case's points an array ``as_points_array`` gave."""
     cycles = [hull.vertex_indices for hull, _ in cases]
     stacks: list[list[int]] = []
     top = 0
@@ -855,7 +852,7 @@ def umax(points, n: int, objective: Objective) -> UMaxResult:
     n = check_vertex_count(n)
     if len(pts) < n:
         raise ValueError(f"need at least n={n} points, got {len(pts)}")
-    return max_kgon(convex_hull(pts), pts, n, objective)
+    return _max_kgons([(_convex_hull(pts), pts)], n, Objective.parse(objective))[0]
 
 
 def umax_bruteforce(points, n: int, objective: Objective) -> UMaxResult:

@@ -197,10 +197,11 @@ def _run_batch(job) -> list[TrialRecord]:
     ``O(_CHUNK)`` uniforms and the ``O(sqrt N)`` points its circle test
     keeps (more where ``beta`` nears -1), not ``N``.  ``uniform_hulls``
     gives coordinates only to those points, which are that array's rows bit
-    for bit, and its hulls are ``convex_hull``'s; ``max_kgons`` finds each
-    hull's cycle as ``max_kgon`` does.  So ``H`` and ``hull_size`` equal
-    those of ``sample_batch -> convex_hull -> max_kgon`` bit for bit,
-    whatever the batch.
+    for bit, and its hulls are ``convex_hull``'s but on near-collinear or
+    near-coincident triples; ``max_kgons`` finds each hull's cycle as
+    ``max_kgon`` does.  So where the hulls agree (every seeded trial of
+    ``benchmarks/hull_agreement.txt``), ``H`` and ``hull_size`` equal those
+    of ``sample_batch -> convex_hull -> max_kgon`` bit for bit, whatever the batch.
     """
     from functools import partial
 

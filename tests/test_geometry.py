@@ -128,7 +128,7 @@ def _chain_sizes(monkeypatch, run):
 def _hull_stages(monkeypatch, run):
     """Pick sizes of each elimination batch ``run()`` makes, and sizes of the chains it runs."""
     batches = []
-    stage = geometry._star_hulls
+    stage = geometry._far_hulls
 
     def recording(params, picks):
         if picks:
@@ -136,7 +136,7 @@ def _hull_stages(monkeypatch, run):
         return stage(params, picks)
 
     with monkeypatch.context() as m:
-        m.setattr(geometry, "_star_hulls", recording)
+        m.setattr(geometry, "_far_hulls", recording)
         chains = _chain_sizes(monkeypatch, run)
     return batches, chains
 
@@ -292,9 +292,8 @@ def test_uniform_hulls_of_a_mixed_batch_equal_the_chain_of_each_trial(monkeypatc
     # replayed (seed 5); the far hull misses the origin, so every point is
     # read again; copies of hull vertices; four points at each angle; a
     # regular polygon with float ties.  Each trial's hull is the monotone
-    # chain of all its points, and what the trial gets alone.  Only the
-    # trial whose far hull misses the origin takes the chain, on its 200
-    # far points and then on all of them.
+    # chain of all its points, and what the trial gets alone.  No trial
+    # runs the chain.
     N, params = 1_000, BetaParams(beta)
     batch = _mixed_batch(N)
     reads, hulls = [], []
@@ -308,7 +307,7 @@ def test_uniform_hulls_of_a_mixed_batch_equal_the_chain_of_each_trial(monkeypatc
 
     sources = [source(b, a, r) for b, (a, r) in enumerate(batch)]
     chains = _chain_sizes(monkeypatch, lambda: hulls.extend(uniform_hulls(params, N, sources)))
-    assert chains == [200, N]
+    assert chains == []
     if beta == 0.0:
         assert sorted(reads) == [0, 1, 1, 2, 2, 3, 4, 5]
     for (angle_u, radius_u), (keep, kept_pts, hull) in zip(batch, hulls):
@@ -330,6 +329,49 @@ def test_uniform_hulls_equal_the_chain_on_seeded_far_sets(monkeypatch, beta):
         sources = [functools.partial(uniform_chunks, policy, t, N) for t in range(first, first + 262)]
         for keep, pts, hull in uniform_hulls(params, N, sources[: 700 - first]):
             assert hull.vertex_indices == tuple(_rotate_min_first(_monotone_chain(pts)))
+
+
+def test_uniform_hulls_equal_convex_hull_on_near_duplicate_clouds():
+    # 300 clouds at beta = -0.99 with points one ulp of angle uniform from
+    # others, at radius uniforms near 1, one uniform_hulls call each.
+    params, rng = BetaParams(-0.99), np.random.default_rng(7)
+    for _ in range(300):
+        N = rng.integers(130, 400)
+        a = rng.random(N)
+        r = rng.random(N) ** 0.1
+        k = rng.integers(1, 20)
+        i = rng.integers(0, N, k)
+        j = rng.integers(0, N, k)
+        a[j] = np.nextafter(a[i], 2.0)
+        r[j] = rng.random(k) ** 0.05
+        keep, _, hull = uniform_hulls(params, N, [helpers.chunked(a, r)])[0]
+        pts = points_from_uniforms(params, a, r)
+        assert tuple(int(keep[v]) for v in hull.vertex_indices) == convex_hull(pts).vertex_indices
+
+
+def test_uniform_hull_of_a_ray_matches_convex_hull_in_few_passes(monkeypatch):
+    # 10^5 points at one angle: rounding may keep other vertices than the
+    # chain's, but not other values, and halving each run of bent vertices
+    # bounds the passes.
+    params, N = BetaParams(0.0), 100_000
+    a, r = np.full(N, 0.125), np.random.default_rng(3).random(N)
+    calls = []
+    cross = geometry._cross
+
+    def counting(o, p, q):
+        calls.append(len(p))
+        return cross(o, p, q)
+
+    with monkeypatch.context() as m:
+        m.setattr(geometry, "_cross", counting)
+        keep, _, hull = uniform_hulls(params, N, [helpers.chunked(a, r)])[0]
+    assert len(calls) <= 64
+    pts = points_from_uniforms(params, a, r)
+    ray = PolygonChain(tuple(int(keep[i]) for i in hull.vertex_indices))
+    chain = convex_hull(pts)
+    perimeter = polygon_perimeter(chain, pts)
+    assert polygon_perimeter(ray, pts) == pytest.approx(perimeter, rel=1e-12, abs=0.0)
+    assert abs(polygon_area(ray, pts)) < 1e-12 and abs(polygon_area(chain, pts)) < 1e-12
 
 
 @st.composite
@@ -520,6 +562,9 @@ def test_max_kgon_and_the_oracle_check_their_points_once(monkeypatch):
             sizes.clear()
             max_kgon(hull, pts, k, objective)
             assert sizes == [300]
+        sizes.clear()
+        umax(pts, 3, objective)
+        assert sizes == [300]
     cloud = pts[:9]
     for objective in Objective:
         sizes.clear()
