@@ -1,11 +1,17 @@
-"""How often ``uniform_hulls`` and ``convex_hull`` give different hulls of one sample.
+"""How often the package's hulls of one sample differ from each other and from the monotone chain.
 
-``uniform_hulls`` builds a batch's hulls by reflex-vertex elimination on
-x-monotone polygons; ``convex_hull`` runs the monotone chain.  Both decide
-turns with float cross products, so on near-collinear or near-coincident
-triples they can keep different vertices.  For each input set below this
-script counts the samples whose two hulls differ, and prints the largest
-relative perimeter gap and the largest absolute area gap between them:
+``uniform_hulls`` (the hulls of a batch of trials, given by their uniforms)
+and ``convex_hull`` (the hull of a point array) both build their hulls with
+``geometry._hulls``, reflex-vertex elimination on x-monotone polygons, each
+after its own circle test; they must never differ.  The reference is
+Andrew's monotone chain of the whole sample, ``geometry._monotone_chain``,
+which builds only the oracle's hulls.  The elimination and the chain both
+decide turns with float cross products, so on near-collinear or
+near-coincident triples they can keep different vertices.  For each input
+set below this script counts the samples whose two entry points' hulls
+differ, and those where each differs from the chain, and prints the largest
+relative perimeter gap and the largest absolute area gap between an entry
+point's hull and the chain's:
 
 * near-duplicate clouds: 16 385 clouds of 130 to 399 points at
   ``beta = -0.99``, with 1 to 19 points moved one ulp of angle uniform
@@ -17,11 +23,12 @@ relative perimeter gap and the largest absolute area gap between them:
   {-0.99, -0.9, 0, 2}, in batches of 262 as ``simulate`` makes them;
 * a ray: 10^5 points at one angle uniform, 0.125, at ``beta = 0``.
 
-Run from the repository root (~35 s on a 2-core x86-64 machine):
+Run from the repository root (~40 s on a 2-core x86-64 machine):
 
     PYTHONPATH=src python3 benchmarks/hull_agreement.py > benchmarks/hull_agreement.txt
 
-The exit status is 1 when any perimeter gap exceeds 1e-12.
+The exit status is 1 when the two entry points differ on any sample or any
+perimeter gap exceeds 1e-12.
 """
 
 from __future__ import annotations
@@ -31,7 +38,8 @@ import sys
 
 import numpy as np
 
-from betapoly.geometry import convex_hull, polygon_area, polygon_perimeter, uniform_hulls
+from betapoly.geometry import PolygonChain, _monotone_chain, _rotate_min_first, convex_hull
+from betapoly.geometry import polygon_area, polygon_perimeter, uniform_hulls
 from betapoly.sampler import BetaParams, SeedPolicy, points_from_uniforms, uniform_chunks
 
 CLOUDS = 16_385
@@ -77,22 +85,31 @@ def whole(a, r):
 
 
 def gaps(params, samples):
-    """``(samples, differ, largest relative perimeter gap, largest area gap)`` of ``(N, sources)`` batches."""
-    seen = differ = 0
+    """Counts and gaps of ``(N, sources)`` batches, as one table row.
+
+    ``(samples, entry points differ, uniform_hulls differs from the chain,
+    convex_hull differs from the chain, largest relative perimeter gap,
+    largest area gap)``, the gaps taken between either entry point's hull
+    and the chain's.
+    """
+    seen = apart = 0
+    differ = [0, 0]
     perimeter = area = 0.0
     for N, sources in samples:
         for chunks, (keep, _, hull) in zip(sources, uniform_hulls(params, N, sources)):
             a, r = (np.concatenate(u) for u in zip(*chunks()))
             pts = points_from_uniforms(params, a.copy(), r.copy())
-            want = convex_hull(pts)
-            got = type(want)(tuple(int(keep[i]) for i in hull.vertex_indices))
+            got = (PolygonChain(tuple(int(keep[i]) for i in hull.vertex_indices)), convex_hull(pts))
+            chain = PolygonChain(tuple(_rotate_min_first(_monotone_chain(pts))))
             seen += 1
-            if got != want:
-                differ += 1
-                p0 = polygon_perimeter(want, pts)
-                perimeter = max(perimeter, abs(polygon_perimeter(got, pts) - p0) / p0)
-                area = max(area, abs(polygon_area(got, pts) - polygon_area(want, pts)))
-    return seen, differ, perimeter, area
+            apart += got[0] != got[1]
+            p0 = polygon_perimeter(chain, pts)
+            for e, entry in enumerate(got):
+                if entry != chain:
+                    differ[e] += 1
+                    perimeter = max(perimeter, abs(polygon_perimeter(entry, pts) - p0) / p0)
+                    area = max(area, abs(polygon_area(entry, pts) - polygon_area(chain, pts)))
+    return seen, apart, *differ, perimeter, area
 
 
 def main() -> int:
@@ -117,16 +134,23 @@ def main() -> int:
         rows.append((f"seeded trials, N = {TRIAL_N}", beta, gaps(BetaParams(beta), batches)))
     ray = (np.full(RAY_N, 0.125), np.random.default_rng(3).random(RAY_N))
     rows.append(("ray", 0.0, gaps(BetaParams(0.0), [(RAY_N, [whole(*ray)])])))
-    print("uniform_hulls against convex_hull: samples whose hulls differ, and their largest gaps")
+    print("Samples whose hulls differ: uniform_hulls against convex_hull, and each of them")
+    print("against the monotone chain of the whole sample, with the largest gaps to the chain")
     print("(perimeter relative, area absolute)")
     print()
-    print("| input | beta | samples | differ | perimeter gap | area gap |")
-    print("|---|---|---|---|---|---|")
-    worst = 0.0
-    for name, beta, (seen, differ, perimeter, area) in rows:
-        print(f"| {name} | {beta:g} | {seen} | {differ} | {perimeter:.2g} | {area:.2g} |")
-        worst = max(worst, perimeter)
-    return int(worst > PERIMETER_GAP)
+    print(
+        "| input | beta | samples | uniform_hulls vs convex_hull "
+        "| uniform_hulls vs chain | convex_hull vs chain | perimeter gap | area gap |"
+    )
+    print("|---|---|---|---|---|---|---|---|")
+    failed = False
+    for name, beta, (seen, apart, uniform, convex, perimeter, area) in rows:
+        print(
+            f"| {name} | {beta:g} | {seen} | {apart} | {uniform} | {convex} "
+            f"| {perimeter:.2g} | {area:.2g} |"
+        )
+        failed |= apart > 0 or perimeter > PERIMETER_GAP
+    return int(failed)
 
 
 if __name__ == "__main__":

@@ -200,9 +200,10 @@ def _resolve(args: argparse.Namespace, cfg: dict, command: str, row: tuple):
     return _KINDS[kind][1](value, flag)
 
 
-def _dump_json(obj: dict) -> None:
-    json.dump(obj, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+def _dump_json(obj: dict, stream=None) -> None:
+    stream = sys.stdout if stream is None else stream  # per call: tests swap sys.stdout
+    json.dump(obj, stream, indent=2, sort_keys=True)
+    stream.write("\n")
 
 
 def _log(msg: str) -> None:
@@ -278,8 +279,7 @@ def _cmd_simulate(objective, n, beta, N_list, trials, seed, delta, out_dir, thre
     montecarlo.write_trials_csv(out_dir / "trials.csv", records)
     summary = montecarlo.build_summary(config, records, law)
     with open(out_dir / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        _dump_json(summary, fh)
     largest = max(N_list)
     ecdf = montecarlo.EmpiricalCDF.from_samples([r.T for r in records if r.N == largest])
     montecarlo.write_ecdf_csv(out_dir / "ecdf.csv", ecdf, law)
@@ -315,8 +315,7 @@ def _cmd_tailprobe(objective, n, beta, eps, draws, seed, out_dir, threads) -> in
         "predicted_log_prefactor": math.log(prefactor),
     }
     with open(out_dir / "tail_summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        _dump_json(summary, fh)
     _log(f"wrote tail.csv, tail_summary.json to {out_dir}")
     return 0
 

@@ -8,10 +8,11 @@ never decreases either objective.  So ``convex_hull`` and ``uniform_hulls``
 (for the points of many trials given by their sampling uniforms) drop
 provably interior points with one circle test, whose far points' hull is
 most often the hull itself (``_far_count``: ``3 sqrt(N)`` far points below
-10 000, ``2 sqrt(N)`` from there).  ``convex_hull`` builds its hulls with
-the monotone chain; ``uniform_hulls`` runs the test for a whole batch of
-trials at once, with one reflex-vertex elimination on the chain's
-``(x, y)`` order (``_monotone_rings``) for all their far sets.
+10 000, ``2 sqrt(N)`` from there).  Both build their hulls with
+``_hulls``, one reflex-vertex elimination on the monotone chain's
+``(x, y)`` order (``_monotone_rings``) for many point sets at once;
+``uniform_hulls`` runs the test for a whole batch of trials at once.  The
+monotone chain itself (``_monotone_chain``) builds only the oracle's hulls.
 ``max_kgon`` runs a max-plus program over the ``h`` hull vertices: a pass
 through one vertex in ``O(h^2 k)``, then a bisection over the anchors of
 one arc, ``O(h^2 / k)`` when the chains of neighbouring anchors spread
@@ -37,8 +38,6 @@ import numpy as np
 from .sampler import BetaParams, check_vertex_count, points_from_uniforms
 from .sampler import radius_uniform_floor, select_uniforms
 
-# Below this size convex_hull's circle test costs more than it saves.
-_CIRCLE_MIN_POINTS = 128
 _CIRCLE_MARGIN = 1e-9  # relative slack on the radius of _inscribed_radii
 # Most hull vertices max_kgon takes: its rooted pass costs O(h^2 k) time.
 _MAX_HULL = 4096
@@ -137,10 +136,12 @@ def _inscribed_radii(rings: np.ndarray, nxt: np.ndarray, first: np.ndarray, cent
 
 
 def _monotone_chain(pts: np.ndarray) -> list[int]:
-    """CCW hull of lexicographically pre-deduplicated points; returns positions.
+    """Andrew's monotone chain: CCW hull positions of ``pts``, from the lexicographic minimum.
 
-    Strict cross-product test: collinear points are dropped, so the output is
-    strictly convex whenever it has 3 or more vertices.
+    Later copies of equal points are left out.  Strict cross-product test:
+    collinear points are dropped, so the output is strictly convex whenever
+    it has 3 or more vertices.  It builds the oracle's subset hulls, so that
+    ``umax_bruteforce`` shares no hull routine with ``umax``.
     """
     order = np.lexsort((pts[:, 1], pts[:, 0]))
     sp = pts[order]
@@ -179,37 +180,31 @@ def convex_hull(points) -> PolygonChain:
     Returns a degenerate chain of 1 or 2 indices when the input has fewer
     than 3 distinct extreme points.  Ties in coordinates keep the smallest
     original index; the chain is rotated so its smallest index comes first.
-    From ``_CIRCLE_MIN_POINTS`` points on, a circle test about the
-    bounding-box midpoint ``c`` drops interior points first: the
-    ``_far_count`` points farthest from ``c`` form the far set, and the disk
-    of ``_inscribed_radii`` about ``c`` (none below 3 vertices) lies inside
-    their hull.  If no other point reaches that radius, the far set holds
+    A circle test about the bounding-box midpoint ``c`` drops interior
+    points first: the ``_far_count`` points farthest from ``c`` (or all)
+    form the far set, and the disk of ``_inscribed_radii`` about ``c``
+    (none below 3 vertices) lies inside their ``_hulls`` hull, the trials'
+    elimination.  If no other point reaches that radius, the far set holds
     every possible vertex and every copy of one, so its hull is the hull;
-    otherwise the chain runs again on the points that reach it.
+    otherwise ``_hulls`` runs again on the points that reach it.
     """
     return _convex_hull(as_points_array(points))
 
 
 def _convex_hull(pts: np.ndarray) -> PolygonChain:
     """``convex_hull`` of the checked array ``pts``."""
-    if len(pts) < _CIRCLE_MIN_POINTS:
-        return PolygonChain(tuple(_rotate_min_first(_monotone_chain(pts))))
     x, y = pts[:, 0], pts[:, 1]
     c = np.array([0.5 * x.min() + 0.5 * x.max(), 0.5 * y.min() + 0.5 * y.max()])
     dist = (x - c[0]) ** 2
     dist += (y - c[1]) ** 2
     np.sqrt(dist, out=dist)
-    kth = len(dist) - _far_count(len(dist))
+    kth = max(0, len(dist) - _far_count(len(dist)))
     far = np.partition(dist, kth)[kth]
     keep = np.flatnonzero(dist >= far)
-    ring = _monotone_chain(pts[keep])
-    radius = 0.0
-    if len(ring) >= 3:
-        nxt = np.roll(np.arange(len(ring)), -1)
-        radius = _inscribed_radii(pts[keep[ring]], nxt, np.zeros(1, dtype=np.intp), c)[0]
-    if radius < far:
+    (ring,), (radius,) = _hulls(pts[keep], [len(keep)], c)
+    if radius < far and len(keep) < len(pts):
         keep = np.flatnonzero(dist >= radius)
-        ring = _monotone_chain(pts[keep])
+        (ring,), _ = _hulls(pts[keep], [len(keep)], c)
     return PolygonChain(tuple(_rotate_min_first([int(keep[i]) for i in ring])))
 
 
@@ -225,7 +220,7 @@ def uniform_hulls(
     circle test runs about the origin on the radius uniforms:
 
     1. Each trial reads its far set, the points with ``u >= 1 -
-       _far_count(N) / N`` (every point below ``_CIRCLE_MIN_POINTS``), a
+       _far_count(N) / N`` (every point when that is not positive), a
        threshold known before any chunk is read.
     2. ``_far_hulls`` gives all far sets coordinates, in one
        ``points_from_uniforms`` call, and their hulls and inscribed radii.
@@ -243,11 +238,11 @@ def uniform_hulls(
     those indices bit for bit (the map is elementwise), and their hull as
     positions into the kept points, rotated to start at the smallest.
     Mapped through the kept indices, that hull is ``convex_hull`` of the
-    whole sample, the monotone chain's hull, except on near-collinear or
-    near-coincident triples, where the two can round a cross product
-    differently (see ``_monotone_rings``).
+    whole sample: both run ``_hulls``.  It is the monotone chain's hull
+    except on near-collinear or near-coincident triples, where the two can
+    round a cross product differently (see ``_monotone_rings``).
     """
-    far_floor = 1.0 - _far_count(N) / N if N >= _CIRCLE_MIN_POINTS else -math.inf
+    far_floor = 1.0 - _far_count(N) / N
     hulls = _far_hulls(params, [select_uniforms(chunks(), far_floor) for chunks in sources])
     floors = [radius_uniform_floor(params, radius) for *_, radius in hulls]
     short = [t for t, floor in enumerate(floors) if floor < far_floor]
@@ -262,29 +257,38 @@ def _far_hulls(params: BetaParams, picks) -> list[tuple[np.ndarray, np.ndarray, 
 
     The picks are ``select_uniforms`` results.  One ``points_from_uniforms``
     call maps them all (it is elementwise, so each row is the same double as
-    for its pick alone).  Each pick is sorted by ``(x, y)``, ties by index,
-    the monotone chain's order, which is exact on the computed doubles.
-    Points equal to the one before them are its copies of larger index and
-    are left out, as the chain leaves them out; the hull is
-    ``_monotone_rings`` of the rest.
-
-    Returns ``(keep, points, ring, radius)`` per pick: ``ring`` holds
-    positions into the pick's points, counterclockwise from the
-    lexicographically smallest, and ``radius`` is ``_inscribed_radii`` of
-    the ring about the origin, 0.0 below 3 vertices.
+    for its pick alone), and one ``_hulls`` call about the origin gives the
+    ``ring`` and ``radius`` of each pick's ``(keep, points, ring, radius)``.
     """
     if not picks:
         return []
-    counts = np.array([len(keep) for keep, _, _ in picks])
+    keeps, angle_u, radius_u = zip(*picks)
+    pts = points_from_uniforms(params, np.concatenate(angle_u), np.concatenate(radius_u))
+    counts = [len(keep) for keep in keeps]
+    return list(zip(keeps, np.split(pts, np.cumsum(counts)[:-1]), *_hulls(pts, counts, 0.0)))
+
+
+def _hulls(xy: np.ndarray, counts, centre) -> tuple[list[list[int]], list[float]]:
+    """Hull and inscribed radius of each point set, set ``b`` the next ``counts[b]`` rows of ``xy``.
+
+    ``xy`` is a C-contiguous ``(n, 2)`` float array.  Each set is sorted by
+    ``(x, y)``, ties by index, the monotone chain's order, which is exact on
+    the computed doubles.  Points equal to the one before them are its
+    copies of larger index and are left out, as the chain leaves them out;
+    the hull is ``_monotone_rings`` of the rest.  ``centre`` is the circle
+    test's and enters only the radii; the hulls do not depend on it.
+
+    Returns each set's ring, positions into the set counterclockwise from
+    its lexicographically smallest point, and each ring's
+    ``_inscribed_radii`` about ``centre``, 0.0 below 3 vertices.
+    """
+    counts = np.asarray(counts)
     bounds = np.concatenate(([0], np.cumsum(counts)))
-    pts = points_from_uniforms(
-        params, np.concatenate([a for _, a, _ in picks]), np.concatenate([u for _, _, u in picks])
-    )
-    # A padded row of complex keys x + iy per pick: numpy sorts them by real
+    # A padded row of complex keys x + iy per set: numpy sorts them by real
     # part, then imaginary part, and a stable sort keeps index order on ties.
-    z = pts.view(complex)[:, 0]
-    trial = np.repeat(np.arange(len(picks)), counts)
-    keys = np.full((len(picks), counts.max()), np.inf, dtype=complex)
+    z = xy.view(complex)[:, 0]
+    trial = np.repeat(np.arange(len(counts)), counts)
+    keys = np.full((len(counts), counts.max()), np.inf, dtype=complex)
     keys[trial, np.arange(len(trial)) - bounds[trial]] = z
     rows = np.argsort(keys, axis=1, kind="stable") + bounds[:-1, None]
     order = rows[np.arange(keys.shape[1]) < counts[:, None]]
@@ -292,15 +296,11 @@ def _far_hulls(params: BetaParams, picks) -> list[tuple[np.ndarray, np.ndarray, 
     fresh = np.ones(len(order), dtype=bool)
     fresh[1:] = (z[1:] != z[:-1]) | (trial[1:] != trial[:-1])
     order = order[fresh]
-    hulls, sizes, radii = _monotone_rings(pts[order], trial[fresh], len(picks))
+    hulls, sizes, radii = _monotone_rings(xy[order], trial[fresh], len(counts), centre)
     hulls = order[hulls]
     ring = (hulls - bounds[trial[hulls]]).tolist()
     cuts = np.concatenate(([0], np.cumsum(sizes))).tolist()
-    bounds = bounds.tolist()
-    return [
-        (keep, pts[bounds[b] : bounds[b + 1]], ring[cuts[b] : cuts[b + 1]], radii[b])
-        for b, (keep, _, _) in enumerate(picks)
-    ]
+    return [ring[cuts[b] : cuts[b + 1]] for b in range(len(counts))], radii
 
 
 def _runs(trial: np.ndarray):
@@ -313,7 +313,7 @@ def _runs(trial: np.ndarray):
     return first, last, nxt, prv
 
 
-def _monotone_rings(xy: np.ndarray, trial: np.ndarray, trials: int):
+def _monotone_rings(xy: np.ndarray, trial: np.ndarray, trials: int, centre):
     """Hulls of many point sets at once, by reflex-vertex elimination on x-monotone polygons.
 
     ``xy`` holds the distinct points of ``trials`` sets, set ``trial[i]``'s
@@ -342,12 +342,10 @@ def _monotone_rings(xy: np.ndarray, trial: np.ndarray, trials: int):
     surviving neighbours, as in the chain: the hull is ``_monotone_chain``'s
     except on near-collinear or near-coincident triples.  Deleting a whole
     run at once would test each vertex against a neighbour deleted with it.
-    No point needs to lie inside the hull; only the circle test uses the
-    origin.
 
     Returns the rows of every hull, each counterclockwise from ``L``, set
     after set; each hull's size (0 for an empty set); and each hull's
-    ``_inscribed_radii`` about the origin (0.0 below 3 vertices).
+    ``_inscribed_radii`` about ``centre`` (0.0 below 3 vertices).
     """
     first, last, nxt, prv = _runs(trial)
     run = np.repeat(np.arange(len(first)), last - first + 1)
@@ -387,7 +385,7 @@ def _monotone_rings(xy: np.ndarray, trial: np.ndarray, trials: int):
     radii = np.zeros(trials)
     wide = kept[sizes[trial[kept]] >= 3]
     first, _, nxt, _ = _runs(trial[wide])
-    radii[trial[wide[first]]] = _inscribed_radii(ring[wide], nxt, first, 0.0)
+    radii[trial[wide[first]]] = _inscribed_radii(ring[wide], nxt, first, centre)
     return rows[kept], sizes, radii.tolist()
 
 
@@ -653,8 +651,8 @@ def max_kgons(cases, k: int, objective: Objective) -> list[UMaxResult]:
     stays within ``_DP_BLOCK``; a larger hull stands alone.  A stack makes
     one rooted ``_max_plus`` pass for all its hulls, and one call per level
     of the second pass, with a row per node of every hull, so small hulls
-    share the fixed cost of each numpy call, and large ones add no DP state
-    to each other's.  Hull ``b``'s position ``p`` is ``p + b w`` in
+    share the fixed cost of each numpy call, and large ones do not pad each
+    other's rows with work.  Hull ``b``'s position ``p`` is ``p + b w`` in
     one coordinate row per hull, ``w = 2 max(h) + 1``; each layer is padded
     after its hull's last position with ``b w + w - 1``, above every real
     position, whose edges are all ``-inf``.  So every real cell sums the
@@ -860,7 +858,8 @@ def umax_bruteforce(points, n: int, objective: Objective) -> UMaxResult:
 
     Guarded to C(N, n) <= 10^6.  Used to validate :func:`umax`; the two must
     agree because every subset's hull uses only extreme points of the full
-    hull and larger subsets never score lower.
+    hull and larger subsets never score lower.  Each subset's hull is
+    ``_monotone_chain``'s, not ``convex_hull``'s elimination.
     """
     from itertools import combinations
 
@@ -875,8 +874,7 @@ def umax_bruteforce(points, n: int, objective: Objective) -> UMaxResult:
 
     best: UMaxResult | None = None
     for combo in combinations(range(len(pts)), n):
-        local = convex_hull(pts[list(combo)])
-        cycle = _rotate_min_first(tuple(combo[i] for i in local.vertex_indices))
+        cycle = _rotate_min_first(tuple(combo[i] for i in _monotone_chain(pts[list(combo)])))
         value = _measure(pts, cycle, objective)
         if best is None or value > best.value or (
             value == best.value and cycle < best.vertex_indices

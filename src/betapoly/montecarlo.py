@@ -7,7 +7,7 @@ Four probes, all pure functions of their configuration (seeds included):
   job is a batch of consecutive trials of one ``N`` (``_BATCH_POINTS``
   points in all, or one trial above that) that makes one ``uniform_hulls``
   call, which reads each trial's stream and builds all their hulls at
-  once, and one stacked ``max_kgons`` call.  Jobs run on a process pool
+  once, and one stacked ``_max_kgons`` call.  Jobs run on a process pool
   (``_map``) and records are always aggregated in (N, trial) order, so the
   output is byte-stable under any worker count and batch size.
 * ``ks_distance`` / ``fit_shape``: compare the empirical law of ``T`` against
@@ -35,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import Objective, hull_functional, max_kgons, threshold_radius, uniform_hulls
+from .geometry import Objective, _max_kgons, hull_functional, threshold_radius, uniform_hulls
 from .kernels import KernelSpec, analytic_I
 from .limits import LimitLaw, compute_K, extremal_value, law_for, shape_C, weibull_cdf
 from .sampler import (
@@ -57,7 +57,7 @@ CONSISTENCY_DELTA = 0.01
 # changing it changes the hits.
 _TAIL_CHUNK = 250_000
 # Most points a run_trials job draws in all: a job is a batch of
-# max(1, _BATCH_POINTS // N) trials, whose hulls share one max_kgons call.
+# max(1, _BATCH_POINTS // N) trials, whose hulls share one _max_kgons call.
 # Any value gives the same records.
 _BATCH_POINTS = 1 << 16
 # Most tuples a tail_probe job scores at once.  Bounds memory (and keeps the
@@ -113,7 +113,7 @@ class TrialRecord:
 
     ``wall_time`` is an equal share of its batch's time, the
     ``uniform_hulls`` call that reads every trial's stream and the
-    ``max_kgons`` call, so the records of a run sum to its compute time.
+    ``_max_kgons`` call, so the records of a run sum to its compute time.
     It is the only field that varies between runs.
     """
 
@@ -197,11 +197,12 @@ def _run_batch(job) -> list[TrialRecord]:
     ``O(_CHUNK)`` uniforms and the ``O(sqrt N)`` points its circle test
     keeps (more where ``beta`` nears -1), not ``N``.  ``uniform_hulls``
     gives coordinates only to those points, which are that array's rows bit
-    for bit, and its hulls are ``convex_hull``'s but on near-collinear or
-    near-coincident triples; ``max_kgons`` finds each hull's cycle as
-    ``max_kgon`` does.  So where the hulls agree (every seeded trial of
-    ``benchmarks/hull_agreement.txt``), ``H`` and ``hull_size`` equal those
-    of ``sample_batch -> convex_hull -> max_kgon`` bit for bit, whatever the batch.
+    for bit, and builds its hulls with ``convex_hull``'s routine; the
+    unchecked ``_max_kgons`` (the points are finite by construction) finds
+    each hull's cycle as ``max_kgon`` does.  So where the hulls agree
+    (every sample of ``benchmarks/hull_agreement.txt``), ``H`` and
+    ``hull_size`` equal those of ``sample_batch -> convex_hull -> max_kgon``
+    bit for bit, whatever the batch.
     """
     from functools import partial
 
@@ -210,7 +211,7 @@ def _run_batch(job) -> list[TrialRecord]:
     start = time.perf_counter()
     sources = [partial(uniform_chunks, policy, t, N) for t in range(first, first + count)]
     cases = [(hull, points) for _, points, hull in uniform_hulls(params, N, sources)]
-    results = max_kgons(cases, n, objective)
+    results = _max_kgons(cases, n, objective)
     share = (time.perf_counter() - start) / count
     return [
         TrialRecord(

@@ -29,6 +29,7 @@ from betapoly.geometry import (
     uniform_hulls,
 )
 from betapoly.limits import extremal_value
+from betapoly.montecarlo import SimConfig, run_trials
 from betapoly.sampler import (
     BetaParams,
     SeedPolicy,
@@ -101,17 +102,40 @@ def _regular(h: int) -> np.ndarray:
 
 
 def _assert_convex_hull_exact(pts):
-    """The circle-filtered hull equals the monotone chain run on every point."""
+    """The circle-filtered elimination equals the monotone chain run on every point."""
     assert convex_hull(pts).vertex_indices == tuple(_rotate_min_first(_monotone_chain(pts)))
 
 
 def _convex_hull_kept(monkeypatch, pts):
-    """How many points ``convex_hull(pts)``'s circle test keeps: the size of its last chain."""
-    return _chain_sizes(monkeypatch, lambda: convex_hull(pts))[-1]
+    """How many points ``convex_hull(pts)``'s circle test keeps: the size of its last hull's set."""
+    return _convex_hull_sets(monkeypatch, lambda: convex_hull(pts))[-1]
+
+
+def _convex_hull_sets(monkeypatch, run):
+    """Sizes of the point sets that the ``convex_hull`` calls of ``run()`` hand ``_hulls``.
+
+    Only ``convex_hull``'s calls count, not those of ``uniform_hulls``.
+    """
+    sizes = []
+    hulls, hull = geometry._hulls, geometry._convex_hull
+
+    def counting(xy, counts, centre):
+        sizes.extend(counts)
+        return hulls(xy, counts, centre)
+
+    def hooked(pts):
+        with monkeypatch.context() as m:
+            m.setattr(geometry, "_hulls", counting)
+            return hull(pts)
+
+    with monkeypatch.context() as m:
+        m.setattr(geometry, "_convex_hull", hooked)
+        run()
+    return sizes
 
 
 def _chain_sizes(monkeypatch, run):
-    """Sizes of the point sets of the monotone chains that ``run()`` calls."""
+    """Sizes of the point sets of the monotone chains that ``run()`` calls in ``geometry``."""
     sizes = []
     chain = geometry._monotone_chain
 
@@ -160,8 +184,8 @@ def _assert_uniform_hull_exact(params, angle_u, radius_u, size=None):
 
 
 def test_convex_hull_prefilter_agrees_with_direct_chain(monkeypatch):
-    # 130 points exercises the circle filter; the monotone chain run on the
-    # whole set must give the identical hull.
+    # At 130 points the circle filter keeps fewer points; the monotone chain
+    # run on the whole set must give the identical hull.
     pts = sample_batch(BetaParams(-0.5), 130, SeedPolicy(17), 0)
     assert _convex_hull_kept(monkeypatch, pts) < len(pts)
     _assert_convex_hull_exact(pts)
@@ -184,7 +208,7 @@ def test_uniform_hull_chains_the_far_set_alone_when_it_holds_every_vertex(monkey
 @pytest.mark.parametrize("N, chains", [(4000, 1), (1000, 2)])
 def test_convex_hull_chains_the_far_set_alone_when_it_holds_every_vertex(monkeypatch, N, chains):
     pts = sample_batch(BetaParams(0.0), N, SeedPolicy(42), 0)
-    sizes = _chain_sizes(monkeypatch, lambda: _assert_convex_hull_exact(pts))
+    sizes = _convex_hull_sets(monkeypatch, lambda: _assert_convex_hull_exact(pts))
     assert len(sizes) == chains and sizes[0] == _far_count(N) and sizes == sorted(sizes)
 
 
@@ -214,20 +238,21 @@ def test_prefilter_exact_off_centre_and_rescaled(monkeypatch, shift, scale):
 def test_prefilter_exact_on_cocircular_polygon_with_interior_points():
     ring = _regular(256)
     inner = sample_batch(BetaParams(0.0), 400, SeedPolicy(31), 0) * 0.9
-    for pts in (np.vstack([ring, inner]), np.vstack([inner, ring]), np.vstack([inner, ring]) + 5.0):
+    clouds = (np.vstack([ring, inner]), np.vstack([inner, ring]), np.vstack([inner, ring]) + 5.0)
+    for pts in clouds + (np.asfortranarray(clouds[1]),):  # any memory layout
         _assert_convex_hull_exact(pts)
         assert len(convex_hull(pts).vertex_indices) == 256
 
 
 def test_prefilter_keeps_smallest_index_of_duplicated_extremes(monkeypatch):
     # Copies of every (every 8th) hull vertex after the originals and of
-    # every 2nd (16th) before them: the chain runs twice at 500 points, and
-    # once, on the far set alone, at 20 000.
+    # every 2nd (16th) before them: convex_hull builds two hulls at 500
+    # points, and one, of the far set alone, at 20 000.
     for N, step, chains in ((500, 1, 2), (20_000, 8, 1)):
         pts = sample_batch(BetaParams(0.0), N, SeedPolicy(37), 0)
         hull = list(convex_hull(pts).vertex_indices)
         dup = np.vstack([pts[hull[:: 2 * step]], pts, pts[hull[::step]]])
-        assert len(_chain_sizes(monkeypatch, lambda: _assert_convex_hull_exact(dup))) == chains
+        assert len(_convex_hull_sets(monkeypatch, lambda: _assert_convex_hull_exact(dup))) == chains
         for i in convex_hull(dup).vertex_indices:
             same = np.flatnonzero(np.all(dup == dup[i], axis=1))
             assert i == same.min() and (len(same) >= 2 or step > 1)
@@ -346,13 +371,15 @@ def test_uniform_hulls_equal_convex_hull_on_near_duplicate_clouds():
         r[j] = rng.random(k) ** 0.05
         keep, _, hull = uniform_hulls(params, N, [helpers.chunked(a, r)])[0]
         pts = points_from_uniforms(params, a, r)
-        assert tuple(int(keep[v]) for v in hull.vertex_indices) == convex_hull(pts).vertex_indices
+        mapped = tuple(int(keep[v]) for v in hull.vertex_indices)
+        assert mapped == convex_hull(pts).vertex_indices
+        assert mapped == tuple(_rotate_min_first(_monotone_chain(pts)))
 
 
 def test_uniform_hull_of_a_ray_matches_convex_hull_in_few_passes(monkeypatch):
-    # 10^5 points at one angle: rounding may keep other vertices than the
-    # chain's, but not other values, and halving each run of bent vertices
-    # bounds the passes.
+    # 10^5 points at one angle: both entry points keep the same vertices;
+    # rounding may keep other vertices than the monotone chain's, but not
+    # other values; and halving each run of bent vertices bounds the passes.
     params, N = BetaParams(0.0), 100_000
     a, r = np.full(N, 0.125), np.random.default_rng(3).random(N)
     calls = []
@@ -368,7 +395,8 @@ def test_uniform_hull_of_a_ray_matches_convex_hull_in_few_passes(monkeypatch):
     assert len(calls) <= 64
     pts = points_from_uniforms(params, a, r)
     ray = PolygonChain(tuple(int(keep[i]) for i in hull.vertex_indices))
-    chain = convex_hull(pts)
+    assert ray == convex_hull(pts)
+    chain = PolygonChain(tuple(_rotate_min_first(_monotone_chain(pts))))
     perimeter = polygon_perimeter(chain, pts)
     assert polygon_perimeter(ray, pts) == pytest.approx(perimeter, rel=1e-12, abs=0.0)
     assert abs(polygon_area(ray, pts)) < 1e-12 and abs(polygon_area(chain, pts)) < 1e-12
@@ -418,6 +446,7 @@ def test_uniform_hull_equals_convex_hull_of_the_whole_cloud(batch, chunk):
         assert np.array_equal(kept_pts, pts[keep])
         mapped = tuple(int(keep[i]) for i in hull.vertex_indices)
         assert mapped == convex_hull(pts).vertex_indices
+        assert mapped == tuple(_rotate_min_first(_monotone_chain(pts)))
         assert np.array_equal(hulls[0], keep) and np.array_equal(hulls[1], kept_pts)
         assert hulls[2] == hull
 
@@ -454,6 +483,25 @@ def test_uniform_hull_keeps_the_smallest_copy_next_to_a_chunk_boundary():
     assert v in keep and v + 1 in keep
     keep, _, hull = uniform_hulls(params, 2_001, [helpers.chunked(*dup, v + 1)])[0]
     assert v in keep[list(hull.vertex_indices)] and v + 1 not in keep[list(hull.vertex_indices)]
+
+
+def test_the_oracle_shares_no_hull_routine_with_umax(monkeypatch):
+    # The oracle builds its subset hulls with the monotone chain alone, and
+    # convex_hull, umax and the trials with the elimination alone.
+    pts = sample_batch(BetaParams(0.0), 300, SeedPolicy(5), 0)
+
+    def broken(*args):
+        raise AssertionError("this hull routine must not run")
+
+    with monkeypatch.context() as m:
+        m.setattr(geometry, "_monotone_rings", broken)
+        umax_bruteforce(pts[:12], 4, Objective.AREA)
+    with monkeypatch.context() as m:
+        m.setattr(geometry, "_monotone_chain", broken)
+        convex_hull(pts)
+        umax(pts, 3, Objective.PERIMETER)
+        uniform_hulls(BetaParams(0.0), 300, [helpers.chunked(*_stream_blocks(5, 0, 300))])
+        run_trials(SimConfig(Objective.AREA, 3, 0.0, (40, 300), 2, master_seed=5), threads=1)
 
 
 def test_prefilter_falls_back_on_collinear_cloud(monkeypatch):
@@ -569,8 +617,11 @@ def test_max_kgon_and_the_oracle_check_their_points_once(monkeypatch):
     for objective in Objective:
         sizes.clear()
         umax_bruteforce(cloud, 4, objective)
-        # One check of the cloud; each subset's own is convex_hull's.
-        assert sizes.count(9) == 1 and sizes.count(4) == math.comb(9, 4) == len(sizes) - 1
+        assert sizes == [9]  # the subsets' hulls are the chain's, on the checked cloud
+    # A trial's points come from points_from_uniforms, finite by construction.
+    sizes.clear()
+    run_trials(SimConfig(Objective.PERIMETER, 3, 0.0, (250, 1000), 3, master_seed=5), threads=1)
+    assert sizes == []
 
 
 def _hull_tuples(n: int) -> np.ndarray:
@@ -704,7 +755,9 @@ def test_max_kgon_memory_stays_below_a_weight_table(objective):
     # DP layers of (h / 3)^2 cells for all of them.  A batch
     # of a 2000-gon and a 1500-gon keeps the bound: stacked at k = 12, where
     # a step's columns are cut for both hulls, and one hull at a time at
-    # k = 3, where stacking would hold two sets of layers.
+    # k = 3.  Stacked there, they would peak about as high (10.5 and 8.7
+    # MiB against 10.0 and 8.2), but pad the 1500-gon's rows to the
+    # 2000-gon's and take 15-30% longer.
     h = 2000
     hull = PolygonChain(tuple(range(h)))
     for k in (3, 12):

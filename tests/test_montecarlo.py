@@ -17,6 +17,8 @@ import helpers
 from betapoly import montecarlo, sampler
 from betapoly.geometry import (
     Objective,
+    _monotone_chain,
+    _rotate_min_first,
     convex_hull,
     hull_functional,
     max_kgon,
@@ -241,7 +243,8 @@ def test_trials_match_bruteforce_oracle():
 def test_trials_equal_the_full_sample_path(objective, beta):
     # A trial gives coordinates only to the points its radius filter keeps;
     # their hull, H and the hull size must still be those of the whole
-    # sample, bit for bit.  N = 127 / 128 straddle the filter's minimum size.
+    # sample, bit for bit, and the monotone chain's.  N = 127 / 128 have far
+    # sets of a quarter of their points.
     # At beta = -0.9 one trial per N: its N = 4000 hull has ~1250 vertices
     # (~1 s per max_kgon), and its N = 10^5 hull ~18 000, beyond max_kgon's
     # limit, so there both paths must raise.
@@ -258,6 +261,7 @@ def test_trials_equal_the_full_sample_path(objective, beta):
             assert np.array_equal(cand, pts[keep])
             kept_hull = tuple(int(keep[i]) for i in cand_hull.vertex_indices)
             assert kept_hull == hull.vertex_indices
+            assert kept_hull == tuple(_rotate_min_first(_monotone_chain(pts)))
             if N >= 4000 and beta >= 0.0:  # near beta = -1 most points are near the circle
                 assert len(keep) < N // 4
             hulls[N, t] = (hull, pts)
