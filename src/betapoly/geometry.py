@@ -271,7 +271,7 @@ def _far_hulls(params: BetaParams, picks) -> list[tuple[np.ndarray, np.ndarray, 
 def _hulls(xy: np.ndarray, counts, centre) -> tuple[list[list[int]], list[float]]:
     """Hull and inscribed radius of each point set, set ``b`` the next ``counts[b]`` rows of ``xy``.
 
-    ``xy`` is a C-contiguous ``(n, 2)`` float array.  Each set is sorted by
+    ``xy`` is an ``(n, 2)`` float array.  Each set is sorted by
     ``(x, y)``, ties by index, the monotone chain's order, which is exact on
     the computed doubles.  Points equal to the one before them are its
     copies of larger index and are left out, as the chain leaves them out;
@@ -284,9 +284,10 @@ def _hulls(xy: np.ndarray, counts, centre) -> tuple[list[list[int]], list[float]
     """
     counts = np.asarray(counts)
     bounds = np.concatenate(([0], np.cumsum(counts)))
-    # A padded row of complex keys x + iy per set: numpy sorts them by real
-    # part, then imaginary part, and a stable sort keeps index order on ties.
-    z = xy.view(complex)[:, 0]
+    # A padded row of complex keys x + iy per set, a view of the rows in C
+    # order: numpy sorts them by real part, then imaginary part, and a
+    # stable sort keeps index order on ties.
+    z = np.ascontiguousarray(xy).view(complex)[:, 0]
     trial = np.repeat(np.arange(len(counts)), counts)
     keys = np.full((len(counts), counts.max()), np.inf, dtype=complex)
     keys[trial, np.arange(len(trial)) - bounds[trial]] = z

@@ -1,6 +1,7 @@
 """Shared test helpers: oracles, a draw counter and a chunk cutter.
 
-The oracles are a high-precision gamma evaluation and generic bisection.
+The oracles are a high-precision gamma evaluation, generic bisection and
+the monotone chain's hull, which no production hull runs.
 """
 
 from __future__ import annotations
@@ -9,7 +10,9 @@ from collections import defaultdict
 from types import SimpleNamespace
 
 import mpmath as mp
+import numpy as np
 
+from betapoly.geometry import PolygonChain, _monotone_chain, _rotate_min_first
 from betapoly.sampler import SeedPolicy
 
 
@@ -28,6 +31,11 @@ def oracle_K(n: int, beta: float, dps: int = 50) -> float:
             * mp.gamma((b + mp.mpf(3) / 2) * n + mp.mpf(1) / 2)
         )
         return float(num / den)
+
+
+def chain_hull(pts: np.ndarray) -> PolygonChain:
+    """``pts``' hull by Andrew's monotone chain, in ``convex_hull``'s vertex order."""
+    return PolygonChain(tuple(_rotate_min_first(_monotone_chain(pts))))
 
 
 def bisect_inverse(f, target: float, lo: float, hi: float, iters: int = 200) -> float:

@@ -242,6 +242,11 @@ def test_prefilter_exact_on_cocircular_polygon_with_interior_points():
     for pts in clouds + (np.asfortranarray(clouds[1]),):  # any memory layout
         _assert_convex_hull_exact(pts)
         assert len(convex_hull(pts).vertex_indices) == 256
+    # The shared hull stage takes any layout: Fortran order, a strided view.
+    pts = clouds[1]
+    expected = geometry._hulls(pts, [len(pts)], (0.0, 0.0))
+    for layout in (np.asfortranarray(pts), np.hstack([pts, pts])[:, :2]):
+        assert geometry._hulls(layout, [len(pts)], (0.0, 0.0)) == expected
 
 
 def test_prefilter_keeps_smallest_index_of_duplicated_extremes(monkeypatch):
@@ -396,7 +401,7 @@ def test_uniform_hull_of_a_ray_matches_convex_hull_in_few_passes(monkeypatch):
     pts = points_from_uniforms(params, a, r)
     ray = PolygonChain(tuple(int(keep[i]) for i in hull.vertex_indices))
     assert ray == convex_hull(pts)
-    chain = PolygonChain(tuple(_rotate_min_first(_monotone_chain(pts))))
+    chain = helpers.chain_hull(pts)
     perimeter = polygon_perimeter(chain, pts)
     assert polygon_perimeter(ray, pts) == pytest.approx(perimeter, rel=1e-12, abs=0.0)
     assert abs(polygon_area(ray, pts)) < 1e-12 and abs(polygon_area(chain, pts)) < 1e-12
@@ -641,7 +646,7 @@ def _hull_tuples(n: int) -> np.ndarray:
 def test_hull_functional_matches_convex_hull(n, objective):
     tuples = _hull_tuples(n)
     measure = polygon_perimeter if objective is Objective.PERIMETER else polygon_area
-    ref = np.array([measure(convex_hull(t), t) for t in tuples])
+    ref = np.array([measure(helpers.chain_hull(t), t) for t in tuples])
     np.testing.assert_allclose(hull_functional(tuples, objective), ref, rtol=1e-12, atol=0.0)
 
 

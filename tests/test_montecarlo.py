@@ -169,6 +169,7 @@ def _assert_trial_touches_few_points(monkeypatch, N):
     assert sum(draws) in (2 * N, 4 * N)  # one pass, or a replay
     assert len(log.generators) == sum(draws) // N  # two generators a pass
     assert record.H == max_kgon(convex_hull(pts), pts, 3, Objective.PERIMETER).value
+    assert record.H == max_kgon(helpers.chain_hull(pts), pts, 3, Objective.PERIMETER).value
 
 
 def test_a_trial_gives_radii_and_coordinates_to_few_points(monkeypatch):
@@ -238,6 +239,20 @@ def test_trials_match_bruteforce_oracle():
         assert umax_bruteforce(pts, cfg.n, cfg.objective).value == r.H
 
 
+def test_trials_match_the_oracle_on_the_chain_hull():
+    # The sim-accept workload's first two trials at each N, checked as
+    # perfbench's gate checks them, but on the monotone chain's hull, which
+    # no trial runs: hull_size is the chain's vertex count and H the brute
+    # force over the chain's vertices.  The gate takes its hull from
+    # convex_hull, the trials' own elimination.
+    cfg = _small_config(N_list=(250, 1_000, 4_000), trials=2, master_seed=42)
+    for r in run_trials(cfg, threads=1):
+        pts = sample_batch(BetaParams(cfg.beta), r.N, SeedPolicy(cfg.master_seed), r.trial_index)
+        hull = sorted(helpers.chain_hull(pts).vertex_indices)
+        assert r.hull_size == len(hull)
+        assert r.H == umax_bruteforce(pts[hull], cfg.n, cfg.objective).value
+
+
 @pytest.mark.parametrize("objective", list(Objective))
 @pytest.mark.parametrize("beta", [-0.9, 0.0, 2.0])
 def test_trials_equal_the_full_sample_path(objective, beta):
@@ -286,9 +301,9 @@ def test_chunked_trials_equal_the_full_sample_path(monkeypatch, chunk):
         cfg = _small_config(beta=beta, N_list=Ns, trials=2)
         for r in run_trials(cfg, threads=1):
             pts = sample_batch(BetaParams(beta), r.N, SeedPolicy(cfg.master_seed), r.trial_index)
-            hull = convex_hull(pts)
-            assert max_kgon(hull, pts, cfg.n, cfg.objective).value == r.H
-            assert len(hull.vertex_indices) == r.hull_size
+            for hull in (convex_hull(pts), helpers.chain_hull(pts)):
+                assert max_kgon(hull, pts, cfg.n, cfg.objective).value == r.H
+                assert len(hull.vertex_indices) == r.hull_size
 
 
 def test_a_streamed_trial_replays_its_stream_when_the_far_set_falls_short(monkeypatch):
@@ -298,6 +313,8 @@ def test_a_streamed_trial_replays_its_stream_when_the_far_set_falls_short(monkey
     N = 1_000
     pts = sample_batch(BetaParams(0.0), N, SeedPolicy(5), 0)
     expected = max_kgon(convex_hull(pts), pts, 3, Objective.AREA)
+    chain = helpers.chain_hull(pts)
+    assert max_kgon(chain, pts, 3, Objective.AREA).value == expected.value
     monkeypatch.setattr(sampler, "_CHUNK", 97)
     log = helpers.count_draws(monkeypatch)
     law = law_for(Objective.AREA, 3, 0.0)
@@ -306,6 +323,7 @@ def test_a_streamed_trial_replays_its_stream_when_the_far_set_falls_short(monkey
     assert sum(draws) == 4 * N and max(draws) == 97
     assert log.generators == [(0, 0), (0, N)] * 2
     assert (record.H, record.hull_size) == (expected.value, len(convex_hull(pts).vertex_indices))
+    assert record.hull_size == len(chain.vertex_indices)
 
 
 def _in_process_pool(monkeypatch):
