@@ -40,7 +40,7 @@ import numpy as np
 
 from betapoly.geometry import PolygonChain, _monotone_chain, _rotate_min_first, convex_hull
 from betapoly.geometry import polygon_area, polygon_perimeter, uniform_hulls
-from betapoly.sampler import BetaParams, SeedPolicy, points_from_uniforms, uniform_chunks
+from betapoly.sampler import BetaParams, SeedPolicy, points_from_uniforms, select_uniforms
 
 CLOUDS = 16_385
 PAIR_CLOUDS = 2_000
@@ -80,12 +80,21 @@ def ulp_pair_clouds(count: int):
 
 
 def whole(a, r):
-    """A source that yields the uniforms as one chunk."""
-    return lambda: [(a, r)]
+    """The uniforms as a ``uniform_hulls`` selector of all their points.
+
+    ``select(floor)`` returns the indices of the points whose radius
+    uniform reaches ``floor`` and copies of their two uniforms.
+    """
+
+    def select(floor):
+        keep = np.flatnonzero(r >= floor)
+        return keep, a[keep], r[keep]
+
+    return select
 
 
 def gaps(params, samples):
-    """Counts and gaps of ``(N, sources)`` batches, as one table row.
+    """Counts and gaps of ``(N, selectors)`` batches, as one table row.
 
     ``(samples, entry points differ, uniform_hulls differs from the chain,
     convex_hull differs from the chain, largest relative perimeter gap,
@@ -95,10 +104,10 @@ def gaps(params, samples):
     seen = apart = 0
     differ = [0, 0]
     perimeter = area = 0.0
-    for N, sources in samples:
-        for chunks, (keep, _, hull) in zip(sources, uniform_hulls(params, N, sources)):
-            a, r = (np.concatenate(u) for u in zip(*chunks()))
-            pts = points_from_uniforms(params, a.copy(), r.copy())
+    for N, selectors in samples:
+        for select, (keep, _, hull) in zip(selectors, uniform_hulls(params, N, selectors)):
+            _, a, r = select(0.0)  # every point
+            pts = points_from_uniforms(params, a, r)
             got = (PolygonChain(tuple(int(keep[i]) for i in hull.vertex_indices)), convex_hull(pts))
             chain = PolygonChain(tuple(_rotate_min_first(_monotone_chain(pts))))
             seen += 1
@@ -126,7 +135,7 @@ def main() -> int:
     for beta in BETAS:
         batches = (
             (TRIAL_N, [
-                functools.partial(uniform_chunks, policy, t, TRIAL_N)
+                functools.partial(select_uniforms, policy, t, TRIAL_N)
                 for t in range(first, min(first + BATCH, TRIALS))
             ])
             for first in range(0, TRIALS, BATCH)

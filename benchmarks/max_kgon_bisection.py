@@ -22,12 +22,13 @@ The exit status is 1 when any cycle differs.
 
 from __future__ import annotations
 
+import functools
 import sys
 import time
 
 from betapoly import geometry
 from betapoly.geometry import Objective, convex_hull, max_kgon, max_kgons, uniform_hulls
-from betapoly.sampler import BetaParams, SeedPolicy, sample_batch, uniform_chunks
+from betapoly.sampler import BetaParams, SeedPolicy, sample_batch, select_uniforms
 
 # (beta, N) points; near beta = -1 most points are hull vertices, so N is smaller there.
 SINGLE = [(-0.99, N) for N in (300, 1_000, 2_000, 4_000)]
@@ -91,8 +92,9 @@ def single_hulls():
 def batch_hulls():
     policy = SeedPolicy(3)
     for beta, N in BATCH:
-        sources = [(lambda t=t: uniform_chunks(policy, t, N)) for t in range(BATCH_TRIALS)]
-        yield (beta, N), [(hull, pts) for _, pts, hull in uniform_hulls(BetaParams(beta), N, sources)]
+        selectors = [functools.partial(select_uniforms, policy, t, N) for t in range(BATCH_TRIALS)]
+        hulls = uniform_hulls(BetaParams(beta), N, selectors)
+        yield (beta, N), [(hull, pts) for _, pts, hull in hulls]
 
 
 def main() -> int:

@@ -35,8 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sampler import BetaParams, check_vertex_count, points_from_uniforms
-from .sampler import radius_uniform_floor, select_uniforms
+from .sampler import BetaParams, check_vertex_count, points_from_uniforms, radius_uniform_floor
 
 _CIRCLE_MARGIN = 1e-9  # relative slack on the radius of _inscribed_radii
 # Most hull vertices max_kgon takes: its rooted pass costs O(h^2 k) time.
@@ -209,29 +208,26 @@ def _convex_hull(pts: np.ndarray) -> PolygonChain:
 
 
 def uniform_hulls(
-    params: BetaParams, N: int, sources
+    params: BetaParams, N: int, selectors
 ) -> list[tuple[np.ndarray, np.ndarray, PolygonChain]]:
     """The hull of each trial's ``N`` points, the hull stage run once for all.
 
-    Each of ``sources`` is a trial's ``chunks``: ``chunks()`` returns a
-    fresh iterable of ``(angle, radius)`` uniform pairs of ``N`` points in
-    all, such as ``sampler.uniform_chunks`` yields, and ``select_uniforms``
-    reads it a chunk at a time.  A radius increases with its uniform, so the
-    circle test runs about the origin on the radius uniforms:
+    Each of ``selectors`` is a trial's ``select``: ``select(floor)`` returns
+    the indices (sorted) of the trial's points whose radius uniform is
+    ``>= floor``, and copies of their angle and radius uniforms.  A radius
+    increases with its uniform, so the circle test runs about the origin on
+    the radius uniforms:
 
-    1. Each trial reads its far set, the points with ``u >= 1 -
-       _far_count(N) / N`` (every point when that is not positive), a
-       threshold known before any chunk is read.
+    1. Each trial selects its far set, the points with ``u >= 1 -
+       _far_count(N) / N`` (every point when that is not positive).
     2. ``_far_hulls`` gives all far sets coordinates, in one
        ``points_from_uniforms`` call, and their hulls and inscribed radii.
     3. A trial whose radius's floor ``u* = radius_uniform_floor(radius)``
-       falls below the far floor calls its ``chunks`` again, which replays
-       the stream, and reads the points with ``u >= u*``: every point when
+       falls below the far floor selects again, at ``u*``: every point when
        the origin is not strictly inside the far set's hull (``u* = 0``).
        These widened sets go through ``_far_hulls`` as one smaller batch.
 
-    Only the points a read selects get a radius, an angle and coordinates.
-    The chunks are left as they are.
+    Only the selected points get a radius, an angle and coordinates.
 
     Returns, for each trial, the kept indices (sorted), their coordinates,
     which are the rows of ``points_from_uniforms`` of the whole blocks at
@@ -243,10 +239,10 @@ def uniform_hulls(
     round a cross product differently (see ``_monotone_rings``).
     """
     far_floor = 1.0 - _far_count(N) / N
-    hulls = _far_hulls(params, [select_uniforms(chunks(), far_floor) for chunks in sources])
+    hulls = _far_hulls(params, [select(far_floor) for select in selectors])
     floors = [radius_uniform_floor(params, radius) for *_, radius in hulls]
     short = [t for t, floor in enumerate(floors) if floor < far_floor]
-    wide = _far_hulls(params, [select_uniforms(sources[t](), floors[t]) for t in short])
+    wide = _far_hulls(params, [selectors[t](floors[t]) for t in short])
     for t, hull in zip(short, wide):
         hulls[t] = hull
     return [(keep, pts, PolygonChain(tuple(_rotate_min_first(r)))) for keep, pts, r, _ in hulls]
@@ -255,7 +251,7 @@ def uniform_hulls(
 def _far_hulls(params: BetaParams, picks) -> list[tuple[np.ndarray, np.ndarray, list, float]]:
     """Coordinates, hull and inscribed radius of each ``(keep, angle_u, radius_u)`` pick.
 
-    The picks are ``select_uniforms`` results.  One ``points_from_uniforms``
+    The picks are ``uniform_hulls``' selections.  One ``points_from_uniforms``
     call maps them all (it is elementwise, so each row is the same double as
     for its pick alone), and one ``_hulls`` call about the origin gives the
     ``ring`` and ``radius`` of each pick's ``(keep, points, ring, radius)``.

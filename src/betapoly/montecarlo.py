@@ -6,10 +6,11 @@ Four probes, all pure functions of their configuration (seeds included):
   across sample sizes; each trial draws from its own derived seed, and a
   job is a batch of consecutive trials of one ``N`` (``_BATCH_POINTS``
   points in all, or one trial above that) that makes one ``uniform_hulls``
-  call, which reads each trial's stream and builds all their hulls at
-  once, and one stacked ``_max_kgons`` call.  Jobs run on a process pool
-  (``_map``) and records are always aggregated in (N, trial) order, so the
-  output is byte-stable under any worker count and batch size.
+  call, which selects each trial's points from its stream and builds all
+  their hulls at once, and one stacked ``_max_kgons`` call.  Jobs run on a
+  process pool (``_map``) and records are always aggregated in (N, trial)
+  order, so the output is byte-stable under any worker count and batch
+  size.
 * ``ks_distance`` / ``fit_shape``: compare the empirical law of ``T`` against
   the fully specified Weibull limit, and recover its shape/rate from the
   lower quantiles via a log-log regression of ``ln(-ln(1 - F))`` on ``ln t``.
@@ -31,6 +32,7 @@ import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +47,7 @@ from .sampler import (
     check_real,
     points_from_uniforms,
     radius_uniform_floor,
+    select_uniforms,
     uniform_chunks,
 )
 
@@ -191,26 +194,24 @@ def _run_batch(job) -> list[TrialRecord]:
     """Trials ``first`` to ``first + count - 1`` of one ``N``: one hull call, one DP call.
 
     ``job`` is ``(objective, n, beta, master_seed, N, first, count, M, A)``.
-    Trial ``t``'s source is its stream's ``uniform_chunks`` at draw 0, so
-    its points are ``sample_batch(params, N, policy, t)``, left as uniforms
-    and drawn ``sampler._CHUNK`` points at a time: a trial holds
-    ``O(_CHUNK)`` uniforms and the ``O(sqrt N)`` points its circle test
-    keeps (more where ``beta`` nears -1), not ``N``.  ``uniform_hulls``
-    gives coordinates only to those points, which are that array's rows bit
-    for bit, and builds its hulls with ``convex_hull``'s routine; the
+    Trial ``t``'s selector is ``select_uniforms`` on its stream, so its
+    points are ``sample_batch(params, N, policy, t)``, left as uniforms and
+    drawn ``sampler._CHUNK`` points at a time: a trial holds ``O(_CHUNK)``
+    uniforms and the ``O(sqrt N)`` points its circle test keeps (more
+    where ``beta`` nears -1), not ``N``.  ``uniform_hulls`` gives
+    coordinates only to those points, which are that array's rows bit for
+    bit, and builds its hulls with ``convex_hull``'s routine; the
     unchecked ``_max_kgons`` (the points are finite by construction) finds
     each hull's cycle as ``max_kgon`` does.  So where the hulls agree
     (every sample of ``benchmarks/hull_agreement.txt``), ``H`` and
     ``hull_size`` equal those of ``sample_batch -> convex_hull -> max_kgon``
     bit for bit, whatever the batch.
     """
-    from functools import partial
-
     objective, n, beta, master_seed, N, first, count, M, A = job
     policy, params = SeedPolicy(master_seed), BetaParams(beta)
     start = time.perf_counter()
-    sources = [partial(uniform_chunks, policy, t, N) for t in range(first, first + count)]
-    cases = [(hull, points) for _, points, hull in uniform_hulls(params, N, sources)]
+    selectors = [partial(select_uniforms, policy, t, N) for t in range(first, first + count)]
+    cases = [(hull, points) for _, points, hull in uniform_hulls(params, N, selectors)]
     results = _max_kgons(cases, n, objective)
     share = (time.perf_counter() - start) / count
     return [

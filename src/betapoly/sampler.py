@@ -31,8 +31,9 @@ positive.
 ``uniform_chunks`` lays out a stream's uniforms and ``points_from_uniforms``
 maps them to points, for ``sample_batch``, trials and tail chunks alike.
 It yields the two blocks in lockstep, a chunk of points at a time, so a
-stream above ``_CHUNK`` points is never held whole; ``select_uniforms``
-reads any such chunks.
+stream above ``_CHUNK`` points is never held whole.  ``select_uniforms``
+is a trial's selector: it reads the trial's stream and keeps the points
+whose radius uniform reaches a floor.
 """
 
 from __future__ import annotations
@@ -248,16 +249,18 @@ def uniform_chunks(
         yield angle.random(part), radius.random(part)
 
 
-def select_uniforms(chunks, floor: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The points with radius uniform ``>= floor``: their indices (sorted) and their two uniforms.
+def select_uniforms(
+    policy: SeedPolicy, stream: int, count: int, floor: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The points of ``stream`` with radius uniform ``>= floor``: indices (sorted) and uniforms.
 
-    ``chunks`` is an iterable of ``(angle, radius)`` pairs of equal-length
-    arrays, such as ``uniform_chunks`` yields, read once in order; a point's
-    index counts from the first point of the first chunk.  The uniforms
-    returned are copies; the chunks are left as they are.
+    Reads ``uniform_chunks(policy, stream, count)`` a chunk at a time and
+    returns copies.  It is a trial's selector: each call replays the
+    stream, so a call at a lower floor returns a superset, the shared rows
+    bit for bit.
     """
     parts, lo = [], 0
-    for a, r in chunks:
+    for a, r in uniform_chunks(policy, stream, count):
         i = np.flatnonzero(r >= floor)
         parts.append((i + lo, a[i], r[i]))
         lo += len(r)

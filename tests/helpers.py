@@ -1,4 +1,4 @@
-"""Shared test helpers: oracles, a draw counter and a chunk cutter.
+"""Shared test helpers: oracles, a draw counter and an array selector.
 
 The oracles are a high-precision gamma evaluation, generic bisection and
 the monotone chain's hull, which no production hull runs.
@@ -83,15 +83,15 @@ def count_draws(monkeypatch) -> SimpleNamespace:
     return log
 
 
-def chunked(angle_u, radius_u, size=None):
-    """Two uniform blocks as a ``uniform_hulls`` source: cut into pairs of ``size`` points.
+def selector(angle_u, radius_u):
+    """Two uniform blocks as a ``uniform_hulls`` selector.
 
-    Returns a callable that gives a fresh list of the pairs (views of the
-    blocks, the last perhaps shorter) on each call; ``None`` is one pair of
-    the whole blocks.
+    ``select(floor)`` returns the indices of the points whose radius
+    uniform reaches ``floor`` and copies of their two uniforms.
     """
-    size = size or len(radius_u)
-    return lambda: [
-        (angle_u[lo : lo + size], radius_u[lo : lo + size])
-        for lo in range(0, len(radius_u), size)
-    ]
+
+    def select(floor):
+        keep = np.flatnonzero(radius_u >= floor)
+        return keep, angle_u[keep], radius_u[keep]
+
+    return select

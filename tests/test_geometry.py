@@ -36,6 +36,7 @@ from betapoly.sampler import (
     points_from_uniforms,
     radius_uniform_floor,
     sample_batch,
+    select_uniforms,
     uniform_chunks,
 )
 
@@ -171,11 +172,11 @@ def _stream_blocks(seed, stream, N):
     return angle_u, radius_u
 
 
-def _assert_uniform_hull_exact(params, angle_u, radius_u, size=None):
-    """``uniform_hulls`` of the blocks in ``size``-point chunks equals the full monotone chain."""
+def _assert_uniform_hull_exact(params, angle_u, radius_u):
+    """``uniform_hulls`` of the blocks equals the full monotone chain."""
     pts = points_from_uniforms(params, angle_u.copy(), radius_u.copy())
-    chunks = helpers.chunked(angle_u, radius_u, size)
-    keep, kept_pts, hull = uniform_hulls(params, len(radius_u), [chunks])[0]
+    select = helpers.selector(angle_u, radius_u)
+    keep, kept_pts, hull = uniform_hulls(params, len(radius_u), [select])[0]
     assert np.array_equal(kept_pts, pts[keep])
     assert tuple(int(keep[i]) for i in hull.vertex_indices) == tuple(
         _rotate_min_first(_monotone_chain(pts))
@@ -196,8 +197,8 @@ def test_uniform_hull_chains_the_far_set_alone_when_it_holds_every_vertex(monkey
     # At seed 5, beta = 0, the floor of the far set's disk clears the far
     # set's own floor at N = 64 000 but not at N = 1 000 (3 sqrt(N) far
     # points hold the hull in ~80% of trials there; seed 42 is one of them).
-    # So the stream is read once, or once more for the widened set; each
-    # read is one elimination batch, and no monotone chain runs.
+    # So the trial selects once, or once more for the widened set; each
+    # selection is one elimination batch, and no monotone chain runs.
     blocks = _stream_blocks(5, 0, N)
     params = BetaParams(0.0)
     check = functools.partial(_assert_uniform_hull_exact, params, *blocks)
@@ -298,7 +299,7 @@ def _mixed_batch(N):
     # Copies of every hull vertex of seed 37's points at the first and the
     # last h indices that are not vertices: before and after the originals.
     copies = _stream_blocks(37, 0, N)
-    keep, _, hull = uniform_hulls(BetaParams(0.0), N, [helpers.chunked(*copies)])[0]
+    keep, _, hull = uniform_hulls(BetaParams(0.0), N, [helpers.selector(*copies)])[0]
     ring = keep[list(hull.vertex_indices)]
     others = np.setdiff1d(np.arange(N), ring)
     for u in copies:
@@ -318,9 +319,9 @@ def _mixed_batch(N):
 
 @pytest.mark.parametrize("beta", [-0.9, 0.0, 2.0])
 def test_uniform_hulls_of_a_mixed_batch_equal_the_chain_of_each_trial(monkeypatch, beta):
-    # One call on six trials: the far set holds the hull; the stream is
-    # replayed (seed 5); the far hull misses the origin, so every point is
-    # read again; copies of hull vertices; four points at each angle; a
+    # One call on six trials: the far set holds the hull; the trial selects
+    # again (seed 5); the far hull misses the origin, so every point is
+    # selected again; copies of hull vertices; four points at each angle; a
     # regular polygon with float ties.  Each trial's hull is the monotone
     # chain of all its points, and what the trial gets alone.  No trial
     # runs the chain.
@@ -328,15 +329,17 @@ def test_uniform_hulls_of_a_mixed_batch_equal_the_chain_of_each_trial(monkeypatc
     batch = _mixed_batch(N)
     reads, hulls = [], []
 
-    def source(b, a, r):
-        def chunks():
+    def counted(b, a, r):
+        select = helpers.selector(a, r)
+
+        def reading(floor):
             reads.append(b)
-            return helpers.chunked(a, r, 97)()
+            return select(floor)
 
-        return chunks
+        return reading
 
-    sources = [source(b, a, r) for b, (a, r) in enumerate(batch)]
-    chains = _chain_sizes(monkeypatch, lambda: hulls.extend(uniform_hulls(params, N, sources)))
+    selectors = [counted(b, a, r) for b, (a, r) in enumerate(batch)]
+    chains = _chain_sizes(monkeypatch, lambda: hulls.extend(uniform_hulls(params, N, selectors)))
     assert chains == []
     if beta == 0.0:
         assert sorted(reads) == [0, 1, 1, 2, 2, 3, 4, 5]
@@ -345,7 +348,7 @@ def test_uniform_hulls_of_a_mixed_batch_equal_the_chain_of_each_trial(monkeypatc
         assert np.array_equal(kept_pts, pts[keep])
         mapped = tuple(int(keep[i]) for i in hull.vertex_indices)
         assert mapped == tuple(_rotate_min_first(_monotone_chain(pts)))
-        alone = uniform_hulls(params, N, [helpers.chunked(angle_u, radius_u)])[0]
+        alone = uniform_hulls(params, N, [helpers.selector(angle_u, radius_u)])[0]
         assert np.array_equal(alone[0], keep) and np.array_equal(alone[1], kept_pts)
         assert alone[2] == hull
 
@@ -356,8 +359,9 @@ def test_uniform_hulls_equal_the_chain_on_seeded_far_sets(monkeypatch, beta):
     # them: each hull is the monotone chain of the trial's kept points.
     params, policy, N = BetaParams(beta), SeedPolicy(101), 250
     for first in range(0, 700, 262):
-        sources = [functools.partial(uniform_chunks, policy, t, N) for t in range(first, first + 262)]
-        for keep, pts, hull in uniform_hulls(params, N, sources[: 700 - first]):
+        trials = range(first, min(first + 262, 700))
+        selectors = [functools.partial(select_uniforms, policy, t, N) for t in trials]
+        for keep, pts, hull in uniform_hulls(params, N, selectors):
             assert hull.vertex_indices == tuple(_rotate_min_first(_monotone_chain(pts)))
 
 
@@ -374,7 +378,7 @@ def test_uniform_hulls_equal_convex_hull_on_near_duplicate_clouds():
         j = rng.integers(0, N, k)
         a[j] = np.nextafter(a[i], 2.0)
         r[j] = rng.random(k) ** 0.05
-        keep, _, hull = uniform_hulls(params, N, [helpers.chunked(a, r)])[0]
+        keep, _, hull = uniform_hulls(params, N, [helpers.selector(a, r)])[0]
         pts = points_from_uniforms(params, a, r)
         mapped = tuple(int(keep[v]) for v in hull.vertex_indices)
         assert mapped == convex_hull(pts).vertex_indices
@@ -396,7 +400,7 @@ def test_uniform_hull_of_a_ray_matches_convex_hull_in_few_passes(monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(geometry, "_cross", counting)
-        keep, _, hull = uniform_hulls(params, N, [helpers.chunked(a, r)])[0]
+        keep, _, hull = uniform_hulls(params, N, [helpers.selector(a, r)])[0]
     assert len(calls) <= 64
     pts = points_from_uniforms(params, a, r)
     ray = PolygonChain(tuple(int(keep[i]) for i in hull.vertex_indices))
@@ -435,18 +439,17 @@ def _uniform_clouds(draw):
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
-@given(_uniform_clouds(), st.sampled_from([None, 1, 7, 64]))
-def test_uniform_hull_equals_convex_hull_of_the_whole_cloud(batch, chunk):
-    # As one chunk (None) and split into several; each cloud alone, and all
-    # of them as one batch.
+@given(_uniform_clouds())
+def test_uniform_hull_equals_convex_hull_of_the_whole_cloud(batch):
+    # Each cloud alone, and all of them as one batch.
     params, clouds = batch
     N = len(clouds[0][1])
     blocks = [(angle_u.copy(), radius_u.copy()) for angle_u, radius_u in clouds]
-    sources = [helpers.chunked(angle_u, radius_u, chunk) for angle_u, radius_u in clouds]
-    together = uniform_hulls(params, N, sources)
-    for (angle_u, radius_u), block, chunks, hulls in zip(clouds, blocks, sources, together):
+    selectors = [helpers.selector(angle_u, radius_u) for angle_u, radius_u in clouds]
+    together = uniform_hulls(params, N, selectors)
+    for (angle_u, radius_u), block, select, hulls in zip(clouds, blocks, selectors, together):
         pts = points_from_uniforms(params, angle_u.copy(), radius_u.copy())
-        keep, kept_pts, hull = uniform_hulls(params, N, [chunks])[0]
+        keep, kept_pts, hull = uniform_hulls(params, N, [select])[0]
         assert np.array_equal(angle_u, block[0]) and np.array_equal(radius_u, block[1])
         assert np.array_equal(kept_pts, pts[keep])
         mapped = tuple(int(keep[i]) for i in hull.vertex_indices)
@@ -456,37 +459,36 @@ def test_uniform_hull_equals_convex_hull_of_the_whole_cloud(batch, chunk):
         assert hulls[2] == hull
 
 
-@pytest.mark.parametrize("chunk", [97, 128, 1_000])
-def test_uniform_hull_keeps_the_smallest_copy_across_chunk_boundaries(monkeypatch, chunk):
-    # Copies of hull vertices before and after the originals, each in
-    # another chunk, and the chunks read once (20 000 points) or twice
-    # (500 at seed 8): every hull vertex is the smallest index of its copies,
-    # and the elimination, which leaves the larger copies out, needs no chain.
+def test_uniform_hull_keeps_the_smallest_copy_before_and_after_the_originals(monkeypatch):
+    # Copies of hull vertices before and after the originals, selected once
+    # (20 000 points) or twice (500 at seed 8): every hull vertex is the
+    # smallest index of its copies, and the elimination, which leaves the
+    # larger copies out, needs no chain.
     params = BetaParams(0.0)
     for N, step, reads, seed in ((500, 1, 2, 8), (20_000, 8, 1, 37)):
         blocks = _stream_blocks(seed, 0, N)
-        keep, _, hull = uniform_hulls(params, N, [helpers.chunked(*blocks, chunk)])[0]
+        keep, _, hull = uniform_hulls(params, N, [helpers.selector(*blocks)])[0]
         ring = keep[list(hull.vertex_indices)]
         dup = [np.concatenate([u[ring[:: 2 * step]], u, u[ring[::step]]]) for u in blocks]
-        check = functools.partial(_assert_uniform_hull_exact, params, *dup, chunk)
+        check = functools.partial(_assert_uniform_hull_exact, params, *dup)
         batches, chains = _hull_stages(monkeypatch, check)
         assert len(batches) == reads and not chains
-        keep, _, hull = uniform_hulls(params, len(dup[1]), [helpers.chunked(*dup, chunk)])[0]
+        keep, _, hull = uniform_hulls(params, len(dup[1]), [helpers.selector(*dup)])[0]
         for i in keep[list(hull.vertex_indices)]:
             same = np.flatnonzero((dup[0] == dup[0][i]) & (dup[1] == dup[1][i]))
             assert i == same.min() and (len(same) >= 2 or step > 1)
 
 
-def test_uniform_hull_keeps_the_smallest_copy_next_to_a_chunk_boundary():
-    # A hull vertex that ends a chunk and its copy that starts the next.
+def test_uniform_hull_keeps_the_smallest_of_two_adjacent_copies():
+    # A hull vertex and its copy right after it.
     params = BetaParams(0.0)
     angle_u, radius_u = _stream_blocks(41, 0, 2_000)
-    keep, _, hull = uniform_hulls(params, 2_000, [helpers.chunked(angle_u, radius_u)])[0]
+    keep, _, hull = uniform_hulls(params, 2_000, [helpers.selector(angle_u, radius_u)])[0]
     v = int(keep[hull.vertex_indices[len(hull.vertex_indices) // 2]])
     dup = [np.insert(u, v + 1, u[v]) for u in (angle_u, radius_u)]
-    keep = _assert_uniform_hull_exact(params, *dup, v + 1)
+    keep = _assert_uniform_hull_exact(params, *dup)
     assert v in keep and v + 1 in keep
-    keep, _, hull = uniform_hulls(params, 2_001, [helpers.chunked(*dup, v + 1)])[0]
+    keep, _, hull = uniform_hulls(params, 2_001, [helpers.selector(*dup)])[0]
     assert v in keep[list(hull.vertex_indices)] and v + 1 not in keep[list(hull.vertex_indices)]
 
 
@@ -505,7 +507,7 @@ def test_the_oracle_shares_no_hull_routine_with_umax(monkeypatch):
         m.setattr(geometry, "_monotone_chain", broken)
         convex_hull(pts)
         umax(pts, 3, Objective.PERIMETER)
-        uniform_hulls(BetaParams(0.0), 300, [helpers.chunked(*_stream_blocks(5, 0, 300))])
+        uniform_hulls(BetaParams(0.0), 300, [helpers.selector(*_stream_blocks(5, 0, 300))])
         run_trials(SimConfig(Objective.AREA, 3, 0.0, (40, 300), 2, master_seed=5), threads=1)
 
 

@@ -44,7 +44,7 @@ from betapoly.sampler import (
     SeedPolicy,
     points_from_uniforms,
     sample_batch,
-    uniform_chunks,
+    select_uniforms,
 )
 
 PERIMETER_LAW = law_for(Objective.PERIMETER, 3, 0.0)
@@ -271,8 +271,8 @@ def test_trials_equal_the_full_sample_path(objective, beta):
         for t in range(cfg.trials):
             pts = sample_batch(params, N, policy, t)
             hull = convex_hull(pts)
-            chunks = functools.partial(uniform_chunks, policy, t, N)
-            keep, cand, cand_hull = uniform_hulls(params, N, [chunks])[0]
+            select = functools.partial(select_uniforms, policy, t, N)
+            keep, cand, cand_hull = uniform_hulls(params, N, [select])[0]
             assert np.array_equal(cand, pts[keep])
             kept_hull = tuple(int(keep[i]) for i in cand_hull.vertex_indices)
             assert kept_hull == hull.vertex_indices

@@ -184,19 +184,27 @@ def test_uniform_blocks_draws_small_blocks_whole(monkeypatch):
 
 
 @pytest.mark.parametrize("chunk", [1, 97, 128, 1_000, 1 << 16])
-def test_select_uniforms_is_the_same_on_arrays_and_streams_in_any_chunks(chunk):
-    # Arrays cut into chunks and the stream's own chunks give the same
-    # selection as the whole arrays.
+def test_select_uniforms_is_the_same_on_arrays_and_streams_in_any_chunks(monkeypatch, chunk):
+    # The stream read in chunks of any size gives the whole blocks'
+    # selection.  Each call replays the stream: overwriting what one call
+    # returns (as points_from_uniforms does) leaves the next call's doubles
+    # as they are, and a call at a lower floor returns a superset whose
+    # shared rows are the same doubles, as uniform_hulls' second call needs.
     policy, N = SeedPolicy(63), 1_000
     rng = policy.trial_generator(0)
     angle_u, radius_u = rng.random(N), rng.random(N)
-    blocks = angle_u.copy(), radius_u.copy()
-    for floor in (-math.inf, 0.0, 0.5, 0.99, 1.0):
+    monkeypatch.setattr(sampler, "_CHUNK", chunk)
+    picks = []
+    for floor in (1.0, 0.99, 0.5, 0.0, -math.inf):
         keep = np.flatnonzero(radius_u >= floor)
-        for chunks in (helpers.chunked(*blocks, chunk)(), uniform_chunks(policy, 0, N, size=chunk)):
-            got = select_uniforms(chunks, floor)
-            assert all(map(np.array_equal, got, (keep, angle_u[keep], radius_u[keep])))
-    assert np.array_equal(blocks[0], angle_u) and np.array_equal(blocks[1], radius_u)
+        got = select_uniforms(policy, 0, N, floor)
+        assert all(map(np.array_equal, got, (keep, angle_u[keep], radius_u[keep])))
+        picks.append(tuple(u.copy() for u in got))
+        got[1][:] = got[2][:] = 2.0
+    for (keep, *uniforms), (wider, *wider_uniforms) in zip(picks, picks[1:]):
+        rows = np.searchsorted(wider, keep)
+        assert np.array_equal(wider[rows], keep)
+        assert all(map(np.array_equal, (u[rows] for u in wider_uniforms), uniforms))
 
 
 def test_cartesian_rows_of_any_subset_are_the_rows_of_the_whole_batch():
