@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from betapoly import geometry
+from betapoly import geometry, sampler
 from betapoly.geometry import (
     Objective,
     PolygonChain,
@@ -172,10 +172,28 @@ def _stream_blocks(seed, stream, N):
     return angle_u, radius_u
 
 
-def _assert_uniform_hull_exact(params, angle_u, radius_u):
-    """``uniform_hulls`` of the blocks equals the full monotone chain."""
+def _chunked_selectors(monkeypatch, chunk):
+    """``select_uniforms`` on blocks it reads in ``chunk``-point pieces.
+
+    Patches ``sampler.uniform_chunks`` to serve the blocks passed in place of
+    a seed policy, so the selector's own index offsets across the pieces are
+    what runs.  Returns ``make(angle_u, radius_u)``, the blocks' selector.
+    """
+
+    def pieces(blocks, stream, count, skip=0, size=None):
+        for lo in range(0, count, chunk):
+            yield tuple(u[lo : lo + chunk].copy() for u in blocks)
+
+    monkeypatch.setattr(sampler, "uniform_chunks", pieces)
+    return lambda angle_u, radius_u: functools.partial(
+        select_uniforms, (angle_u, radius_u), 0, len(radius_u)
+    )
+
+
+def _assert_uniform_hull_exact(params, angle_u, radius_u, make=helpers.selector):
+    """``uniform_hulls`` of the blocks, selected by ``make``'s selector, equals the full monotone chain."""
     pts = points_from_uniforms(params, angle_u.copy(), radius_u.copy())
-    select = helpers.selector(angle_u, radius_u)
+    select = make(angle_u, radius_u)
     keep, kept_pts, hull = uniform_hulls(params, len(radius_u), [select])[0]
     assert np.array_equal(kept_pts, pts[keep])
     assert tuple(int(keep[i]) for i in hull.vertex_indices) == tuple(
@@ -459,21 +477,24 @@ def test_uniform_hull_equals_convex_hull_of_the_whole_cloud(batch):
         assert hulls[2] == hull
 
 
-def test_uniform_hull_keeps_the_smallest_copy_before_and_after_the_originals(monkeypatch):
-    # Copies of hull vertices before and after the originals, selected once
+@pytest.mark.parametrize("chunk", [97, 128, 1_000])
+def test_uniform_hull_keeps_the_smallest_copy_across_chunk_boundaries(monkeypatch, chunk):
+    # Copies of hull vertices before and after the originals, each in
+    # another chunk of select_uniforms' read, and the trial selects once
     # (20 000 points) or twice (500 at seed 8): every hull vertex is the
     # smallest index of its copies, and the elimination, which leaves the
     # larger copies out, needs no chain.
     params = BetaParams(0.0)
+    make = _chunked_selectors(monkeypatch, chunk)
     for N, step, reads, seed in ((500, 1, 2, 8), (20_000, 8, 1, 37)):
         blocks = _stream_blocks(seed, 0, N)
-        keep, _, hull = uniform_hulls(params, N, [helpers.selector(*blocks)])[0]
+        keep, _, hull = uniform_hulls(params, N, [make(*blocks)])[0]
         ring = keep[list(hull.vertex_indices)]
         dup = [np.concatenate([u[ring[:: 2 * step]], u, u[ring[::step]]]) for u in blocks]
-        check = functools.partial(_assert_uniform_hull_exact, params, *dup)
+        check = functools.partial(_assert_uniform_hull_exact, params, *dup, make)
         batches, chains = _hull_stages(monkeypatch, check)
         assert len(batches) == reads and not chains
-        keep, _, hull = uniform_hulls(params, len(dup[1]), [helpers.selector(*dup)])[0]
+        keep, _, hull = uniform_hulls(params, len(dup[1]), [make(*dup)])[0]
         for i in keep[list(hull.vertex_indices)]:
             same = np.flatnonzero((dup[0] == dup[0][i]) & (dup[1] == dup[1][i]))
             assert i == same.min() and (len(same) >= 2 or step > 1)
