@@ -196,16 +196,18 @@ def _run_batch(job) -> list[TrialRecord]:
     ``job`` is ``(objective, n, beta, master_seed, N, first, count, M, A)``.
     Trial ``t``'s selector is ``select_uniforms`` on its stream, so its
     points are ``sample_batch(params, N, policy, t)``, left as uniforms and
-    drawn ``sampler._CHUNK`` points at a time: a trial holds ``O(_CHUNK)``
-    uniforms and the ``O(sqrt N)`` points its circle test keeps (more
-    where ``beta`` nears -1), not ``N``.  ``uniform_hulls`` gives
-    coordinates only to those points, which are that array's rows bit for
-    bit, and builds its hulls with ``convex_hull``'s routine; the
-    unchecked ``_max_kgons`` (the points are finite by construction) finds
-    each hull's cycle as ``max_kgon`` does.  So where the hulls agree
-    (every sample of ``benchmarks/hull_agreement.txt``), ``H`` and
-    ``hull_size`` equal those of ``sample_batch -> convex_hull -> max_kgon``
-    bit for bit, whatever the batch.
+    read ``sampler._CHUNK`` points at a time (above that, the radius block
+    alone, with the kept points' angle uniforms jumped to where that is
+    cheaper): a trial holds ``O(_CHUNK)`` uniforms and the ``O(sqrt N)``
+    points its circle test keeps (more where ``beta`` nears -1), not
+    ``N``.  ``uniform_hulls`` gives coordinates only to those points,
+    which are that array's rows bit for bit, and builds its hulls with
+    ``convex_hull``'s routine; the unchecked ``_max_kgons`` (the points are
+    finite by construction) finds each hull's cycle as ``max_kgon`` does.
+    So where the hulls agree (every sample of
+    ``benchmarks/hull_agreement.txt``), ``H`` and ``hull_size`` equal those
+    of ``sample_batch -> convex_hull -> max_kgon`` bit for bit, whatever
+    the batch.
     """
     objective, n, beta, master_seed, N, first, count, M, A = job
     policy, params = SeedPolicy(master_seed), BetaParams(beta)

@@ -32,13 +32,18 @@ positive.
 maps them to points, for ``sample_batch``, trials and tail chunks alike.
 It yields the two blocks in lockstep, a chunk of points at a time, so a
 stream above ``_CHUNK`` points is never held whole.  ``select_uniforms``
-is a trial's selector: it reads the trial's stream and keeps the points
-whose radius uniform reaches a floor.
+is a trial's selector: it keeps the points whose radius uniform reaches a
+floor.  Above ``_CHUNK`` points it reads the radius block alone, a chunk
+at a time, and takes only the kept points' angle uniforms, computed from
+the angle block's start state by a jump of the PCG64 state (an LCG mod
+2^128, so any draw's state is an affine map of the start) when that is
+cheaper than drawing the block.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import numbers
 from collections.abc import Iterator
@@ -254,17 +259,110 @@ def select_uniforms(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The points of ``stream`` with radius uniform ``>= floor``: indices (sorted) and uniforms.
 
-    Reads ``uniform_chunks(policy, stream, count)`` a chunk at a time and
-    returns copies.  It is a trial's selector: each call replays the
+    It is a trial's selector, and returns copies: each call replays the
     stream, so a call at a lower floor returns a superset, the shared rows
-    bit for bit.
+    bit for bit.  Up to ``_CHUNK`` points it reads ``uniform_chunks(policy,
+    stream, count)`` a chunk at a time.  Beyond that it reads the radius
+    block alone, ``_CHUNK`` draws at a time, and then takes the kept angle
+    uniforms either by ``_jumped_uniforms`` from the angle block's start or
+    by reading that block in chunks, whichever ``_jump_pays`` finds cheaper
+    for the kept count.  Both give the same doubles.
     """
+    if count > _CHUNK:
+        radius = policy.trial_generator(stream, skip=count)
+        picks = []
+        for lo in range(0, count, _CHUNK):
+            r = radius.random(min(_CHUNK, count - lo))
+            i = np.flatnonzero(r >= floor)
+            picks.append((i + lo, r[i]))
+        keep, radius_u = (np.concatenate(p) for p in zip(*picks))
+        angle = policy.trial_generator(stream)
+        if _jump_pays(len(keep), count):
+            return keep, _jumped_uniforms(angle.bit_generator, keep), radius_u
+        starts = range(0, count, _CHUNK)
+        parts = np.split(keep, np.searchsorted(keep, starts[1:]))
+        angle_u = [angle.random(min(_CHUNK, count - lo))[i - lo] for lo, i in zip(starts, parts)]
+        return keep, np.concatenate(angle_u), radius_u
     parts, lo = [], 0
     for a, r in uniform_chunks(policy, stream, count):
         i = np.flatnonzero(r >= floor)
         parts.append((i + lo, a[i], r[i]))
         lo += len(r)
     return tuple(np.concatenate(p) for p in zip(*parts))
+
+
+# What a jump costs per kept point and bit of ``count``, in drawn doubles:
+# benchmarks/angle_jump.py finds the two angle paths equal at 3.2-5.4
+# across runs at N = 10^6 and 10^7.  A speed setting only: both paths give
+# the same doubles.
+_JUMP_COST = 4
+
+
+def _jump_pays(kept: int, count: int) -> bool:
+    """Whether ``_jumped_uniforms`` at ``kept`` indices beats drawing a ``count``-point angle block."""
+    return _JUMP_COST * kept * count.bit_length() < count
+
+
+# PCG64 steps its 128-bit state s to (s * _PCG_MULT + inc) mod 2^128 per
+# draw, and a draw's double is the top 53 bits of the XSL-RR output of the
+# state after its step.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_U32, _U64, _U128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+
+
+@functools.cache
+def _pcg_jumps(digit: int) -> tuple[tuple[np.ndarray, np.ndarray], list[int]]:
+    """The maps of ``v 16^digit`` steps, ``v < 16``: ``s -> A[v] s + G[v] inc``.
+
+    Returns ``A`` as uint64 ``(high, low)`` arrays and ``G`` as integers.
+    """
+    a, g = _PCG_MULT, 1
+    for _ in range(4 * digit):
+        a, g = a * a & _U128, g * (a + 1) & _U128
+    A, G = [1], [0]
+    for _ in range(15):
+        A.append(A[-1] * a & _U128)
+        G.append((G[-1] * a + g) & _U128)
+    return _limbs(A), G
+
+
+def _limbs(values) -> tuple[np.ndarray, np.ndarray]:
+    """128-bit integers as uint64 arrays of their high and low halves."""
+    high = np.array([v >> 64 for v in values], np.uint64)
+    return high, np.array([v & _U64 for v in values], np.uint64)
+
+
+def _jumped_uniforms(bit_generator: np.random.PCG64, index: np.ndarray) -> np.ndarray:
+    """``Generator(bit_generator).random(n)[index]`` for any ``n`` past ``index``, without the draws.
+
+    Draw ``i`` is the output of the state ``i + 1`` steps on.  Each
+    index's state is reached by one affine map per hex digit of ``i + 1``
+    (the maps commute), on uint64 limb arrays that wrap as the 128-bit
+    arithmetic does.  ``bit_generator`` is left as it is.
+    """
+    state = bit_generator.state["state"]
+    steps = index.astype(np.uint64) + 1
+    hi = np.full(len(steps), state["state"] >> 64, np.uint64)
+    lo = np.full(len(steps), state["state"] & _U64, np.uint64)
+    for digit in range((int(steps.max(initial=0)).bit_length() + 3) // 4):
+        (a_hi, a_lo), g = _pcg_jumps(digit)
+        c_hi, c_lo = _limbs([state["inc"] * x & _U128 for x in g])
+        v = (steps >> 4 * digit) & 15
+        a_hi, a_lo, c_hi, c_lo = a_hi[v], a_lo[v], c_hi[v], c_lo[v]
+        low = lo * a_lo
+        hi = _mulhi(lo, a_lo) + hi * a_lo + lo * a_hi + c_hi
+        lo = low + c_lo
+        hi += lo < low
+    x, r = hi ^ lo, hi >> 58
+    return ((x >> r | x << (64 - r & 63)) >> 11) * 2.0**-53
+
+
+def _mulhi(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The high 64 bits of the 128-bit products of two uint64 arrays."""
+    x0, x1, y0, y1 = x & _U32, x >> 32, y & _U32, y >> 32
+    p00, p01, p10 = x0 * y0, x0 * y1, x1 * y0
+    mid = (p00 >> 32) + (p01 & _U32) + (p10 & _U32)
+    return x1 * y1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
 
 
 def points_from_uniforms(params: BetaParams, angle_u, radius_u) -> np.ndarray:

@@ -55,10 +55,15 @@ def bisect_inverse(f, target: float, lo: float, hi: float, iters: int = 200) -> 
 
 
 class _CountingGenerator:
-    """A generator that records the size of each ``random`` request."""
+    """A generator that records the size of each ``random`` request.
+
+    Its ``bit_generator`` is the wrapped one's, which a jump reads without
+    drawing.
+    """
 
     def __init__(self, rng, requests):
         self._rng, self._requests = rng, requests
+        self.bit_generator = rng.bit_generator
 
     def random(self, size):
         self._requests.append(size)

@@ -38,3 +38,12 @@ def test_max_kgon_bisection_batch_hulls_are_the_trials_hulls():
         whole = convex_hull(pts)
         assert len(hull.vertex_indices) == len(whole.vertex_indices)
         assert result.value == max_kgon(whole, pts, 3, Objective.PERIMETER).value
+
+
+def test_angle_jump_paths_select_the_lockstep_reads_doubles():
+    # Just above a chunk the far set's ~530 angles are jumped to; each path
+    # is checked against the lockstep read as it is timed.
+    script = _load("angle_jump")
+    ((N, kept, rule, ms),) = script.trial_rows((70_000,))
+    assert (N, rule) == (70_000, "jump") and 0 < kept < N // 100
+    assert set(ms) == {"lockstep", "block", "jump"}

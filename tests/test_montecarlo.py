@@ -164,10 +164,11 @@ def _assert_trial_touches_few_points(monkeypatch, N):
     bound = min(N // 20, sampler._CHUNK + 8 * math.isqrt(N))
     assert 0 < counts["radii"] < bound
     assert 0 < counts["coordinates"] < bound
-    draws = log.requests[0]
-    assert N > sampler._CHUNK and max(draws) <= sampler._CHUNK
-    assert sum(draws) in (2 * N, 4 * N)  # one pass, or a replay
-    assert len(log.generators) == sum(draws) // N  # two generators a pass
+    # At seed 42 the far set clears its own floor, so one pass draws the
+    # radius block alone, a chunk at a time, and jumps to the kept angles.
+    chunk = sampler._CHUNK
+    assert N > chunk and log.requests[0] == [min(chunk, N - lo) for lo in range(0, N, chunk)]
+    assert log.generators == [(0, N), (0, 0)]
     assert record.H == max_kgon(convex_hull(pts), pts, 3, Objective.PERIMETER).value
     assert record.H == max_kgon(helpers.chain_hull(pts), pts, 3, Objective.PERIMETER).value
 
@@ -176,8 +177,9 @@ def test_a_trial_gives_radii_and_coordinates_to_few_points(monkeypatch):
     # A trial filters its points on their radius uniforms, so at N = 10^5
     # only ~1 000 points get the inverse CDF, an angle and cos/sin.  A return
     # to whole-array transcendental functions shows here as N radii.  Beyond
-    # a chunk the uniforms are streamed: no draw asks for more than a chunk,
-    # and radii and coordinates stay below a chunk plus O(sqrt N).
+    # a chunk the radius block is streamed: no draw asks for more than a
+    # chunk, the angle block is not drawn at all, and radii and coordinates
+    # stay below a chunk plus O(sqrt N).
     _assert_trial_touches_few_points(monkeypatch, 100_000)
 
 
@@ -308,8 +310,9 @@ def test_chunked_trials_equal_the_full_sample_path(monkeypatch, chunk):
 
 def test_a_streamed_trial_replays_its_stream_when_the_far_set_falls_short(monkeypatch):
     # At seed 5, beta = 0, N = 1 000 the far set's disk floor falls below
-    # the far set's own floor, so a streamed trial draws its stream twice,
-    # a chunk at a time.
+    # the far set's own floor, so a streamed trial reads its stream twice, a
+    # chunk at a time: the radius block, then the angle block, as ~95 kept
+    # points of 1 000 are too many for a jump to pay.
     N = 1_000
     pts = sample_batch(BetaParams(0.0), N, SeedPolicy(5), 0)
     expected = max_kgon(convex_hull(pts), pts, 3, Objective.AREA)
@@ -321,9 +324,32 @@ def test_a_streamed_trial_replays_its_stream_when_the_far_set_falls_short(monkey
     (record,) = montecarlo._run_batch((Objective.AREA, 3, 0.0, 5, N, 0, 1, law.M, law.A))
     draws = log.requests[0]
     assert sum(draws) == 4 * N and max(draws) == 97
-    assert log.generators == [(0, 0), (0, N)] * 2
+    assert log.generators == [(0, N), (0, 0)] * 2
     assert (record.H, record.hull_size) == (expected.value, len(convex_hull(pts).vertex_indices))
     assert record.hull_size == len(chain.vertex_indices)
+
+
+def test_trials_above_the_jump_switch_are_the_same_on_either_angle_path(monkeypatch):
+    # At N = 3 x 10^5 each trial's far set (~1 100 points) gets its angle
+    # uniforms by the jump.  Two workers, or the angle block drawn in
+    # chunks, give the same records, and they are the whole sample's.
+    N, jumps = 300_000, []
+    cfg = _small_config(objective=Objective.AREA, N_list=(N,), trials=3, master_seed=7)
+    jump = sampler._jumped_uniforms
+    monkeypatch.setattr(sampler, "_jumped_uniforms", lambda *a: jumps.append(a) or jump(*a))
+    runs = [run_trials(cfg, threads=1)]
+    assert len(jumps) == cfg.trials
+    runs.append(run_trials(cfg, threads=2))
+    monkeypatch.setattr(sampler, "_jump_pays", lambda kept, count: False)
+    jumps.clear()
+    runs.append(run_trials(cfg, threads=1))
+    assert not jumps
+    keys = [[(r.N, r.trial_index, r.H, r.T, r.hull_size) for r in recs] for recs in runs]
+    assert keys[0] == keys[1] == keys[2]
+    pts = sample_batch(BetaParams(0.0), N, SeedPolicy(7), 0)
+    chain = helpers.chain_hull(pts)
+    expected = max_kgon(chain, pts, 3, Objective.AREA).value
+    assert (runs[0][0].H, runs[0][0].hull_size) == (expected, len(chain.vertex_indices))
 
 
 def _in_process_pool(monkeypatch):

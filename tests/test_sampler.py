@@ -7,6 +7,7 @@ from scipy.integrate import quad
 
 import helpers
 from betapoly import sampler
+from betapoly.geometry import _far_count
 from betapoly.sampler import (
     BetaParams,
     SeedPolicy,
@@ -183,9 +184,28 @@ def test_uniform_blocks_draws_small_blocks_whole(monkeypatch):
         assert np.array_equal(radius_u, raw[N, skip][N:])
 
 
+@pytest.mark.parametrize("stream, N", [(0, 65_537), (3, 200_000), (8, 10_000_003)])
+def test_jumped_uniforms_are_the_streams_draws_at_their_indices(stream, N):
+    # The jump computes draw i from the stream's start state; it must be
+    # Generator.random's double bit for bit, at the ends of the block and of
+    # a chunk, at random sorted indices, at every index, and at none.
+    policy = SeedPolicy(64)
+    whole = policy.trial_generator(stream).random(N)
+    rng = np.random.default_rng(stream)
+    indices = [np.array([0, 1, 2**16 - 1, 2**16, N - 1]), np.arange(0)]
+    indices += [np.sort(rng.choice(N, k, replace=False)) for k in (1, 2_100, 7_000)]
+    indices += [np.arange(N)] if N < 10**6 else []
+    bits = policy.trial_generator(stream).bit_generator
+    start = bits.state
+    for index in indices:
+        assert np.array_equal(sampler._jumped_uniforms(bits, index), whole[index])
+    assert bits.state == start
+
+
 @pytest.mark.parametrize("chunk", [1, 97, 128, 1_000, 1 << 16])
 def test_select_uniforms_is_the_same_on_arrays_and_streams_in_any_chunks(monkeypatch, chunk):
-    # The stream read in chunks of any size gives the whole blocks'
+    # The stream read in chunks of any size, with the kept angle uniforms
+    # jumped to or drawn (each path forced), gives the whole blocks'
     # selection.  Each call replays the stream: overwriting what one call
     # returns (as points_from_uniforms does) leaves the next call's doubles
     # as they are, and a call at a lower floor returns a superset whose
@@ -194,17 +214,19 @@ def test_select_uniforms_is_the_same_on_arrays_and_streams_in_any_chunks(monkeyp
     rng = policy.trial_generator(0)
     angle_u, radius_u = rng.random(N), rng.random(N)
     monkeypatch.setattr(sampler, "_CHUNK", chunk)
-    picks = []
-    for floor in (1.0, 0.99, 0.5, 0.0, -math.inf):
-        keep = np.flatnonzero(radius_u >= floor)
-        got = select_uniforms(policy, 0, N, floor)
-        assert all(map(np.array_equal, got, (keep, angle_u[keep], radius_u[keep])))
-        picks.append(tuple(u.copy() for u in got))
-        got[1][:] = got[2][:] = 2.0
-    for (keep, *uniforms), (wider, *wider_uniforms) in zip(picks, picks[1:]):
-        rows = np.searchsorted(wider, keep)
-        assert np.array_equal(wider[rows], keep)
-        assert all(map(np.array_equal, (u[rows] for u in wider_uniforms), uniforms))
+    for jump in (True, False):
+        monkeypatch.setattr(sampler, "_jump_pays", lambda kept, count: jump)
+        picks = []
+        for floor in (1.0, 0.99, 1.0 - _far_count(N) / N, 0.5, 0.0, -math.inf):
+            keep = np.flatnonzero(radius_u >= floor)
+            got = select_uniforms(policy, 0, N, floor)
+            assert all(map(np.array_equal, got, (keep, angle_u[keep], radius_u[keep])))
+            picks.append(tuple(u.copy() for u in got))
+            got[1][:] = got[2][:] = 2.0
+        for (keep, *uniforms), (wider, *wider_uniforms) in zip(picks, picks[1:]):
+            rows = np.searchsorted(wider, keep)
+            assert np.array_equal(wider[rows], keep)
+            assert all(map(np.array_equal, (u[rows] for u in wider_uniforms), uniforms))
 
 
 def test_cartesian_rows_of_any_subset_are_the_rows_of_the_whole_batch():
