@@ -196,10 +196,10 @@ def _run_batch(job) -> list[TrialRecord]:
     ``job`` is ``(objective, n, beta, master_seed, N, first, count, M, A)``.
     Trial ``t``'s selector is ``select_uniforms`` on its stream, so its
     points are ``sample_batch(params, N, policy, t)``, left as uniforms and
-    read ``sampler._CHUNK`` points at a time (above that, the radius block
-    alone, with the kept points' angle uniforms jumped to where that is
-    cheaper): a trial holds ``O(_CHUNK)`` uniforms and the ``O(sqrt N)``
-    points its circle test keeps (more where ``beta`` nears -1), not
+    read by one generator, the radius block first, ``sampler._CHUNK``
+    points at a time, with the kept points' angle uniforms jumped to where
+    that is cheaper: a trial holds ``O(_CHUNK)`` uniforms and the ``O(sqrt
+    N)`` points its circle test keeps (more where ``beta`` nears -1), not
     ``N``.  ``uniform_hulls`` gives coordinates only to those points,
     which are that array's rows bit for bit, and builds its hulls with
     ``convex_hull``'s routine; the unchecked ``_max_kgons`` (the points are
@@ -346,9 +346,10 @@ def _tail_hits(job) -> tuple[int, int]:
     m)``.  The chunk's points are the ``n m`` points of ``uniform_chunks``
     at draw ``2 n start`` of stream ``k``, so tuple ``j`` of the chunk is its
     points ``[n j, n j + n)``.  They are drawn once, first to last,
-    ``_TAIL_BLOCK`` tuples at a time.  Only the tuples whose ``n`` radius
-    uniforms all reach ``floor`` get coordinates and a score: the others
-    cannot reach ``threshold`` (``geometry.threshold_radius``).
+    ``_TAIL_BLOCK`` tuples at a time, both blocks in lockstep.  Only the
+    tuples whose ``n`` radius uniforms all reach ``floor`` get coordinates
+    and a score: the others cannot reach ``threshold``
+    (``geometry.threshold_radius``).
     ``points_from_uniforms`` is elementwise, so a scored tuple's points are
     the same doubles as without the filter.
     """

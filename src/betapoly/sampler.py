@@ -28,16 +28,17 @@ toward 0 (below 0.035 at ``beta = -0.999``), so nearly every point is
 kept.  It is exactly 0, keeping every point, for radii below ~1e-6 or not
 positive.
 
-``uniform_chunks`` lays out a stream's uniforms and ``points_from_uniforms``
-maps them to points, for ``sample_batch``, trials and tail chunks alike.
-It yields the two blocks in lockstep, a chunk of points at a time, so a
-stream above ``_CHUNK`` points is never held whole.  ``select_uniforms``
-is a trial's selector: it keeps the points whose radius uniform reaches a
-floor.  Above ``_CHUNK`` points it reads the radius block alone, a chunk
-at a time, and takes only the kept points' angle uniforms, computed from
-the angle block's start state by a jump of the PCG64 state (an LCG mod
-2^128, so any draw's state is an affine map of the start) when that is
-cheaper than drawing the block.
+A stream's uniforms have one layout (``SeedPolicy``), and
+``points_from_uniforms`` maps them to points, for ``sample_batch``, trials
+and tail chunks alike.  ``select_uniforms`` is a trial's selector: it keeps
+the points whose radius uniform reaches a floor.  One generator reads the
+radius block alone, a chunk at a time, so a stream above ``_CHUNK`` points
+is never held whole.  It then takes only the kept points' angle uniforms:
+computed from the angle block's start state by a jump of the PCG64 state
+(an LCG mod 2^128, so any draw's state is an affine map of the start) when
+that is cheaper, else read from that state in the same chunks.
+``uniform_chunks`` yields a tail chunk's two blocks in lockstep, a piece
+of points at a time.
 """
 
 from __future__ import annotations
@@ -52,9 +53,9 @@ from pathlib import Path
 
 import numpy as np
 
-# Points per chunk of uniform_chunks when its caller names no size.  Bounds
-# memory (and keeps the working set in cache) only: any value gives the same
-# doubles and the same points.
+# Points per chunk of select_uniforms' reads.  Bounds memory (and keeps the
+# working set in cache) only: any value gives the same doubles and the same
+# points.
 _CHUNK = 1 << 16
 
 
@@ -106,7 +107,8 @@ class SeedPolicy:
     a trial the stream has a fixed layout (the whole angle block first, then
     the radius block), so every coordinate is a pure function of
     ``(master_seed, trial_index, point_index)`` regardless of worker count,
-    scheduling or the size of the chunks it is read in (``uniform_chunks``).
+    scheduling or the size of the chunks it is read in (``select_uniforms``,
+    ``uniform_chunks``).
     """
 
     master_seed: int
@@ -216,37 +218,31 @@ def sample_batch(
 ) -> np.ndarray:
     """Draw ``count`` independent points as a float64 array of shape (count, 2).
 
-    Deterministic for fixed ``(master_seed, trial_index)``: the points are
-    ``uniform_chunks(seed_policy, trial_index, count)`` read as one chunk.
+    Deterministic for fixed ``(master_seed, trial_index)``: one generator
+    draws the angle block and then the radius block of the stream's layout.
 
     Raises:
         ValueError: if ``count`` is not an integer ``>= 1``.
     """
     count = check_integer(count, "count", least=1)
-    ((angle_u, radius_u),) = uniform_chunks(seed_policy, trial_index, count, size=count)
-    return points_from_uniforms(params, angle_u, radius_u)
+    rng = seed_policy.trial_generator(trial_index)
+    angle_u = rng.random(count)
+    return points_from_uniforms(params, angle_u, rng.random(count))
 
 
 def uniform_chunks(
-    policy: SeedPolicy, stream: int, count: int, skip: int = 0, size: int | None = None
+    policy: SeedPolicy, stream: int, count: int, skip: int, size: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The uniforms of ``count`` points of stream ``stream``, as ``(angle, radius)`` chunks.
 
-    The one stream layout: the angle block is draws ``[skip, skip + count)``
-    and the radius block the ``count`` draws after it.  A trial's points are
-    its blocks at ``skip = 0``; a tail chunk of ``m`` ``n``-tuples at tuple
-    ``start`` owns the blocks of ``n m`` points at ``skip = 2 n start``.
-    Yields pairs of ``size`` points in order (``_CHUNK`` when ``None``), the
-    last pair perhaps shorter.  Up to ``size`` points one generator draws
-    both blocks; beyond that each block has its own generator, jumped to its
-    first draw, so a reader never holds a whole block.  Each call draws
-    afresh, so calling again replays the same doubles.
+    The angle block is draws ``[skip, skip + count)`` and the radius block
+    the ``count`` draws after it; a tail chunk of ``m`` ``n``-tuples at
+    tuple ``start`` owns the blocks of ``n m`` points at ``skip = 2 n
+    start``.  Yields pairs of ``size`` points in order, the last pair
+    perhaps shorter, drawn in lockstep by two generators, one jumped to
+    each block's first draw, so a reader never holds a whole block.  Each
+    call draws afresh, so calling again replays the same doubles.
     """
-    size = _CHUNK if size is None else size
-    if count <= size:
-        rng = policy.trial_generator(stream, skip=skip)
-        yield rng.random(count), rng.random(count)
-        return
     angle = policy.trial_generator(stream, skip=skip)
     radius = policy.trial_generator(stream, skip=skip + count)
     for lo in range(0, count, size):
@@ -261,46 +257,45 @@ def select_uniforms(
 
     It is a trial's selector, and returns copies: each call replays the
     stream, so a call at a lower floor returns a superset, the shared rows
-    bit for bit.  Up to ``_CHUNK`` points it reads ``uniform_chunks(policy,
-    stream, count)`` a chunk at a time.  Beyond that it reads the radius
-    block alone, ``_CHUNK`` draws at a time, and then takes the kept angle
-    uniforms either by ``_jumped_uniforms`` from the angle block's start or
-    by reading that block in chunks, whichever ``_jump_pays`` finds cheaper
-    for the kept count.  Both give the same doubles.
+    bit for bit.  One generator reads the radius block alone, ``_CHUNK``
+    draws at a time, and then takes the kept angle uniforms either by
+    ``_jumped_uniforms`` from the angle block's start state or by going
+    back to that state and reading the angle block in the same chunks,
+    whichever ``_jump_pays`` finds cheaper for the kept count.  Both give
+    the same doubles.
     """
-    if count > _CHUNK:
-        radius = policy.trial_generator(stream, skip=count)
-        picks = []
-        for lo in range(0, count, _CHUNK):
-            r = radius.random(min(_CHUNK, count - lo))
-            i = np.flatnonzero(r >= floor)
-            picks.append((i + lo, r[i]))
-        keep, radius_u = (np.concatenate(p) for p in zip(*picks))
-        angle = policy.trial_generator(stream)
-        if _jump_pays(len(keep), count):
-            return keep, _jumped_uniforms(angle.bit_generator, keep), radius_u
-        starts = range(0, count, _CHUNK)
-        parts = np.split(keep, np.searchsorted(keep, starts[1:]))
-        angle_u = [angle.random(min(_CHUNK, count - lo))[i - lo] for lo, i in zip(starts, parts)]
-        return keep, np.concatenate(angle_u), radius_u
-    parts, lo = [], 0
-    for a, r in uniform_chunks(policy, stream, count):
+    rng = policy.trial_generator(stream)
+    start = rng.bit_generator.state
+    rng.bit_generator.advance(count)
+    starts = range(0, count, _CHUNK)
+    picks = []
+    for lo in starts:
+        r = rng.random(min(_CHUNK, count - lo))
         i = np.flatnonzero(r >= floor)
-        parts.append((i + lo, a[i], r[i]))
-        lo += len(r)
-    return tuple(np.concatenate(p) for p in zip(*parts))
+        picks.append((i + lo, r[i]))
+    keep, radius_u = (np.concatenate(p) for p in zip(*picks))
+    if _jump_pays(len(keep), count):
+        return keep, _jumped_uniforms(start, keep), radius_u
+    rng.bit_generator.state = start
+    angle_u = [rng.random(min(_CHUNK, count - lo))[i - lo] for lo, (i, _) in zip(starts, picks)]
+    return keep, np.concatenate(angle_u), radius_u
 
 
-# What a jump costs per kept point and bit of ``count``, in drawn doubles:
-# benchmarks/angle_jump.py finds the two angle paths equal at 3.2-5.4
-# across runs at N = 10^6 and 10^7.  A speed setting only: both paths give
-# the same doubles.
+# What a jump costs, in drawn doubles: _JUMP_COST per kept point and bit of
+# ``count``, and _JUMP_FIXED for its Python work per hex digit, however few
+# points it gets.  benchmarks/angle_jump.py finds the two angle paths equal
+# at a _JUMP_COST of 3.2-5.4 across runs at N = 10^6 and 10^7.  At the far
+# floor the block is faster at N = 2 10^4 (jumping there takes a fixed term
+# below 3 140) and the jump at 6 10^4 (below 28 448); at 4 10^4 (15 936)
+# each was faster in about half the runs.  A speed setting only: both paths
+# give the same doubles.
 _JUMP_COST = 4
+_JUMP_FIXED = 22_000
 
 
 def _jump_pays(kept: int, count: int) -> bool:
     """Whether ``_jumped_uniforms`` at ``kept`` indices beats drawing a ``count``-point angle block."""
-    return _JUMP_COST * kept * count.bit_length() < count
+    return _JUMP_COST * kept * count.bit_length() + _JUMP_FIXED < count
 
 
 # PCG64 steps its 128-bit state s to (s * _PCG_MULT + inc) mod 2^128 per
@@ -332,15 +327,16 @@ def _limbs(values) -> tuple[np.ndarray, np.ndarray]:
     return high, np.array([v & _U64 for v in values], np.uint64)
 
 
-def _jumped_uniforms(bit_generator: np.random.PCG64, index: np.ndarray) -> np.ndarray:
-    """``Generator(bit_generator).random(n)[index]`` for any ``n`` past ``index``, without the draws.
+def _jumped_uniforms(start: dict, index: np.ndarray) -> np.ndarray:
+    """The doubles ``Generator.random(n)[index]`` of a PCG64 at ``start``, without the draws.
 
-    Draw ``i`` is the output of the state ``i + 1`` steps on.  Each
-    index's state is reached by one affine map per hex digit of ``i + 1``
-    (the maps commute), on uint64 limb arrays that wrap as the 128-bit
-    arithmetic does.  ``bit_generator`` is left as it is.
+    ``start`` is a ``PCG64.state``, and any ``n`` past ``index`` gives the
+    same doubles.  Draw ``i`` is the output of the state ``i + 1`` steps
+    on.  Each index's state is reached by one affine map per hex digit of
+    ``i + 1`` (the maps commute), on uint64 limb arrays that wrap as the
+    128-bit arithmetic does.
     """
-    state = bit_generator.state["state"]
+    state = start["state"]
     steps = index.astype(np.uint64) + 1
     hi = np.full(len(steps), state["state"] >> 64, np.uint64)
     lo = np.full(len(steps), state["state"] & _U64, np.uint64)

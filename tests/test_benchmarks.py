@@ -41,8 +41,8 @@ def test_max_kgon_bisection_batch_hulls_are_the_trials_hulls():
 
 
 def test_angle_jump_paths_select_the_lockstep_reads_doubles():
-    # Just above a chunk the far set's ~530 angles are jumped to; each path
-    # is checked against the lockstep read as it is timed.
+    # At N = 70 000 the far set's ~530 angles are jumped to; each path is
+    # checked against the lockstep read as it is timed.
     script = _load("angle_jump")
     ((N, kept, rule, ms),) = script.trial_rows((70_000,))
     assert (N, rule) == (70_000, "jump") and 0 < kept < N // 100

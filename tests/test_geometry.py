@@ -3,6 +3,7 @@ import itertools
 import math
 import time
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -37,7 +38,6 @@ from betapoly.sampler import (
     radius_uniform_floor,
     sample_batch,
     select_uniforms,
-    uniform_chunks,
 )
 
 SQUARE = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
@@ -168,26 +168,46 @@ def _hull_stages(monkeypatch, run):
 
 def _stream_blocks(seed, stream, N):
     """The angle and radius blocks of ``N`` points of a stream, whole."""
-    ((angle_u, radius_u),) = uniform_chunks(SeedPolicy(seed), stream, N, size=N)
-    return angle_u, radius_u
+    rng = SeedPolicy(seed).trial_generator(stream)
+    return rng.random(N), rng.random(N)
+
+
+class _Draws:
+    """A stand-in generator whose draws are ``draws``, in order.
+
+    It is its own ``bit_generator``: ``state`` is the next draw's index and
+    ``advance`` skips draws, which is all ``select_uniforms`` asks of one.
+    """
+
+    def __init__(self, draws):
+        self.draws, self.state, self.bit_generator = draws, 0, self
+
+    def advance(self, delta):
+        self.state += delta
+
+    def random(self, size):
+        self.state += size
+        return self.draws[self.state - size : self.state].copy()
 
 
 def _chunked_selectors(monkeypatch, chunk):
     """``select_uniforms`` on blocks it reads in ``chunk``-point pieces.
 
-    Patches ``sampler.uniform_chunks`` to serve the blocks passed in place of
-    a seed policy, so the selector's own index offsets across the pieces are
-    what runs.  Returns ``make(angle_u, radius_u)``, the blocks' selector.
+    Serves the blocks through a stand-in policy whose generator draws the
+    angle block and then the radius block, and makes the selector read the
+    angle block rather than jump to it, so the selector's own index offsets
+    across the pieces are what runs.  Returns ``make(angle_u, radius_u)``,
+    the blocks' selector.
     """
+    monkeypatch.setattr(sampler, "_CHUNK", chunk)
+    monkeypatch.setattr(sampler, "_jump_pays", lambda kept, count: False)
 
-    def pieces(blocks, stream, count, skip=0, size=None):
-        for lo in range(0, count, chunk):
-            yield tuple(u[lo : lo + chunk].copy() for u in blocks)
+    def make(angle_u, radius_u):
+        draws = np.concatenate([angle_u, radius_u])
+        policy = types.SimpleNamespace(trial_generator=lambda stream: _Draws(draws))
+        return functools.partial(select_uniforms, policy, 0, len(radius_u))
 
-    monkeypatch.setattr(sampler, "uniform_chunks", pieces)
-    return lambda angle_u, radius_u: functools.partial(
-        select_uniforms, (angle_u, radius_u), 0, len(radius_u)
-    )
+    return make
 
 
 def _assert_uniform_hull_exact(params, angle_u, radius_u, make=helpers.selector):

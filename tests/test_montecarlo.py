@@ -168,7 +168,7 @@ def _assert_trial_touches_few_points(monkeypatch, N):
     # radius block alone, a chunk at a time, and jumps to the kept angles.
     chunk = sampler._CHUNK
     assert N > chunk and log.requests[0] == [min(chunk, N - lo) for lo in range(0, N, chunk)]
-    assert log.generators == [(0, N), (0, 0)]
+    assert log.generators == [(0, 0)]
     assert record.H == max_kgon(convex_hull(pts), pts, 3, Objective.PERIMETER).value
     assert record.H == max_kgon(helpers.chain_hull(pts), pts, 3, Objective.PERIMETER).value
 
@@ -311,8 +311,9 @@ def test_chunked_trials_equal_the_full_sample_path(monkeypatch, chunk):
 def test_a_streamed_trial_replays_its_stream_when_the_far_set_falls_short(monkeypatch):
     # At seed 5, beta = 0, N = 1 000 the far set's disk floor falls below
     # the far set's own floor, so a streamed trial reads its stream twice, a
-    # chunk at a time: the radius block, then the angle block, as ~95 kept
-    # points of 1 000 are too many for a jump to pay.
+    # chunk at a time, one generator a pass: the radius block, then the
+    # angle block, as ~95 kept points of 1 000 are too many for a jump to
+    # pay.
     N = 1_000
     pts = sample_batch(BetaParams(0.0), N, SeedPolicy(5), 0)
     expected = max_kgon(convex_hull(pts), pts, 3, Objective.AREA)
@@ -324,21 +325,23 @@ def test_a_streamed_trial_replays_its_stream_when_the_far_set_falls_short(monkey
     (record,) = montecarlo._run_batch((Objective.AREA, 3, 0.0, 5, N, 0, 1, law.M, law.A))
     draws = log.requests[0]
     assert sum(draws) == 4 * N and max(draws) == 97
-    assert log.generators == [(0, N), (0, 0)] * 2
+    assert log.generators == [(0, 0)] * 2
     assert (record.H, record.hull_size) == (expected.value, len(convex_hull(pts).vertex_indices))
     assert record.hull_size == len(chain.vertex_indices)
 
 
 def test_trials_above_the_jump_switch_are_the_same_on_either_angle_path(monkeypatch):
-    # At N = 3 x 10^5 each trial's far set (~1 100 points) gets its angle
-    # uniforms by the jump.  Two workers, or the angle block drawn in
-    # chunks, give the same records, and they are the whole sample's.
-    N, jumps = 300_000, []
-    cfg = _small_config(objective=Objective.AREA, N_list=(N,), trials=3, master_seed=7)
+    # At N = 6 x 10^4, below a chunk, and 3 x 10^5 each trial's far set
+    # (~490 and ~1 100 points) gets its angle uniforms by the jump.  Two
+    # workers, or the angle block drawn in chunks, give the same records,
+    # and they are the whole sample's.
+    assert not sampler._jump_pays(281, 20_000) and sampler._jump_pays(2_055, 10**6)
+    Ns, jumps = (60_000, 300_000), []
+    cfg = _small_config(objective=Objective.AREA, N_list=Ns, trials=3, master_seed=7)
     jump = sampler._jumped_uniforms
     monkeypatch.setattr(sampler, "_jumped_uniforms", lambda *a: jumps.append(a) or jump(*a))
     runs = [run_trials(cfg, threads=1)]
-    assert len(jumps) == cfg.trials
+    assert len(jumps) == len(Ns) * cfg.trials
     runs.append(run_trials(cfg, threads=2))
     monkeypatch.setattr(sampler, "_jump_pays", lambda kept, count: False)
     jumps.clear()
@@ -346,10 +349,11 @@ def test_trials_above_the_jump_switch_are_the_same_on_either_angle_path(monkeypa
     assert not jumps
     keys = [[(r.N, r.trial_index, r.H, r.T, r.hull_size) for r in recs] for recs in runs]
     assert keys[0] == keys[1] == keys[2]
-    pts = sample_batch(BetaParams(0.0), N, SeedPolicy(7), 0)
-    chain = helpers.chain_hull(pts)
-    expected = max_kgon(chain, pts, 3, Objective.AREA).value
-    assert (runs[0][0].H, runs[0][0].hull_size) == (expected, len(chain.vertex_indices))
+    for r in runs[0][:: cfg.trials]:
+        pts = sample_batch(BetaParams(0.0), r.N, SeedPolicy(7), 0)
+        chain = helpers.chain_hull(pts)
+        expected = max_kgon(chain, pts, 3, Objective.AREA).value
+        assert (r.H, r.hull_size) == (expected, len(chain.vertex_indices))
 
 
 def _in_process_pool(monkeypatch):
@@ -593,8 +597,8 @@ def test_tail_probe_ragged_draws_reproduce_the_sequential_stream(monkeypatch):
     # The probe scores only the tuples its radius prefilter keeps; the
     # reference scores every tuple.
     draws = montecarlo._TAIL_CHUNK + 3 * montecarlo._TAIL_BLOCK + 7
-    # Both chunks drawn by two generators a block at a time (the default),
-    # the ragged one alone drawn whole by one, and both whole.
+    # Both chunks drawn a block at a time (the default), the ragged one
+    # alone in one block, and both in one block.
     blocks = (montecarlo._TAIL_BLOCK, draws - montecarlo._TAIL_CHUNK, draws)
     if _HAS_FORK:
         _pool_started_by(monkeypatch, "fork")

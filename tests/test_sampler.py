@@ -148,40 +148,23 @@ def test_skipped_block_matches_draw_points_slice(beta):
 def test_uniform_stream_slices_are_the_drawn_blocks(monkeypatch):
     # The angle block is draws [skip, skip + count) and the radius block the
     # count after it, yielded in lockstep chunks of size points, the last
-    # perhaps shorter.  A second call replays the same doubles.
-    policy, count = SeedPolicy(61), 250
-    skips = (0, 1, 600)
-    raw = {skip: policy.trial_generator(4).random(skip + 2 * count)[skip:] for skip in skips}
-    monkeypatch.setattr(sampler, "_CHUNK", 100)  # size None reads it when called
-    for size, skip in itertools.product((1, 97, count - 1, count, count + 1, None), skips):
-        step = size or 100
+    # perhaps shorter, by two generators at the blocks' first draws, up to a
+    # chunk and beyond.  A second call replays the same doubles.
+    policy, stream = SeedPolicy(61), 4
+    counts, skips = (1, 99, 100, 101, 250), (0, 1, 600)
+    raw = {skip: policy.trial_generator(stream).random(skip + 2 * 250)[skip:] for skip in skips}
+    log = helpers.count_draws(monkeypatch)
+    for count, size, skip in itertools.product(counts, (1, 97, 100, 249, 250, 251), skips):
         for _ in range(2):
-            chunks = list(uniform_chunks(policy, 4, count, skip, size))
+            made = len(log.generators)
+            chunks = list(uniform_chunks(policy, stream, count, skip, size))
+            assert log.generators[made:] == [(stream, skip), (stream, skip + count)]
             lengths = [len(a) for a, _ in chunks]
             assert lengths == [len(r) for _, r in chunks]
-            assert lengths == [min(step, count - lo) for lo in range(0, count, step)]
+            assert lengths == [min(size, count - lo) for lo in range(0, count, size)]
             angle_u, radius_u = (np.concatenate(block) for block in zip(*chunks))
             assert np.array_equal(angle_u, raw[skip][:count])
-            assert np.array_equal(radius_u, raw[skip][count:])
-
-
-def test_uniform_blocks_draws_small_blocks_whole(monkeypatch):
-    # Up to a chunk one generator draws both blocks, as one pair of arrays;
-    # beyond it each block has its own generator.  Either way the blocks
-    # are the same doubles.
-    policy = SeedPolicy(62)
-    cases = list(itertools.product((1, 99, 100, 101, 250), (0, 1, 600)))
-    raw = {(N, skip): policy.trial_generator(1).random(skip + 2 * N)[skip:] for N, skip in cases}
-    monkeypatch.setattr(sampler, "_CHUNK", 100)
-    log = helpers.count_draws(monkeypatch)
-    for N, skip in cases:
-        made = len(log.generators)
-        chunks = list(uniform_chunks(policy, 1, N, skip))
-        assert len(log.generators) - made == (1 if N <= 100 else 2)
-        assert len(chunks) == (1 if N <= 100 else -(-N // 100))
-        angle_u, radius_u = (np.concatenate(block) for block in zip(*chunks))
-        assert np.array_equal(angle_u, raw[N, skip][:N])
-        assert np.array_equal(radius_u, raw[N, skip][N:])
+            assert np.array_equal(radius_u, raw[skip][count : 2 * count])
 
 
 @pytest.mark.parametrize("stream, N", [(0, 65_537), (3, 200_000), (8, 10_000_003)])
@@ -195,29 +178,32 @@ def test_jumped_uniforms_are_the_streams_draws_at_their_indices(stream, N):
     indices = [np.array([0, 1, 2**16 - 1, 2**16, N - 1]), np.arange(0)]
     indices += [np.sort(rng.choice(N, k, replace=False)) for k in (1, 2_100, 7_000)]
     indices += [np.arange(N)] if N < 10**6 else []
-    bits = policy.trial_generator(stream).bit_generator
-    start = bits.state
+    start = policy.trial_generator(stream).bit_generator.state
     for index in indices:
-        assert np.array_equal(sampler._jumped_uniforms(bits, index), whole[index])
-    assert bits.state == start
+        assert np.array_equal(sampler._jumped_uniforms(start, index), whole[index])
+    assert start == policy.trial_generator(stream).bit_generator.state
 
 
-@pytest.mark.parametrize("chunk", [1, 97, 128, 1_000, 1 << 16])
-def test_select_uniforms_is_the_same_on_arrays_and_streams_in_any_chunks(monkeypatch, chunk):
+@pytest.mark.parametrize(
+    "chunk, N",
+    [pytest.param(chunk, 1_000, id=str(chunk)) for chunk in (1, 97, 128, 1_000, 1 << 16)]
+    + [(1 << 16, 20_000), (1 << 16, 60_000)],
+)
+def test_select_uniforms_is_the_same_on_arrays_and_streams_in_any_chunks(monkeypatch, chunk, N):
     # The stream read in chunks of any size, with the kept angle uniforms
     # jumped to or drawn (each path forced), gives the whole blocks'
     # selection.  Each call replays the stream: overwriting what one call
     # returns (as points_from_uniforms does) leaves the next call's doubles
     # as they are, and a call at a lower floor returns a superset whose
     # shared rows are the same doubles, as uniform_hulls' second call needs.
-    policy, N = SeedPolicy(63), 1_000
+    policy = SeedPolicy(63)
     rng = policy.trial_generator(0)
     angle_u, radius_u = rng.random(N), rng.random(N)
     monkeypatch.setattr(sampler, "_CHUNK", chunk)
     for jump in (True, False):
         monkeypatch.setattr(sampler, "_jump_pays", lambda kept, count: jump)
         picks = []
-        for floor in (1.0, 0.99, 1.0 - _far_count(N) / N, 0.5, 0.0, -math.inf):
+        for floor in sorted((1.0, 0.99, 1.0 - _far_count(N) / N, 0.5, 0.0, -math.inf), reverse=True):
             keep = np.flatnonzero(radius_u >= floor)
             got = select_uniforms(policy, 0, N, floor)
             assert all(map(np.array_equal, got, (keep, angle_u[keep], radius_u[keep])))
@@ -235,7 +221,7 @@ def test_cartesian_rows_of_any_subset_are_the_rows_of_the_whole_batch():
     # order or position.
     params, policy = BetaParams(0.0), SeedPolicy(13)
     whole = sample_batch(params, 5_000, policy, 2)
-    ((angle_u, radius_u),) = uniform_chunks(policy, 2, 5_000)
+    ((angle_u, radius_u),) = uniform_chunks(policy, 2, 5_000, skip=0, size=5_000)
     rng = np.random.default_rng(5)
     subsets = [np.arange(k) for k in range(1, 18)]
     subsets += [np.arange(3, 4_999, 7), np.arange(4_999, 0, -3)]
